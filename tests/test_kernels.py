@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amcmc.cli import build_family
 from amcmc.errors import (
     DimensionMismatch,
     NotIrreducible,
@@ -25,6 +29,9 @@ from amcmc.kernels import (
     write_kernel_json,
     write_sup_tv_csv,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def power_iteration_stationary(P, tol=1e-15, max_iter=200_000):
@@ -55,6 +62,28 @@ class TestStochasticMatrix:
         P = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
             P.rows[0, 0] = 0.9
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[np.nan, np.nan], [0.5, 0.5]],  # once accepted, with a coefficient of 0
+            [[np.nan, 1.0], [0.5, 0.5]],
+            [[np.inf, 0.5], [0.5, 0.5]],
+            [[-np.inf, 0.5], [0.5, 0.5]],
+        ],
+    )
+    def test_rejects_non_finite_entries(self, rows):
+        with pytest.raises(ValueError, match="finite"):
+            StochasticMatrix(rows)
+
+
+class TestDistribution:
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.5, 0.5], [-np.inf, 1.0]]
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(weights)
 
 
 class TestStationaryDistribution:
@@ -132,7 +161,59 @@ class TestMaxTvBetweenKernels:
             assert max_tv_between_kernels(P, M) <= eps + 1e-12
 
 
+def dobrushin_oracle(rows: np.ndarray) -> float:
+    """All-pairs contraction coefficient: every ``(x, y)`` pair, no pruning."""
+    n = rows.shape[0]
+    if n == 1:
+        return 0.0
+    best = 0.0
+    chunk = max(1, int(2e6) // (n * n))
+    for start in range(0, n, chunk):
+        block = rows[start : start + chunk]
+        diffs = 0.5 * np.abs(block[:, None, :] - rows[None, :, :]).sum(axis=2)
+        best = max(best, float(diffs.max()))
+    return min(best, 1.0)
+
+
+KERNEL_KINDS = ("dense", "sparse", "lazy-cycle", "permutation", "equal-row", "near-equal-row")
+
+
+def make_kernel(kind: str, n: int, seed: int) -> StochasticMatrix:
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        rows = rng.dirichlet(np.full(n, rng.uniform(0.05, 5.0)), size=n)
+    elif kind == "sparse":
+        rows = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
+        rows[np.arange(n), rng.integers(0, n, size=n)] += 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    elif kind == "lazy-cycle":
+        lazy = rng.uniform(0.0, 1.0)
+        rows = lazy * np.eye(n) + (1.0 - lazy) * np.roll(np.eye(n), 1, axis=1)
+    elif kind == "permutation":
+        rows = np.eye(n)[rng.permutation(n)]
+    elif kind == "equal-row":
+        rows = np.tile(rng.dirichlet(np.ones(n)), (n, 1))
+    else:
+        # rows a few ulps apart: every pair sits inside the pruning slack
+        rows = np.tile(rng.dirichlet(np.ones(n)), (n, 1))
+        rows *= 1.0 + 1e-15 * rng.standard_normal((n, n))
+        rows /= rows.sum(axis=1, keepdims=True)
+    return StochasticMatrix(rows)
+
+
 class TestDobrushinCoefficient:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KERNEL_KINDS),
+        n=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        power=st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_all_pairs_oracle_exactly(self, kind, n, seed, power):
+        P = make_kernel(kind, n, seed)
+        rows = np.linalg.matrix_power(P.rows, power)
+        assert dobrushin_coefficient(StochasticMatrix(rows)) == dobrushin_oracle(rows)
+
     def test_equal_rows(self):
         pi = Distribution([0.5, 0.3, 0.2])
         assert dobrushin_coefficient(iid_family(pi).kernels[0]) == 0.0
@@ -237,6 +318,52 @@ class TestFitErgodicityConstants:
             e = sup_tv_to_pi_curve(P, pi, 12)
             ks = np.arange(1, 13)
             assert np.all(e <= beta**ks + 1e-10)
+
+
+def fit_ergodicity_constants_oracle(P_list, pi, horizon):
+    """The certificate fit with an all-pairs coefficient for every power and a
+    separate pass over the powers for the curves ``e_s(k)``."""
+    beta = max(dobrushin_oracle(P.rows) for P in P_list)
+    beta_m = np.ones(horizon + 1)
+    powers = [P.rows.copy() for P in P_list]
+    for m in range(1, horizon + 1):
+        if m > 1:
+            powers = [Pk @ P.rows for Pk, P in zip(powers, P_list)]
+        beta_m[m] = max(dobrushin_oracle(Pk) for Pk in powers)
+    rho, _ = min((beta_m[m] ** (1.0 / m), m) for m in range(1, horizon + 1) if beta_m[m] < 1.0)
+    C = 1.0
+    if rho > 0.0:
+        ks = np.arange(1, horizon + 1)
+        for P in P_list:
+            e = np.empty(horizon)
+            Pk = P.rows.copy()
+            for k in range(1, horizon + 1):
+                if k > 1:
+                    Pk = Pk @ P.rows
+                e[k - 1] = 0.5 * np.abs(Pk - pi.weights[None, :]).sum(axis=1).max()
+            C = max(C, float(np.max(e / rho**ks)))
+    return C, float(rho), float(beta)
+
+
+class TestFitMatchesOracle:
+    @pytest.mark.parametrize(
+        "name, target_m, sigmas",
+        [
+            ("bounds_rwm_grid.json", None, None),
+            ("bounds_rwm_grid.json", 12, [0.3, 0.9]),
+            ("bounds_rwm_grid.json", 90, [0.4, 0.8, 1.6, 2.4, 3.2]),
+            ("bounds_mixture.json", None, None),
+        ],
+    )
+    def test_same_certificate_as_oracle(self, name, target_m, sigmas):
+        cfg = json.loads((CONFIG_DIR / name).read_text())
+        if target_m is not None:
+            cfg["family"]["target"]["m"] = target_m
+            cfg["family"]["sigmas"] = sigmas
+        fam = build_family(cfg["family"])
+        consts = fit_ergodicity_constants(list(fam.kernels), fam.pi, cfg["horizon"])
+        expected = fit_ergodicity_constants_oracle(list(fam.kernels), fam.pi, cfg["horizon"])
+        assert (consts.C, consts.rho, consts.beta) == expected
 
 
 class TestErgodicityConstantsType:
