@@ -1,11 +1,9 @@
 """Adaptive MCMC on finite state spaces with exact decomposition diagnostics."""
 
 from .adaptation import (
-    AdaptDecision,
     ParameterSpace,
     RareSchedule,
     SAState,
-    SchemeConfig,
     WaningReport,
     am_field,
     bernoulli_log_schedule,
@@ -13,7 +11,6 @@ from .adaptation import (
     next_adaptation_decision,
     ram_field,
     sa_step,
-    scheme_from_config,
     waning_diagnostic,
 )
 from .families import (

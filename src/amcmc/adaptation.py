@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,11 +185,6 @@ def ram_field(Z, alpha: float, alpha_star: float, S):
 # rare adaptation schedules
 
 
-class AdaptDecision(NamedTuple):
-    adapt: bool
-    gamma_eff: float
-
-
 class RareSchedule:
     """Schedule deciding when the parameter may change.
 
@@ -197,7 +192,7 @@ class RareSchedule:
     n_i`` with increments ``n_j = increment(j)`` clamped to at least 1 so
     the times are strictly increasing.  ``kind="bernoulli"`` adapts at step
     ``k`` when an independent uniform falls below the activation
-    probability ``eta_k``, with effective step ``gamma_k``.
+    probability ``eta_k``.
 
     Single-owner: the cached adaptation times mutate as they are extended,
     so one instance should drive one chain.
@@ -208,7 +203,6 @@ class RareSchedule:
         kind: str,
         increment: Callable[[int], float] | None = None,
         activation: Callable[[int], float] | None = None,
-        gamma: Callable[[int], float] | None = None,
     ):
         if kind not in ("deterministic", "bernoulli"):
             raise ValueError(f"unknown schedule kind {kind!r}")
@@ -219,7 +213,6 @@ class RareSchedule:
         self.kind = kind
         self.increment = increment
         self.activation = activation
-        self.gamma = gamma if gamma is not None else constant_gamma(1.0)
         self._taus: list[int] = []
         self._tau_set: set[int] = set()
 
@@ -245,10 +238,8 @@ class RareSchedule:
         return value
 
 
-def next_adaptation_decision(
-    sched: RareSchedule, k: int, u: float | None = None
-) -> AdaptDecision:
-    """Decide whether step ``k`` adapts and with what effective step size.
+def next_adaptation_decision(sched: RareSchedule, k: int, u: float | None = None) -> bool:
+    """Decide whether step ``k`` adapts.
 
     Deterministic schedules adapt exactly at their precomputed times;
     Bernoulli schedules adapt when ``u <= eta_k``.  ``u`` is required only
@@ -258,17 +249,13 @@ def next_adaptation_decision(
         raise ValueError("step index must be >= 1")
     if sched.kind == "deterministic":
         sched._extend_taus(k)
-        adapt = k in sched._tau_set
-    else:
-        if u is None:
-            raise ValueError("bernoulli schedule needs a uniform draw")
-        adapt = u <= sched.eta(k)
-    return AdaptDecision(adapt=adapt, gamma_eff=float(sched.gamma(k)) if adapt else 0.0)
+        return k in sched._tau_set
+    if u is None:
+        raise ValueError("bernoulli schedule needs a uniform draw")
+    return u <= sched.eta(k)
 
 
-def log_increment_schedule(
-    c: float = 2.0, epsilon: float = 0.1, gamma: Callable[[int], float] | None = None
-) -> RareSchedule:
+def log_increment_schedule(c: float = 2.0, epsilon: float = 0.1) -> RareSchedule:
     """Deterministic schedule with slowly growing gaps
     ``n_j = max(1, ceil(c * log(j)**(1+epsilon)))``."""
     if c <= 0 or epsilon <= 0:
@@ -276,13 +263,10 @@ def log_increment_schedule(
     return RareSchedule(
         kind="deterministic",
         increment=lambda j: c * math.log(j) ** (1.0 + epsilon),
-        gamma=gamma,
     )
 
 
-def bernoulli_log_schedule(
-    c: float = 1.0, epsilon: float = 0.1, gamma: Callable[[int], float] | None = None
-) -> RareSchedule:
+def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> RareSchedule:
     """Bernoulli schedule with activation ``eta_k = min(1, c / log(k)**(1+epsilon))``.
 
     ``log(max(k, 2))`` guards the first step.
@@ -292,108 +276,6 @@ def bernoulli_log_schedule(
     return RareSchedule(
         kind="bernoulli",
         activation=lambda k: min(1.0, c / math.log(max(k, 2)) ** (1.0 + epsilon)),
-        gamma=gamma,
-    )
-
-
-def always_adapt(gamma: Callable[[int], float] | None = None) -> RareSchedule:
-    """Degenerate schedule adapting at every step (continuous adaptation)."""
-    return RareSchedule(kind="bernoulli", activation=lambda k: 1.0, gamma=gamma)
-
-
-# ---------------------------------------------------------------------------
-# declarative scheme configuration
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Update-rule bundle assembled from a declarative config.
-
-    Collects everything one adaptive parameter needs: the increment field
-    (covariance tracking, acceptance-rate tuning, or a custom callable),
-    the step-size rule, the feasible set with its constraint mode, and an
-    optional rare schedule gating when updates may fire.
-    """
-
-    kind: str
-    field: Callable
-    gamma: Callable[[int], float]
-    space: ParameterSpace
-    mode: str
-    rare: RareSchedule | None = None
-
-    def initial_state(self, S0) -> SAState:
-        if not self.space.contains(S0):
-            raise ValueError("initial parameter outside the feasible set")
-        return SAState(S=S0, k=0, gamma_schedule=self.gamma)
-
-
-def _gamma_from_config(spec: dict) -> Callable[[int], float]:
-    kind = spec.get("kind", "power")
-    if kind == "power":
-        return power_gamma(float(spec.get("c", 1.0)), float(spec.get("exponent", 1.0)))
-    if kind == "constant":
-        return constant_gamma(float(spec.get("c", 1.0)))
-    raise ValueError(f"unknown gamma kind {kind!r}")
-
-
-def _rare_from_config(spec: dict | None) -> RareSchedule | None:
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    c = float(spec.get("c", 2.0))
-    eps = float(spec.get("epsilon", 0.1))
-    if kind == "deterministic":
-        return log_increment_schedule(c, eps)
-    if kind == "bernoulli":
-        return bernoulli_log_schedule(c, eps)
-    if kind == "always":
-        return always_adapt()
-    raise ValueError(f"unknown rare-schedule kind {kind!r}")
-
-
-def scheme_from_config(spec: dict, custom_field: Callable | None = None) -> SchemeConfig:
-    """Build a :class:`SchemeConfig` from its file representation.
-
-    Schema: ``{"scheme": "am" | "ram" | "custom", "gamma": {"kind",
-    "exponent", "c"}, "constraint": {"a", "b", "d", "mode"}, "rare":
-    {"kind", "c", "epsilon"}}``.  The defaults follow common practice:
-    ``1/k`` steps for mean/covariance tracking and ``k**-(2/3)`` for
-    acceptance-rate tuning with target 0.234 (the exponent is
-    configurable; no canonical value is asserted).
-    """
-    scheme = spec.get("scheme")
-    if scheme not in ("am", "ram", "custom"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "custom":
-        if custom_field is None:
-            raise ValueError("custom scheme needs a field callable")
-        fld = custom_field
-        gamma_default = {"kind": "power", "exponent": 1.0, "c": 1.0}
-    elif scheme == "am":
-        fld = am_field
-        gamma_default = {"kind": "power", "exponent": 1.0, "c": 1.0}
-    else:
-        target = float(spec.get("target_rate", 0.234))
-        fld = lambda Z, alpha, S: ram_field(Z, alpha, target, S)  # noqa: E731
-        gamma_default = {"kind": "power", "exponent": 2.0 / 3.0, "c": 1.0}
-    constraint = spec.get("constraint", {})
-    space = ParameterSpace(
-        kind="eigenbox",
-        a=float(constraint.get("a", 1e-3)),
-        b=float(constraint.get("b", 1e3)),
-        d=int(constraint.get("d", 1)),
-    )
-    mode = constraint.get("mode", "reject")
-    if mode not in ("reject", "project"):
-        raise ValueError(f"unknown constraint mode {mode!r}")
-    return SchemeConfig(
-        kind=scheme,
-        field=fld,
-        gamma=_gamma_from_config(spec.get("gamma", gamma_default)),
-        space=space,
-        mode=mode,
-        rare=_rare_from_config(spec.get("rare")),
     )
 
 

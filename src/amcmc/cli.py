@@ -13,10 +13,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import families, kernels, ledger, poisson, rwm
 from .adaptation import bernoulli_log_schedule, log_increment_schedule, waning_diagnostic
-from .errors import ConfigError
+from .errors import AmcmcError, ConfigError
 from .kernels import Distribution
 from .poisson import TestFunction
 
@@ -55,7 +55,6 @@ class RunConfig:
     raw: dict
     seed: int
     out: Path
-    threads: int
     fmt: str
 
     @property
@@ -125,9 +124,6 @@ def build_run_config(args, experiment: str) -> RunConfig:
     out = args.out if args.out is not None else _env("OUT")
     if out is None:
         out = cfg.get("out", "runs")
-    threads = args.threads if args.threads is not None else _env("THREADS")
-    if threads is None:
-        threads = cfg.get("threads", 1)
     fmt = args.format if args.format is not None else _env("FORMAT")
     if fmt is None:
         fmt = cfg.get("format", "csv")
@@ -138,7 +134,6 @@ def build_run_config(args, experiment: str) -> RunConfig:
         raw=cfg,
         seed=int(seed),
         out=Path(out),
-        threads=max(1, int(threads)),
         fmt=fmt,
     )
 
@@ -308,14 +303,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    """Map preserving input order; results are identical for any thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -337,7 +324,9 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     # cycle for odd k, which pins the orbit to 2, 3, 2, 3, ... (1-based)
     n_orbit = 64
     indices = np.arange(n_orbit + 1) % 2
-    X = ledger.simulate_schedule_single(family, indices, x0=1, n=n_orbit, seed=cfg.seed)
+    X = ledger.run_adaptive_chain(
+        family, ledger.ScheduleScheme(indices), x0=1, s0=0, n=n_orbit, seed=cfg.seed
+    ).X
     labels = X + 1
     checks["orbit"] = list(labels[:5]) == [2, 3, 2, 3, 2]
     prefix_avgs = np.cumsum(phi.values[X[1:]]) / np.arange(1, n_orbit + 1)
@@ -358,9 +347,9 @@ def cmd_counterexample(cfg: RunConfig) -> int:
             "horizon": consts.horizon,
         }
         sigma2 = poisson.clt_variance(P, pi, phi)
-        Xs = ledger.simulate_schedule_single(
-            family, np.full(n_mc + 1, s_idx), x0=1, n=n_mc, seed=cfg.seed
-        )
+        Xs = ledger.run_adaptive_chain(
+            family, ledger.ConstantScheme(), x0=1, s0=s_idx, n=n_mc, seed=cfg.seed
+        ).X
         avg = float(phi.values[Xs[1:]].mean())
         band = 3.0 * np.sqrt(sigma2 / n_mc)
         lln[name] = {
@@ -449,6 +438,19 @@ def cmd_lln(cfg: RunConfig) -> int:
     return _finish(cfg, artifacts, summary, code)
 
 
+def _ratio_band(band) -> tuple:
+    """``[lo, hi]``: two finite numbers with ``lo < hi``, kept as given."""
+    ok = (
+        isinstance(band, list)
+        and len(band) == 2
+        and all(type(v) in (int, float) and -math.inf < v < math.inf for v in band)
+        and band[0] < band[1]
+    )
+    if not ok:
+        raise ConfigError(f"ratio_band must be [lo, hi] with finite lo < hi, got {band!r}")
+    return band[0], band[1]
+
+
 def cmd_clt(cfg: RunConfig) -> int:
     out_dir = _out_dir(cfg)
     family = build_family(cfg.require("family"))
@@ -457,6 +459,7 @@ def cmd_clt(cfg: RunConfig) -> int:
     replications = int(cfg.get("replications", 1000))
     if n < 1 or replications < 1:
         raise ConfigError("n and replications must be >= 1")
+    lo, hi = _ratio_band(cfg.get("ratio_band", [0.85, 1.15]))
     scheme, limit = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
     study = ledger.clt_study(
         family, scheme, phi, n, replications, seeds=[cfg.seed], x0=int(cfg.get("x0", 0)),
@@ -471,7 +474,6 @@ def cmd_clt(cfg: RunConfig) -> int:
             cfg.fmt,
         )
     ]
-    lo, hi = cfg.get("ratio_band", [0.85, 1.15])
     in_band = study["sigma2_oracle"] == 0.0 or (lo <= study["ratio"] <= hi)
     summary = {
         "empirical_var": study["empirical_var"],
@@ -495,9 +497,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     horizon = int(cfg.get("horizon", 32))
     consts = kernels.fit_ergodicity_constants(list(family.kernels), family.pi, horizon)
     kernels.validate_ergodicity_constants(consts, list(family.kernels), family.pi)
-    sols = _parallel_map(
-        lambda P: poisson.solve_poisson_exact(P, family.pi, phi), list(family.kernels), cfg.threads
-    )
+    sols = [poisson.solve_poisson_exact(P, family.pi, phi) for P in family.kernels]
     reports = [poisson.check_poisson_bound(sol, consts, phi) for sol in sols]
     for i in range(family.size):
         for j in range(i + 1, family.size):
@@ -635,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="amcmc",
         description="Adaptive MCMC experiments with exact finite-state diagnostics.",
         epilog=(
-            "Flags override AMCMC_SEED / AMCMC_THREADS / AMCMC_OUT / AMCMC_FORMAT "
+            "Flags override AMCMC_SEED / AMCMC_OUT / AMCMC_FORMAT "
             "environment variables, which override config fields. "
             "Exit codes: 0 all checks pass, 2 expected failure demonstrated, "
             "1 unexpected failure."
@@ -646,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root seed (U64)")
-        p.add_argument("--threads", type=int, default=None, help="worker bound")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
@@ -659,6 +658,9 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        code = EXIT_UNEXPECTED
+    except AmcmcError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_UNEXPECTED
     if argv is None:
         sys.exit(code)

@@ -1,77 +1,82 @@
 """Exception types raised by the library.
 
-Precondition violations subclass :class:`ValueError`; numerical failures that
-can only be detected after a computation subclass :class:`ArithmeticError`.
+Every type derives from :class:`AmcmcError`.  Precondition violations also
+subclass :class:`ValueError`; numerical failures that can only be detected
+after a computation also subclass :class:`ArithmeticError`.
 """
 
 
-class DimensionMismatch(ValueError):
+class AmcmcError(Exception):
+    """Base of every exception type defined here."""
+
+
+class DimensionMismatch(AmcmcError, ValueError):
     """Operands have incompatible shapes or state counts."""
 
 
-class NotIrreducible(ValueError):
+class NotIrreducible(AmcmcError, ValueError):
     """The transition graph is not strongly connected."""
 
 
-class NonUnique(ArithmeticError):
+class NonUnique(AmcmcError, ArithmeticError):
     """The stationary-distribution system is rank deficient beyond tolerance."""
 
 
-class NotSimultaneouslyErgodic(ArithmeticError):
+class NotSimultaneouslyErgodic(AmcmcError, ArithmeticError):
     """No power of the kernels contracts uniformly within the fitting horizon."""
 
 
-class SingularBeyondCentering(ArithmeticError):
+class SingularBeyondCentering(AmcmcError, ArithmeticError):
     """The centered linear system is rank deficient (reducible kernel)."""
 
 
-class NoContraction(ValueError):
+class NoContraction(AmcmcError, ValueError):
     """Series summation requires a contraction factor strictly below one."""
 
 
-class NegativeBeyondTolerance(ArithmeticError):
+class NegativeBeyondTolerance(AmcmcError, ArithmeticError):
     """A variance came out negative beyond floating-point tolerance."""
 
 
-class NonFiniteIncrement(ValueError):
+class NonFiniteIncrement(AmcmcError, ValueError):
     """A stochastic-approximation increment contains NaN or infinity."""
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(AmcmcError, ValueError):
     """Adaptation increment shapes are inconsistent with the parameter."""
 
 
-class ZeroNoiseVector(ValueError):
+class ZeroNoiseVector(AmcmcError, ValueError):
     """The proposal noise vector is identically zero."""
 
 
-class OutOfRangeD(ValueError):
+class OutOfRangeD(AmcmcError, ValueError):
     """A kernel-change magnitude lies outside [0, 1]."""
 
 
-class SchemeEscape(RuntimeError):
+class SchemeEscape(AmcmcError, RuntimeError):
     """An adaptation scheme produced a parameter outside its feasible set."""
 
 
-class MissingSolution(KeyError):
+class MissingSolution(AmcmcError, KeyError):
     """No Poisson solution is available for a visited parameter value."""
 
 
-class DegenerateVariance(ArithmeticError):
+class DegenerateVariance(AmcmcError, ArithmeticError):
     """The oracle variance is zero but the empirical variance is not."""
 
 
-class DobrushinViolation(ValueError):
+class DobrushinViolation(AmcmcError, ValueError):
     """A kernel has one-step contraction coefficient equal to one."""
 
 
-class GridTooLarge(ValueError):
+class GridTooLarge(AmcmcError, ValueError):
     """The requested discretization exceeds the configured state cap."""
 
 
-class NonPositiveDensity(ValueError):
+class NonPositiveDensity(AmcmcError, ValueError):
     """The target density is not strictly positive on the box."""
 
 
-class ConfigError(ValueError):
+class ConfigError(AmcmcError, ValueError):
     """An experiment configuration file is malformed."""

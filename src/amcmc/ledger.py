@@ -197,8 +197,7 @@ class RareCycleScheme:
         if self._sched.kind == "bernoulli":
             u = rng.random()
             self._uniforms.append(u)
-        decision = next_adaptation_decision(self._sched, k, u)
-        if decision.adapt:
+        if next_adaptation_decision(self._sched, k, u):
             return (s_prev + 1) % self.family.size
         return s_prev
 
@@ -258,12 +257,13 @@ class Trajectory:
             raise ValueError("X and S must have n + 1 entries")
 
 
-def _cum_rows(family: KernelFamily) -> list:
+def _cum_tables(family: KernelFamily) -> list:
+    """Inverse-CDF table per kernel: its row cumsums, last column pinned to 1."""
     tables = []
     for P in family.kernels:
         cum = np.cumsum(P.rows, axis=1)
         cum[:, -1] = 1.0  # pin against roundoff so inverse CDF always lands
-        tables.append([tuple(row) for row in cum])
+        tables.append(cum)
     return tables
 
 
@@ -288,6 +288,8 @@ def run_adaptive_chain(
         raise ValueError(f"x0={x0} outside state space")
     if not 0 <= s0 < family.size:
         raise ValueError(f"s0={s0} outside family")
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     rng = chain_generator(seed)
     X = np.empty(n + 1, dtype=np.int64)
     S = np.empty(n + 1, dtype=np.int64)
@@ -295,7 +297,8 @@ def run_adaptive_chain(
     S[0] = scheme.start(s0, rng)
     if not 0 <= S[0] < family.size:
         raise SchemeEscape(f"scheme start index {S[0]} outside family")
-    cums = _cum_rows(family)
+    # bisect compares Python floats faster than numpy scalars, with equal outcomes
+    cums = [table.tolist() for table in _cum_tables(family)]
     n_states = family.n_states
     x = int(X[0])
     s = int(S[0])
@@ -496,15 +499,6 @@ def martingale_check(
 # visits exactly the same states.
 
 
-def _cum_tables(family: KernelFamily) -> list:
-    tables = []
-    for P in family.kernels:
-        cum = np.cumsum(P.rows, axis=1)
-        cum[:, -1] = 1.0
-        tables.append(cum)
-    return tables
-
-
 def ensemble_schedule_run(
     family: KernelFamily,
     indices: np.ndarray,
@@ -548,23 +542,6 @@ def ensemble_schedule_run(
             recorded[next_record] = phi_sums
             next_record += 1
     return phi_sums, recorded, a_sums, states
-
-
-def simulate_schedule_single(
-    family: KernelFamily, indices: np.ndarray, x0: int, n: int, seed
-) -> np.ndarray:
-    """Single-chain fast path for a fixed index schedule; returns ``X``."""
-    rng = chain_generator(seed)
-    u = rng.random(n)
-    cums = _cum_rows(family)
-    n_states = family.n_states
-    X = np.empty(n + 1, dtype=np.int64)
-    X[0] = x0
-    x = x0
-    for k in range(1, n + 1):
-        x = min(bisect_right(cums[int(indices[k - 1])][x], u[k - 1]), n_states - 1)
-        X[k] = x
-    return X
 
 
 # ---------------------------------------------------------------------------

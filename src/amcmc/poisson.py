@@ -46,6 +46,8 @@ class TestFunction:
         v = np.asarray(values, dtype=np.float64).reshape(-1)
         if v.shape[0] != pi.n:
             raise DimensionMismatch(f"function length {v.shape[0]} != state count {pi.n}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("function values must be finite")
         v = v.copy()
         v.setflags(write=False)
         mean = float(pi.weights @ v)
@@ -54,6 +56,8 @@ class TestFunction:
     @classmethod
     def indicator(cls, state: int, pi: Distribution) -> "TestFunction":
         """Indicator of a single state."""
+        if not 0 <= state < pi.n:
+            raise ValueError(f"state {state} outside [0, {pi.n})")
         v = np.zeros(pi.n)
         v[state] = 1.0
         return cls.from_values(v, pi)

@@ -3,10 +3,10 @@ import pytest
 
 from amcmc.adaptation import (
     ParameterSpace,
+    RareSchedule,
     SAState,
     am_field,
     bernoulli_log_schedule,
-    always_adapt,
     constant_gamma,
     log_increment_schedule,
     next_adaptation_decision,
@@ -150,7 +150,7 @@ class TestRareSchedules:
     def test_deterministic_decision_matches_times(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
         taus = set(sched.adaptation_times(500))
-        hits = {k for k in range(1, 501) if next_adaptation_decision(sched, k).adapt}
+        hits = {k for k in range(1, 501) if next_adaptation_decision(sched, k)}
         assert hits == taus
 
     def test_bernoulli_activation_decays_with_shrinking_decade_tails(self):
@@ -168,17 +168,15 @@ class TestRareSchedules:
     def test_bernoulli_decision_uses_uniform(self):
         sched = bernoulli_log_schedule(c=1.0, epsilon=0.1)
         eta_10 = sched.eta(10)
-        assert next_adaptation_decision(sched, 10, u=eta_10 * 0.5).adapt
-        assert not next_adaptation_decision(sched, 10, u=eta_10 + 1e-9).adapt
+        assert next_adaptation_decision(sched, 10, u=eta_10 * 0.5)
+        assert not next_adaptation_decision(sched, 10, u=eta_10 + 1e-9)
         with pytest.raises(ValueError):
             next_adaptation_decision(sched, 10)
 
-    def test_always_adapt(self):
-        sched = always_adapt(gamma=power_gamma(1.0, 1.0))
+    def test_unit_activation_adapts_every_step(self):
+        sched = RareSchedule(kind="bernoulli", activation=lambda k: 1.0)
         for k in (1, 7, 100):
-            decision = next_adaptation_decision(sched, k, u=0.999)
-            assert decision.adapt
-            assert decision.gamma_eff == pytest.approx(1.0 / k)
+            assert next_adaptation_decision(sched, k, u=0.999) is True
 
 
 class TestWaningDiagnostic:
@@ -240,55 +238,6 @@ def test_gamma_schedules_positive_and_nonincreasing():
         values = [gamma(k) for k in range(1, 50)]
         assert all(v > 0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-class TestSchemeConfig:
-    def test_am_defaults(self):
-        from amcmc.adaptation import scheme_from_config
-
-        cfg = scheme_from_config(
-            {"scheme": "am", "constraint": {"a": 0.1, "b": 5.0, "d": 2, "mode": "reject"}}
-        )
-        assert cfg.kind == "am"
-        assert cfg.gamma(4) == pytest.approx(0.25)
-        assert cfg.rare is None
-        state = cfg.initial_state(np.eye(2))
-        assert state.k == 0
-
-    def test_ram_gamma_exponent(self):
-        from amcmc.adaptation import scheme_from_config
-
-        cfg = scheme_from_config(
-            {
-                "scheme": "ram",
-                "constraint": {"a": 0.5, "b": 3.0, "mode": "project"},
-                "rare": {"kind": "bernoulli", "c": 1.0, "epsilon": 0.1},
-            }
-        )
-        assert cfg.gamma(8) == pytest.approx(8.0 ** (-2.0 / 3.0))
-        assert cfg.rare.kind == "bernoulli"
-        out = cfg.field(np.array([1.0, 0.0]), 1.0, np.eye(2))
-        assert out[0, 0] == pytest.approx(1.0 - 0.234)
-
-    def test_custom_requires_field(self):
-        from amcmc.adaptation import scheme_from_config
-
-        with pytest.raises(ValueError):
-            scheme_from_config({"scheme": "custom"})
-        cfg = scheme_from_config(
-            {"scheme": "custom", "gamma": {"kind": "constant", "c": 0.1}},
-            custom_field=lambda *a: 0.0,
-        )
-        assert cfg.gamma(100) == 0.1
-
-    def test_infeasible_start_rejected(self):
-        from amcmc.adaptation import scheme_from_config
-
-        cfg = scheme_from_config(
-            {"scheme": "am", "constraint": {"a": 0.5, "b": 2.0, "d": 1}}
-        )
-        with pytest.raises(ValueError):
-            cfg.initial_state(10.0)
 
 
 def test_sa_waning_surrogate_dominates_kernel_moves():

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import amcmc
 from amcmc.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(amcmc.__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -128,6 +133,26 @@ class TestClt:
         assert summary["sigma2_oracle"] == pytest.approx(0.25, abs=1e-12)
         assert summary["in_band"]
 
+    @pytest.mark.parametrize(
+        "band",
+        [5, [1.0], [0.8, 1.2, 1.5], [1.2, 0.8], [1.0, 1.0], ["0.8", 1.2], [True, 2],
+         [float("nan"), 1.2], [0.8, float("inf")], None],
+    )
+    def test_malformed_ratio_band_is_config_error(self, tmp_path, capsys, band):
+        cfg = write_config(
+            tmp_path,
+            {
+                "family": {"kind": "iid"},
+                "phi": {"kind": "indicator", "state": 0},
+                "n": 10,
+                "replications": 4,
+                "ratio_band": band,
+            },
+        )
+        code = run(["clt", "--config", cfg, "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert "ratio_band" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_mixture_family_all_pass(self, tmp_path):
@@ -146,14 +171,12 @@ class TestBounds:
         assert reports and all(r["pass"] for r in reports)
         assert set(reports[0]) == {"quantity", "value", "bound", "pass", "margin"}
 
-    def test_cyclic_pair_all_pass_with_threads(self, tmp_path):
+    def test_cyclic_pair_all_pass(self, tmp_path):
         cfg = write_config(
             tmp_path,
             {"family": {"kind": "cyclic-pair"}, "phi": {"kind": "indicator", "state": 0}},
         )
-        code = run(
-            ["bounds", "--config", cfg, "--out", str(tmp_path / "runs"), "--threads", "4"]
-        )
+        code = run(["bounds", "--config", cfg, "--out", str(tmp_path / "runs")])
         assert code == 0
         run_dir = only_run_dir(tmp_path / "runs", "bounds")
         reports = json.loads((run_dir / "reports.json").read_text())
@@ -248,6 +271,8 @@ class TestShippedConfigs:
             ("waning", "waning_constant_control.json", 0),
             ("poisson", "poisson_cyclic.json", 0),
             ("lln", "lln_counterexample.json", 2),
+            ("clt", "clt_iid.json", 0),
+            ("lln", "lln_iid.json", 0),
         ],
     )
     def test_config_runs_with_documented_exit_code(self, tmp_path, command, name, expected):
@@ -272,6 +297,27 @@ class TestConfigHandling:
         code = run(["counterexample", "--seed", "4"])
         assert code == 2
         assert (tmp_path / "env_runs").exists()
+
+    def test_library_error_is_one_line_and_exit_1(self, tmp_path):
+        # the identity kernel is reducible, so its stationary solve fails
+        kernel = tmp_path / "identity.json"
+        kernel.write_text(json.dumps({"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}))
+        cfg = write_config(
+            tmp_path,
+            {"family": {"kind": "file", "paths": [str(kernel)]},
+             "phi": {"kind": "indicator", "state": 0}},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "amcmc", "bounds", "--config", cfg,
+             "--out", str(tmp_path / "runs")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "NotIrreducible" in lines[0]
 
     def test_json_format_flag(self, tmp_path):
         code = run(

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcmc.adaptation import log_increment_schedule
 from amcmc.errors import DobrushinViolation, SchemeEscape
 from amcmc.families import (
+    KernelFamily,
     cyclic_pair,
     iid_family,
     mixture_family,
     random_metropolis_family,
     smoothed_family,
 )
-from amcmc.kernels import Distribution, fit_ergodicity_constants, max_tv_between_kernels
+from amcmc.kernels import (
+    Distribution,
+    StochasticMatrix,
+    fit_ergodicity_constants,
+    max_tv_between_kernels,
+)
 from amcmc.ledger import (
     ConstantScheme,
     MeanTrackingScheme,
@@ -26,7 +34,6 @@ from amcmc.ledger import (
     lln_study,
     martingale_check,
     run_adaptive_chain,
-    simulate_schedule_single,
     write_ledger_csv,
 )
 from amcmc.poisson import TestFunction, clt_variance
@@ -96,6 +103,10 @@ class TestRunAdaptiveChain:
 
         with pytest.raises(SchemeEscape):
             run_adaptive_chain(fam, Escaper(), x0=0, s0=0, n=3, seed=1)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="n=-5"):
+            run_adaptive_chain(cyclic_pair(), ConstantScheme(), x0=0, s0=0, n=-5, seed=1)
 
 
 class TestDecompose:
@@ -171,6 +182,55 @@ class TestMartingaleCheck:
         assert np.abs(ledger.Delta).max() <= bound + 1e-9
 
 
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order the lockstep ensemble adds in."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+FAMILY_KINDS = ("dense", "sparse", "lazy-cycle", "metropolis")
+SCHEDULE_KINDS = ("constant", "cycle", "blocks", "random")
+
+
+def random_family(kind: str, n_states: int, size: int, seed: int):
+    """Random family; the first three kinds are doubly stochastic (uniform pi).
+
+    ``sparse`` rows mix one to three permutations, so most entries are zero
+    and the row cumsums have flat stretches; ``lazy-cycle`` is
+    ``lazy * I + (1 - lazy) * shift``.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "metropolis":
+        pi = Distribution(rng.dirichlet(np.ones(n_states)))
+        return random_metropolis_family(pi, size, seed=seed)
+    pi = Distribution(np.full(n_states, 1.0 / n_states))
+    eye = np.eye(n_states)
+    mats = []
+    for _ in range(size):
+        if kind == "lazy-cycle":
+            lazy = rng.uniform(0.0, 1.0)
+            rows = lazy * eye + (1.0 - lazy) * np.roll(eye, 1, axis=1)
+        else:
+            count = n_states if kind == "dense" else int(rng.integers(1, 4))
+            weights = rng.dirichlet(np.ones(count))
+            rows = sum(w * eye[rng.permutation(n_states)] for w in weights)
+        mats.append(StochasticMatrix(rows))
+    return KernelFamily(kernels=tuple(mats), pi=pi)
+
+
+def index_schedule(kind: str, size: int, n: int, rng) -> np.ndarray:
+    k = np.arange(n + 1)
+    if kind == "constant":
+        return np.full(n + 1, int(rng.integers(size)), dtype=np.int64)
+    if kind == "cycle":
+        return k % size
+    if kind == "blocks":
+        return (k // int(rng.integers(1, 20))) % size
+    return rng.integers(0, size, size=n + 1)
+
+
 class TestEnsembleContract:
     def test_lockstep_matches_single_chain_bitwise(self):
         fam = grid_family()
@@ -181,17 +241,34 @@ class TestEnsembleContract:
         seed_seqs = [np.random.SeedSequence(s) for s in seeds]
         sums, _, _, last = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, x0=2)
         for i, s in enumerate(seeds):
-            X = simulate_schedule_single(fam, indices, x0=2, n=n, seed=s)
-            assert phi.values[X[1:]].sum() == sums[i]
-            assert X[-1] == last[i]
+            traj = run_adaptive_chain(fam, ScheduleScheme(indices), 2, int(indices[0]), n, s)
+            assert phi.values[traj.X[1:]].sum() == sums[i]
+            assert traj.X[-1] == last[i]
 
-    def test_single_chain_matches_driver(self):
-        fam = grid_family()
-        n = 200
-        indices = np.zeros(n + 1, dtype=np.int64)
-        X_fast = simulate_schedule_single(fam, indices, x0=1, n=n, seed=77)
-        traj = run_adaptive_chain(fam, ConstantScheme(), x0=1, s0=0, n=n, seed=77)
-        assert np.array_equal(X_fast, traj.X)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(FAMILY_KINDS),
+        schedule=st.sampled_from(SCHEDULE_KINDS),
+        n_states=st.integers(min_value=1, max_value=12),
+        size=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=0, max_value=300),
+        reps=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lockstep_matches_chain_on_random_families(
+        self, kind, schedule, n_states, size, n, reps, seed
+    ):
+        fam = random_family(kind, n_states, size, seed)
+        rng = np.random.default_rng(seed)
+        indices = index_schedule(schedule, size, n, rng)
+        phi = TestFunction.from_values(rng.normal(size=n_states), fam.pi)
+        x0 = int(rng.integers(n_states))
+        seed_seqs = [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(reps)]
+        sums, _, _, last = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, x0)
+        for r, ss in enumerate(seed_seqs):
+            traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
+            assert sequential_sum(phi.values[traj.X[1:]]) == sums[r]
+            assert traj.X[-1] == last[r]
 
 
 class TestLlnStudy:

@@ -67,6 +67,18 @@ class TestTestFunction:
         assert phi.osc == 5.0
         assert phi.mean_under_pi == pytest.approx(2.0 * 0.5 - 0.25 + 1.0)
 
+    @pytest.mark.parametrize(
+        "values", [[np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, np.nan]]
+    )
+    def test_from_values_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction.from_values(values, PI3)
+
+    @pytest.mark.parametrize("state", [-1, 3, 10])
+    def test_indicator_rejects_state_outside_space(self, state):
+        with pytest.raises(ValueError, match="outside"):
+            TestFunction.indicator(state, PI3)
+
 
 class TestSolvePoissonExact:
     def test_constant_function_gives_zero(self):
@@ -214,14 +226,14 @@ class TestCltVariance:
 
     def test_cyclic_forward_matches_batch_means_simulation(self):
         from amcmc.families import cyclic_pair as _pair
-        from amcmc.ledger import simulate_schedule_single
+        from amcmc.ledger import ConstantScheme, run_adaptive_chain
 
         fam = _pair()
         phi = TestFunction.indicator(0, fam.pi)
         sigma2 = clt_variance(fam.kernels[0], fam.pi, phi)
         # 1000 batches put the estimator's own spread near 4.5%
         n, batch = 500_000, 500
-        X = simulate_schedule_single(fam, np.zeros(n + 1, dtype=np.int64), x0=0, n=n, seed=101)
+        X = run_adaptive_chain(fam, ConstantScheme(), x0=0, s0=0, n=n, seed=101).X
         vals = phi.values[X[1:]]
         means = vals.reshape(n // batch, batch).mean(axis=1)
         batch_means_var = batch * means.var(ddof=1)
