@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -142,6 +143,31 @@ def build_run_config(args, experiment: str) -> RunConfig:
 # config specs -> objects
 
 
+def _spec_errors(what: str):
+    """Report a builder's plain ValueError/KeyError/TypeError as a ConfigError.
+
+    Errors from this package keep their own type, so library failures such
+    as a reducible kernel file stay distinguishable from malformed specs.
+    """
+
+    def wrap(builder):
+        @functools.wraps(builder)
+        def build(*args, **kwargs):
+            try:
+                return builder(*args, **kwargs)
+            except AmcmcError:
+                raise
+            except KeyError as exc:
+                raise ConfigError(f"{what} spec is missing field {exc.args[0]!r}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{what} spec: {exc}") from exc
+
+        return build
+
+    return wrap
+
+
+@_spec_errors("family")
 def build_family(spec: dict) -> families.KernelFamily:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("family spec must be an object with a 'kind' field")
@@ -188,6 +214,7 @@ def build_family(spec: dict) -> families.KernelFamily:
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
+@_spec_errors("phi")
 def build_phi(spec: dict, family: families.KernelFamily) -> TestFunction:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("phi spec must be an object with a 'kind' field")
@@ -202,23 +229,36 @@ def build_phi(spec: dict, family: families.KernelFamily) -> TestFunction:
     raise ConfigError(f"unknown phi kind {kind!r}")
 
 
+def _scheme_start(spec: dict, family: families.KernelFamily) -> int:
+    """The ``s0`` of a scheme kind that starts from a family index."""
+    s0 = int(spec.get("s0", 0))
+    if not 0 <= s0 < family.size:
+        raise ConfigError(f"scheme s0={s0} outside family indices [0, {family.size})")
+    return s0
+
+
+@_spec_errors("scheme")
 def build_scheme(spec: dict, family: families.KernelFamily, n: int):
     """Exogenous (fixed index sequence) scheme for the lockstep studies."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("scheme spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "constant":
-        s0 = int(spec.get("s0", 0))
+        s0 = _scheme_start(spec, family)
         return ledger.ScheduleScheme(lambda k: s0), s0
     if kind == "alternating":
         size = family.size
         return ledger.ScheduleScheme(lambda k: k % size), None
     if kind == "schedule":
-        return ledger.ScheduleScheme(np.asarray(spec["indices"], dtype=np.int64)), None
+        indices = np.asarray(spec["indices"], dtype=np.int64)
+        in_family = (indices >= 0) & (indices < family.size)
+        if indices.ndim != 1 or indices.size < n + 1 or not in_family.all():
+            raise ConfigError(f"scheme 'schedule' needs {n + 1} indices in [0, {family.size})")
+        return ledger.ScheduleScheme(indices), None
     if kind == "converging":
         scheme, limit = ledger.converging_index_schedule(
             family,
-            s0=int(spec.get("s0", 0)),
+            s0=_scheme_start(spec, family),
             n=n,
             c=float(spec.get("c", 0.5)),
             exponent=float(spec.get("exponent", 1.5)),
@@ -309,7 +349,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_counterexample(cfg: RunConfig) -> int:
     """Reproduce the alternating-kernel failure of the law of large numbers."""
-    out_dir = _out_dir(cfg)
     family = families.cyclic_pair()
     pi = family.pi
     phi = TestFunction.indicator(0, pi)
@@ -360,6 +399,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         }
         checks[f"lln_{name}"] = lln[name]["within_band"]
 
+    out_dir = _out_dir(cfg)
     artifacts = []
     artifacts.append(
         _write_table(out_dir, "orbit", ["k", "state_label"], list(enumerate(labels)), cfg.fmt)
@@ -385,8 +425,14 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     return _finish(cfg, artifacts, summary, code)
 
 
+def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
+    x0 = int(cfg.get("x0", 0))
+    if not 0 <= x0 < family.n_states:
+        raise ConfigError(f"x0={x0} outside state space [0, {family.n_states})")
+    return x0
+
+
 def cmd_lln(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     n_grid = [int(n) for n in cfg.get("n_grid", [1000, 10000, 100000])]
@@ -400,9 +446,9 @@ def cmd_lln(cfg: RunConfig) -> int:
     if not seeds:
         raise ConfigError("seeds must be non-empty")
     scheme, _ = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
-    x0 = int(cfg.get("x0", 0))
-    study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=x0)
+    study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=_start_state(cfg, family))
 
+    out_dir = _out_dir(cfg)
     artifacts = [
         _write_table(
             out_dir,
@@ -452,7 +498,6 @@ def _ratio_band(band) -> tuple:
 
 
 def cmd_clt(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     n = int(cfg.get("n", 10000))
@@ -460,11 +505,12 @@ def cmd_clt(cfg: RunConfig) -> int:
     if n < 1 or replications < 1:
         raise ConfigError("n and replications must be >= 1")
     lo, hi = _ratio_band(cfg.get("ratio_band", [0.85, 1.15]))
+    x0 = _start_state(cfg, family)
     scheme, limit = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
     study = ledger.clt_study(
-        family, scheme, phi, n, replications, seeds=[cfg.seed], x0=int(cfg.get("x0", 0)),
-        limit_index=limit,
+        family, scheme, phi, n, replications, seeds=[cfg.seed], x0=x0, limit_index=limit
     )
+    out_dir = _out_dir(cfg)
     artifacts = [
         _write_table(
             out_dir,
@@ -491,7 +537,6 @@ def cmd_clt(cfg: RunConfig) -> int:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     horizon = int(cfg.get("horizon", 32))
@@ -503,6 +548,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
         for j in range(i + 1, family.size):
             D = kernels.max_tv_between_kernels(family.kernel(i), family.kernel(j))
             reports.append(poisson.check_lipschitz_bound(sols[i], sols[j], D, consts, phi))
+    out_dir = _out_dir(cfg)
     poisson.write_reports_json(out_dir / "reports.json", reports)
     artifacts = ["reports.json"]
     artifacts.append(
@@ -524,7 +570,6 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_waning(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
     spec = cfg.require("d_series")
     n = int(spec.get("n", 100_000))
     kind = spec.get("kind")
@@ -544,6 +589,7 @@ def cmd_waning(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown d_series kind {kind!r}")
     p = float(cfg.get("p", 1.0))
     report = waning_diagnostic(D, p)
+    out_dir = _out_dir(cfg)
     artifacts = [
         _write_table(
             out_dir,
@@ -568,7 +614,6 @@ def cmd_waning(cfg: RunConfig) -> int:
 
 
 def cmd_poisson(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     member = int(cfg.get("member", 0))
@@ -578,6 +623,7 @@ def cmd_poisson(cfg: RunConfig) -> int:
     consts = kernels.fit_ergodicity_constants([P], family.pi, int(cfg.get("horizon", 32)))
     series = poisson.solve_poisson_neumann(P, family.pi, phi, tol, consts)
     gap = float(np.abs(sol.g - series.g).max())
+    out_dir = _out_dir(cfg)
     poisson.write_solution_csv(out_dir / "solution.csv", sol)
     checks = {
         "residual": sol.residual_inf_norm <= 1e-10,
@@ -597,7 +643,6 @@ def cmd_poisson(cfg: RunConfig) -> int:
 
 
 def cmd_kernel_info(cfg: RunConfig) -> int:
-    out_dir = _out_dir(cfg)
     family = build_family(cfg.require("family"))
     info = []
     curves = {}
@@ -614,6 +659,7 @@ def cmd_kernel_info(cfg: RunConfig) -> int:
             }
         )
         print(f"kernel {idx}: n={P.n} dobrushin={beta:.6f}")
+    out_dir = _out_dir(cfg)
     kernels.write_sup_tv_csv(out_dir / "ergodicity.csv", curves)
     summary = {"kernels": info}
     return _finish(cfg, ["ergodicity.csv"], summary, EXIT_PASS)

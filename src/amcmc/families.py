@@ -8,6 +8,7 @@ optionally tagged with scalar parameter values (a parameter grid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class KernelFamily:
             params = tuple(float(v) for v in self.params)
             if len(params) != len(kernels):
                 raise DimensionMismatch("params length must match kernel count")
+            if not all(math.isfinite(v) for v in params):
+                raise ValueError(f"params must be finite, got {params}")
             object.__setattr__(self, "params", params)
 
     @property
@@ -70,7 +73,8 @@ class KernelFamily:
         """Index of the grid parameter closest to ``value``."""
         if self.params is None:
             raise ValueError("family has no parameter grid")
-        return int(np.argmin(np.abs(np.asarray(self.params) - value)))
+        gaps = [abs(p - value) for p in self.params]
+        return gaps.index(min(gaps))
 
     @classmethod
     def from_builder(cls, builder, params, pi: Distribution | None = None) -> "KernelFamily":

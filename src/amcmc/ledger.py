@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sp_stats
 
 from .adaptation import RareSchedule, next_adaptation_decision
@@ -166,7 +167,7 @@ class RateTargetScheme:
         gamma = self.c * float(k) ** (-self.exponent)
         moved = 1.0 if x_new != x_prev else 0.0
         self._alphas.append(moved)
-        self._t = float(np.clip(self._t + gamma * (moved - self.target), self._lo, self._hi))
+        self._t = min(max(self._t + gamma * (moved - self.target), self._lo), self._hi)
         return self.family.nearest_index(self._t)
 
     def aux_record(self) -> dict:
@@ -229,7 +230,7 @@ def converging_index_schedule(
     idx[0] = s0
     t = float(family.params[s0])
     for k in range(1, n + 1):
-        t = float(np.clip(t + c * float(k) ** (-exponent) * drift, lo, hi))
+        t = min(max(t + c * float(k) ** (-exponent) * drift, lo), hi)
         idx[k] = family.nearest_index(t)
     return ScheduleScheme(idx), int(idx[-1])
 
@@ -479,11 +480,16 @@ def martingale_check(
     for s in np.unique(S_prev):
         s = int(s)
         mask = S_prev == s
-        rows = family.kernel(s).rows[X_prev[mask]]
+        x = X_prev[mask]
+        # one row sum per distinct visited state, not per step
+        visited, at_step = np.unique(x, return_inverse=True)
+        rows = family.kernel(s).rows[visited]
         g = table.g(s)
-        Pg_x = table.Pg(s)[X_prev[mask]]
-        cond_mean[mask] = rows @ g - Pg_x
-        cond_var_direct[mask] = rows @ (g**2) - 2.0 * Pg_x * (rows @ g) + Pg_x**2
+        row_g = (rows @ g)[at_step]
+        row_g2 = (rows @ (g**2))[at_step]
+        Pg_x = table.Pg(s)[x]
+        cond_mean[mask] = row_g - Pg_x
+        cond_var_direct[mask] = row_g2 - 2.0 * Pg_x * row_g + Pg_x**2
     return {
         "max_abs_cond_mean": float(np.abs(cond_mean).max()),
         "max_abs_cond_var_gap": float(np.abs(cond_var_direct - ledger.cond_var).max()),
@@ -497,6 +503,19 @@ def martingale_check(
 # Column r of the uniform matrix is the first n draws of the stream for
 # seed material r, so a single chain run with the same seed and schedule
 # visits exactly the same states.
+#
+# Each step finds, for every replication, the first entry of its row's
+# cumsum that exceeds its uniform: ``bisect_right``'s index.  Cumsums never
+# decrease and the pinned last entry 1.0 exceeds every uniform in [0, 1), so
+# ``entry <= u`` holds on a prefix of the row and fails on the rest, even
+# where roundoff lifts earlier cumsums above 1.0.  Any search for that
+# boundary returns the same index.  Rows longer than ``_BISECT_WINDOW`` are
+# first narrowed by a lockstep binary search: all replications share one
+# window length, halved each round, while each moves its own window start.
+# The last window, and any row of at most ``_BISECT_WINDOW`` entries, is
+# scanned by a single compare-argmax.
+
+_BISECT_WINDOW = 16
 
 
 def ensemble_schedule_run(
@@ -515,13 +534,25 @@ def ensemble_schedule_run(
     Returns per-replication sums ``sum_{k<=n} phi(X_k)``, optionally the
     running sums recorded at ``record_prefixes`` (an array of shape
     ``(len(prefixes), R)``), and optionally the per-replication adaptation
-    sums ``A_n`` (needs ``solutions``).
+    sums ``A_n`` (needs ``solutions``).  Each step costs
+    ``O(R log n_states)``.
     """
+    if not 0 <= x0 < family.n_states:
+        raise ValueError(f"x0={x0} outside state space")
     R = len(seed_seqs)
     U = np.empty((n, R))
     for i, ss in enumerate(seed_seqs):
         U[:, i] = chain_generator(ss).random(n)
-    cums = _cum_tables(family)
+    n_states = family.n_states
+    halves = []
+    width = n_states
+    while width > _BISECT_WINDOW:
+        halves.append(width // 2)
+        width -= width // 2
+    # flats[s][x * n_states + j] is entry [x, j] of table s; windows[s][i] is flats[s][i : i + width]
+    flats = [cum.reshape(-1) for cum in _cum_tables(family)]
+    windows = [sliding_window_view(flat, width) for flat in flats]
+    schedule = np.asarray(indices).tolist()
     states = np.full(R, x0, dtype=np.int64)
     phi_vals = phi.values
     phi_sums = np.zeros(R)
@@ -530,12 +561,17 @@ def ensemble_schedule_run(
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
     for k in range(1, n + 1):
-        s_prev = int(indices[k - 1])
-        rows = cums[s_prev][states]
-        states = (U[k - 1][:, None] < rows).argmax(axis=1)
+        s_prev = schedule[k - 1]
+        u = U[k - 1]
+        flat = flats[s_prev]
+        row = states * n_states
+        start = row
+        for half in halves:
+            start = start + half * (flat[start + (half - 1)] <= u)
+        states = start - row + (u[:, None] < windows[s_prev][start]).argmax(axis=1)
         phi_sums += phi_vals[states]
         if a_terms:
-            s_new = int(indices[k])
+            s_new = schedule[k]
             if s_new != s_prev:
                 a_sums += (solutions.g(s_new) - solutions.g(s_prev))[states]
         if prefixes and next_record < len(prefixes) and k == prefixes[next_record]:

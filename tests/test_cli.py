@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import amcmc
-from amcmc.cli import main
+from amcmc.cli import build_family, build_scheme, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(amcmc.__file__).resolve().parent.parent
@@ -21,6 +22,15 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_subprocess(argv):
+    return subprocess.run(
+        [sys.executable, "-m", "amcmc", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
 
 
 def only_run_dir(out_dir, experiment):
@@ -282,6 +292,33 @@ class TestShippedConfigs:
         assert code == expected
 
 
+class TestPinnedArtifacts:
+    """sha256 of the study tables of shipped configs at seed 1, so any change
+    to the sampled streams or the lockstep step shows up byte for byte."""
+
+    @pytest.mark.parametrize(
+        "command,name,digests",
+        [
+            ("clt", "clt_iid.json", {
+                "clt_replicates.csv":
+                    "58f093cf0c9ba6b83db22059121039a851ff8fbfa8d4a621a1aafd8562551573"}),
+            ("lln", "lln_iid.json", {
+                "lln.csv": "fbcad5d198cb9f9a06a85a19c8e661630edb1ec61364a31f97c5caee93a3bb0b",
+                "lln_medians.csv":
+                    "59d156688d7c472cc9d2810eba635591d20ba5e3d74dd8a2e4c4258ad097d48b"}),
+            ("lln", "lln_counterexample.json", {
+                "lln.csv": "b3c9625e7a25abec9d97c8543d0aec0f734f9760c6da4c942f2e60ebb3f58f36",
+                "lln_medians.csv":
+                    "c2a743c650df34b9ee71b47e540f8b637b30bbbf9ced5d71ff9bd23d04544dea"}),
+        ],
+    )
+    def test_study_tables_match_pinned_sha256(self, tmp_path, command, name, digests):
+        run([command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path), "--seed", "1"])
+        run_dir = only_run_dir(tmp_path, command)
+        for artifact, digest in digests.items():
+            assert hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest() == digest
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         code = run(["lln", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -307,17 +344,55 @@ class TestConfigHandling:
             {"family": {"kind": "file", "paths": [str(kernel)]},
              "phi": {"kind": "indicator", "state": 0}},
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "amcmc", "bounds", "--config", cfg,
-             "--out", str(tmp_path / "runs")],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
-        )
+        proc = run_subprocess(["bounds", "--config", cfg, "--out", str(tmp_path / "runs")])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "NotIrreducible" in lines[0]
+
+    @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            ("clt", {"family": {"kind": "iid", "pi": [0.5, 0.6]}}, "must sum to 1"),
+            ("bounds", {"family": {"kind": "rwm-grid", "sigmas": [0.5, 1.0]}},
+             "missing field 'target'"),
+            ("clt", {"family": {"kind": "iid"}, "n": 10, "replications": 4, "ratio_band": 5},
+             "ratio_band"),
+            ("lln", {"family": {"kind": "iid"}, "x0": -1}, "x0=-1"),
+            ("clt", {"family": {"kind": "iid"}, "n": 10,
+                     "scheme": {"kind": "schedule", "indices": [0, 0]}}, "needs 11 indices"),
+            ("clt", {"family": {"kind": "iid"}, "n": 2,
+                     "scheme": {"kind": "schedule", "indices": [0, 5, 0]}}, "needs 3 indices"),
+            ("lln", {"family": {"kind": "mixture", "count": 3},
+                     "scheme": {"kind": "constant", "s0": 3}}, "s0=3"),
+            ("lln", {"family": {"kind": "mixture", "count": 3},
+                     "scheme": {"kind": "converging", "s0": -1}}, "s0=-1"),
+        ],
+    )
+    def test_config_error_is_one_line_and_leaves_no_run_dir(
+        self, tmp_path, command, payload, message
+    ):
+        cfg = write_config(tmp_path, {"phi": {"kind": "indicator", "state": 0}, **payload})
+        out = tmp_path / "runs"
+        proc = run_subprocess([command, "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:") and message in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scheme,expected",
+        [
+            ({"kind": "alternating", "s0": 7}, [0, 1, 2]),
+            ({"kind": "schedule", "indices": [1, 0, 1], "s0": -2}, [1, 0, 1]),
+        ],
+    )
+    def test_scheme_kinds_without_start_ignore_s0(self, scheme, expected):
+        family = build_family({"kind": "mixture", "count": 3})
+        built, limit = build_scheme(scheme, family, 2)
+        assert limit is None
+        assert built.index_array(2).tolist() == expected
 
     def test_json_format_flag(self, tmp_path):
         code = run(

@@ -25,6 +25,7 @@ from amcmc.ledger import (
     RareCycleScheme,
     RateTargetScheme,
     ScheduleScheme,
+    SolutionTable,
     an_bound_check,
     chain_generator,
     clt_study,
@@ -249,7 +250,7 @@ class TestEnsembleContract:
     @given(
         kind=st.sampled_from(FAMILY_KINDS),
         schedule=st.sampled_from(SCHEDULE_KINDS),
-        n_states=st.integers(min_value=1, max_value=12),
+        n_states=st.integers(min_value=1, max_value=90),
         size=st.integers(min_value=1, max_value=4),
         n=st.integers(min_value=0, max_value=300),
         reps=st.integers(min_value=1, max_value=6),
@@ -269,6 +270,65 @@ class TestEnsembleContract:
             traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
             assert sequential_sum(phi.values[traj.X[1:]]) == sums[r]
             assert traj.X[-1] == last[r]
+
+
+def circulant_kernel(n_states: int, weights, shifts) -> StochasticMatrix:
+    """Doubly stochastic kernel whose row x puts ``weights[i]`` on ``x + shifts[i]`` mod n."""
+    eye = np.eye(n_states)
+    return StochasticMatrix(sum(w * np.roll(eye, d, axis=1) for w, d in zip(weights, shifts)))
+
+
+# 0.33 + 0.56 + 0.11 rounds to 1.0000000000000002, so every row x <= n - 4 of
+# this kernel has cumsums above 1.0 from column x + 2 up to the pinned 1.0
+ROUNDOFF_WEIGHTS = (0.33, 0.56, 0.11)
+
+
+class TestLockstepBisect:
+    """Rows longer than the scan window go through the lockstep binary search;
+    the sizes straddle the window (16) and the halving boundaries."""
+
+    @pytest.mark.parametrize("n_states", [1, 2, 15, 16, 17, 31, 32, 33, 64, 65, 257])
+    def test_matches_single_chains_bitwise(self, n_states):
+        rng = np.random.default_rng(n_states)
+        roundoff = circulant_kernel(n_states, ROUNDOFF_WEIGHTS, (0, 1, 2))
+        lazy = circulant_kernel(n_states, (0.25, 0.75), (0, 1))
+        dense = circulant_kernel(n_states, rng.dirichlet(np.ones(n_states)), range(n_states))
+        if n_states >= 4:
+            assert np.cumsum(roundoff.rows, axis=1)[:, -2].max() > 1.0
+        fam = KernelFamily(
+            kernels=(roundoff, lazy, dense), pi=Distribution(np.full(n_states, 1.0 / n_states))
+        )
+        phi = TestFunction.from_values(rng.normal(size=n_states), fam.pi)
+        n = 200
+        indices = (np.arange(n + 1) // 5) % fam.size
+        prefixes = [1, 37, n]
+        x0 = n_states - 1
+        table = SolutionTable(fam, phi)
+        table.ensure(range(fam.size))
+        seed_seqs = [np.random.SeedSequence(entropy=n_states, spawn_key=(r,)) for r in range(7)]
+        sums, recorded, a_sums, last = ensemble_schedule_run(
+            fam, indices, phi, n, seed_seqs, x0,
+            record_prefixes=prefixes, a_terms=True, solutions=table,
+        )
+        for r, ss in enumerate(seed_seqs):
+            traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
+            X, S = traj.X, traj.S
+            assert sequential_sum(phi.values[X[1:]]) == sums[r]
+            for i, k in enumerate(prefixes):
+                assert sequential_sum(phi.values[X[1 : k + 1]]) == recorded[i, r]
+            a_n = 0.0
+            for k in range(1, n + 1):
+                if S[k] != S[k - 1]:
+                    a_n += float((table.g(int(S[k])) - table.g(int(S[k - 1])))[X[k]])
+            assert a_n == a_sums[r]
+            assert X[-1] == last[r]
+
+    def test_start_outside_state_space_rejected(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        with pytest.raises(ValueError, match="x0"):
+            ensemble_schedule_run(fam, np.zeros(3, dtype=np.int64), phi, 2,
+                                  [np.random.SeedSequence(1)], x0=3)
 
 
 class TestLlnStudy:
@@ -429,3 +489,27 @@ def test_family_from_builder_materializes_grid():
     assert fam.size == 3
     assert fam.params == (0.4, 0.7, 1.0)
     assert fam.nearest_index(0.65) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.lists(
+        st.floats(min_value=-10, max_value=10, allow_nan=False).map(lambda v: round(v, 1)),
+        min_size=1, max_size=8,
+    ),
+    value=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_nearest_index_is_first_closest(params, value):
+    """Ties go to the first member, as ``np.argmin`` over the distances."""
+    pi = Distribution([0.5, 0.5])
+    fam = KernelFamily(kernels=(StochasticMatrix(np.full((2, 2), 0.5)),) * len(params),
+                       pi=pi, params=tuple(params))
+    expected = int(np.argmin(np.abs(np.asarray(params, dtype=np.float64) - value)))
+    assert fam.nearest_index(value) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_family_rejects_non_finite_params(bad):
+    P = StochasticMatrix(np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        KernelFamily(kernels=(P, P), pi=Distribution([0.5, 0.5]), params=(0.5, bad))
