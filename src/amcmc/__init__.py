@@ -1,16 +1,17 @@
 """Adaptive MCMC on finite state spaces with exact decomposition diagnostics."""
 
 from .adaptation import (
-    ParameterSpace,
+    ConstantScheme,
+    MeanTrackingScheme,
+    RareCycleScheme,
     RareSchedule,
-    SAState,
+    RateTargetScheme,
+    ScheduleScheme,
     WaningReport,
-    am_field,
     bernoulli_log_schedule,
+    converging_index_schedule,
     log_increment_schedule,
     next_adaptation_decision,
-    ram_field,
-    sa_step,
     waning_diagnostic,
 )
 from .families import (
@@ -36,17 +37,11 @@ from .kernels import (
     write_kernel_json,
 )
 from .ledger import (
-    ConstantScheme,
     DecompositionLedger,
-    MeanTrackingScheme,
-    RareCycleScheme,
-    RateTargetScheme,
-    ScheduleScheme,
     Trajectory,
     an_bound_check,
     chain_generator,
     clt_study,
-    converging_index_schedule,
     decompose,
     lln_study,
     martingale_check,
@@ -68,8 +63,6 @@ from .rwm import (
     RwmParameter,
     build_discrete_rwm,
     discrete_acceptance_expectation,
-    fit_lipschitz_constant,
-    lipschitz_surrogate,
     run_rwm_chain,
     rwm_propose_accept,
     truncated_gaussian_target,

@@ -1,10 +1,17 @@
-"""Adaptation dynamics: constrained stochastic-approximation updates,
-mean-field increments for covariance and acceptance-rate tuning, rare
-update schedules, and waning diagnostics.
+"""Adaptation over a finite kernel family: the scheme protocol, the grid
+schemes, rare adaptation schedules and waning diagnostics.
 
-The update rule is ``S_k = S_{k-1} + gamma_k H_k`` with the candidate either
-rejected (increment zeroed) or projected back when it leaves the feasible
-set, so the move size never exceeds ``gamma_k * ||H_k||``.
+A scheme chooses the family index ``S_k`` the chain uses next.  It exposes
+``start(s0, rng)``, returning ``S_0``, and ``step(k, x_prev, x_new, s_prev,
+rng)``, returning ``S_k`` after the chain moved from ``x_prev`` to
+``x_new``; a scheme with ``aux_record()`` adds per-step series to the
+trajectory.  Exogenous schemes (:class:`ScheduleScheme`) also give their
+whole index sequence through ``index_array(n)``, which lets the lockstep
+studies run many replications at once.  The grid schemes follow the
+adaptation rules of the supporting theory: running-mean tracking (Haario,
+Saksman & Tamminen 2001), acceptance-rate targeting (Vihola 2012) and
+cyclic moves at increasingly rare times.  :func:`waning_diagnostic` checks
+that the resulting kernel-change magnitudes die out.
 """
 
 from __future__ import annotations
@@ -15,171 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NonFiniteIncrement,
-    OutOfRangeD,
-    ShapeMismatch,
-    ZeroNoiseVector,
-)
-
-SYMMETRY_TOL = 1e-10
-# absorbs eigendecomposition roundoff in feasibility checks
-EIG_TOL = 1e-12
-
-
-def power_gamma(c: float = 1.0, exponent: float = 1.0) -> Callable[[int], float]:
-    """Step-size rule ``gamma_k = c * k**-exponent`` (nonincreasing for
-    ``exponent >= 0``)."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return lambda k: c * float(k) ** (-exponent)
-
-
-def constant_gamma(c: float) -> Callable[[int], float]:
-    """Constant step-size rule."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return lambda k: c
-
-
-@dataclass(frozen=True)
-class ParameterSpace:
-    """Feasible set for the adapted parameter.
-
-    ``kind="finite"`` is an index set ``{0, ..., size-1}``.
-    ``kind="eigenbox"`` is the set of symmetric ``d x d`` matrices (scalars
-    for ``d=1``) with all eigenvalues in ``[a, b]``, ``0 < a < b``.
-    Membership uses the closed interval; symmetry is checked to ``1e-10``
-    and eigenvalue bounds carry a ``1e-12`` roundoff guard.
-    """
-
-    kind: str
-    size: int = 0
-    a: float = 0.0
-    b: float = 0.0
-    d: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("finite", "eigenbox"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == "finite" and self.size < 1:
-            raise ValueError("finite space needs size >= 1")
-        if self.kind == "eigenbox" and not 0.0 < self.a < self.b < math.inf:
-            raise ValueError("eigenbox needs 0 < a < b < inf")
-
-    def contains(self, S) -> bool:
-        if self.kind == "finite":
-            return isinstance(S, (int, np.integer)) and 0 <= int(S) < self.size
-        S = np.asarray(S, dtype=np.float64)
-        if S.ndim == 0:
-            return bool(self.a - EIG_TOL <= float(S) <= self.b + EIG_TOL)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            return False
-        if float(np.abs(S - S.T).max()) > SYMMETRY_TOL:
-            return False
-        eig = np.linalg.eigvalsh(0.5 * (S + S.T))
-        return bool(eig.min() >= self.a - EIG_TOL and eig.max() <= self.b + EIG_TOL)
-
-    def project(self, S):
-        """Clamp into the feasible set (eigenvalue clamp in the eigenbasis).
-
-        This is the Euclidean projection onto the eigenbox, so the distance
-        moved never exceeds the distance to any feasible point.
-        """
-        if self.kind == "finite":
-            return int(np.clip(int(S), 0, self.size - 1))
-        S = np.asarray(S, dtype=np.float64)
-        if S.ndim == 0:
-            return float(np.clip(float(S), self.a, self.b))
-        sym = 0.5 * (S + S.T)
-        eig, vecs = np.linalg.eigh(sym)
-        clamped = np.clip(eig, self.a, self.b)
-        return (vecs * clamped) @ vecs.T
-
-
-@dataclass(frozen=True)
-class SAState:
-    """Stochastic-approximation state: parameter, step count, step rule."""
-
-    S: object
-    k: int
-    gamma_schedule: Callable[[int], float]
-
-
-def sa_step(state: SAState, H, space: ParameterSpace, mode: str = "reject") -> SAState:
-    """One constrained update ``S <- S + gamma_k H``.
-
-    ``mode="reject"`` keeps the previous parameter when the candidate
-    leaves the feasible set (the increment is zeroed); ``mode="project"``
-    clamps the candidate's eigenvalues into the box.  Either way
-    ``||S_k - S_{k-1}|| <= gamma_k * ||H||``.
-    """
-    if mode not in ("reject", "project"):
-        raise ValueError(f"unknown mode {mode!r}")
-    H_arr = np.asarray(H, dtype=np.float64)
-    if not np.all(np.isfinite(H_arr)):
-        raise NonFiniteIncrement("increment contains NaN or infinity")
-    S_arr = np.asarray(state.S, dtype=np.float64)
-    if H_arr.shape != S_arr.shape:
-        raise ShapeMismatch(f"increment shape {H_arr.shape} != parameter shape {S_arr.shape}")
-    k_next = state.k + 1
-    gamma = float(state.gamma_schedule(k_next))
-    if gamma <= 0:
-        raise ValueError("step sizes must be positive")
-    candidate = S_arr + gamma * H_arr
-    if space.contains(candidate):
-        new_S = candidate
-    elif mode == "reject":
-        new_S = S_arr
-    else:
-        new_S = space.project(candidate)
-    if S_arr.ndim == 0:
-        new_S = float(new_S)
-    return SAState(S=new_S, k=k_next, gamma_schedule=state.gamma_schedule)
-
-
-def am_field(X, mu, Sigma) -> tuple:
-    """Mean/second-moment tracking increment ``(X - mu, X X^T - Sigma)``.
-
-    With step sizes ``1/k`` this reproduces the running sample mean and
-    second moment exactly.
-    """
-    X_arr = np.asarray(X, dtype=np.float64)
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    Sigma_arr = np.asarray(Sigma, dtype=np.float64)
-    if X_arr.shape != mu_arr.shape:
-        raise ShapeMismatch(f"state shape {X_arr.shape} != mean shape {mu_arr.shape}")
-    if X_arr.ndim == 0:
-        if Sigma_arr.ndim != 0:
-            raise ShapeMismatch("scalar state needs scalar second moment")
-        return float(X_arr - mu_arr), float(X_arr * X_arr - Sigma_arr)
-    outer = np.outer(X_arr, X_arr)
-    if outer.shape != Sigma_arr.shape:
-        raise ShapeMismatch(f"outer product shape {outer.shape} != {Sigma_arr.shape}")
-    return X_arr - mu_arr, outer - Sigma_arr
-
-
-def ram_field(Z, alpha: float, alpha_star: float, S):
-    """Acceptance-rate-driven rank-one increment.
-
-    Returns ``(alpha - alpha_star) * S (Z Z^T / ||Z||^2) S^T``; symmetric,
-    rank at most one, and zero exactly when the realized acceptance
-    probability hits the target.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    Z_arr = np.asarray(Z, dtype=np.float64)
-    nsq = float(np.sum(Z_arr * Z_arr))
-    if nsq == 0.0:
-        raise ZeroNoiseVector("noise vector must be nonzero")
-    S_arr = np.asarray(S, dtype=np.float64)
-    if Z_arr.ndim == 0 or Z_arr.size == 1:
-        return float((alpha - alpha_star) * float(S_arr) ** 2)
-    if S_arr.shape != (Z_arr.size, Z_arr.size):
-        raise ShapeMismatch(f"factor shape {S_arr.shape} incompatible with noise size {Z_arr.size}")
-    direction = np.outer(Z_arr, Z_arr) / nsq
-    return (alpha - alpha_star) * (S_arr @ direction @ S_arr.T)
-
+from .errors import OutOfRangeD
+from .families import KernelFamily
 
 # ---------------------------------------------------------------------------
 # rare adaptation schedules
@@ -277,6 +121,172 @@ def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> RareSchedule
         kind="bernoulli",
         activation=lambda k: min(1.0, c / math.log(max(k, 2)) ** (1.0 + epsilon)),
     )
+
+
+# ---------------------------------------------------------------------------
+# adaptation schemes over finite families
+
+
+class ConstantScheme:
+    """Non-adaptive scheme: the parameter index never changes."""
+
+    def start(self, s0: int, rng) -> int:
+        return s0
+
+    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
+        return s_prev
+
+
+class ScheduleScheme:
+    """Exogenous scheme following a fixed index sequence ``s_0, s_1, ...``."""
+
+    def __init__(self, indices: Sequence[int]):
+        self._arr = np.asarray(indices, dtype=np.int64)
+        if self._arr.ndim != 1 or self._arr.size == 0:
+            raise ValueError("schedule indices must be a non-empty sequence")
+
+    def index_array(self, n: int) -> np.ndarray:
+        """The indices ``s_0, ..., s_n``."""
+        if self._arr.size < n + 1:
+            raise ValueError(f"schedule has {self._arr.size} indices, steps 0..{n} need {n + 1}")
+        return self._arr[: n + 1]
+
+    def start(self, s0: int, rng) -> int:
+        return int(self._arr[0])
+
+    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
+        return int(self._arr[k])
+
+
+class MeanTrackingScheme:
+    """Covariance-estimation-style scheme on a parameter grid.
+
+    Tracks the running mean of a per-state statistic with step sizes
+    ``1/k`` (so the estimate equals the exact sample mean) and selects the
+    grid member nearest the estimate.  Adaptation moves shrink at rate
+    ``1/k``, so kernel changes die out.
+    """
+
+    def __init__(self, family: KernelFamily, statistic):
+        if family.params is None:
+            raise ValueError("scheme needs a parameter grid")
+        self.family = family
+        self.statistic = np.asarray(statistic, dtype=np.float64)
+        if self.statistic.shape[0] != family.n_states:
+            raise ValueError("statistic must assign a value per state")
+        self._mean = 0.0
+
+    def start(self, s0: int, rng) -> int:
+        self._mean = 0.0
+        return s0
+
+    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
+        self._mean += (float(self.statistic[x_new]) - self._mean) / k
+        return self.family.nearest_index(self._mean)
+
+
+class RateTargetScheme:
+    """Acceptance-rate-style scheme on a parameter grid.
+
+    Runs a projected scalar update ``t <- clip(t + gamma_k (moved - target))``
+    with ``gamma_k = c * k**(-2/3)`` by default, where ``moved`` indicates
+    that the chain left its previous state, and selects the nearest grid
+    member.
+    """
+
+    def __init__(
+        self,
+        family: KernelFamily,
+        target: float = 0.234,
+        c: float = 1.0,
+        exponent: float = 2.0 / 3.0,
+    ):
+        if family.params is None:
+            raise ValueError("scheme needs a parameter grid")
+        self.family = family
+        self.target = target
+        self.c = c
+        self.exponent = exponent
+        self._lo = min(family.params)
+        self._hi = max(family.params)
+        self._t = self._lo
+        self._alphas: list[float] = []
+
+    def start(self, s0: int, rng) -> int:
+        self._t = float(self.family.params[s0])
+        self._alphas = []
+        return s0
+
+    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
+        gamma = self.c * float(k) ** (-self.exponent)
+        moved = 1.0 if x_new != x_prev else 0.0
+        self._alphas.append(moved)
+        self._t = min(max(self._t + gamma * (moved - self.target), self._lo), self._hi)
+        return self.family.nearest_index(self._t)
+
+    def aux_record(self) -> dict:
+        return {"alpha": self._alphas}
+
+
+class RareCycleScheme:
+    """Scheme changing the index only at rare schedule times.
+
+    At each adaptation time the index advances cyclically through the
+    family; between times it is frozen, so the per-step kernel change is
+    exactly zero off the schedule.
+    """
+
+    def __init__(self, family: KernelFamily, schedule_factory: Callable[[], RareSchedule]):
+        self.family = family
+        self.schedule_factory = schedule_factory
+        self._sched: RareSchedule | None = None
+        self._uniforms: list[float] = []
+
+    def start(self, s0: int, rng) -> int:
+        self._sched = self.schedule_factory()
+        self._uniforms = []
+        return s0
+
+    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
+        u = None
+        if self._sched.kind == "bernoulli":
+            u = rng.random()
+            self._uniforms.append(u)
+        if next_adaptation_decision(self._sched, k, u):
+            return (s_prev + 1) % self.family.size
+        return s_prev
+
+    def aux_record(self) -> dict:
+        return {"U": self._uniforms} if self._uniforms else {}
+
+
+def converging_index_schedule(
+    family: KernelFamily,
+    s0: int,
+    n: int,
+    c: float = 0.5,
+    exponent: float = 1.5,
+    drift: float = 1.0,
+) -> tuple[ScheduleScheme, int]:
+    """Deterministic schedule with summable step sizes, hence a settled limit.
+
+    The latent parameter follows ``t_k = clip(t_{k-1} + c k**-exponent *
+    drift)`` over the grid range; because ``sum_k c k**-exponent`` is finite
+    the index stops changing after finitely many steps.  Returns the scheme
+    and the limit index.
+    """
+    if family.params is None:
+        raise ValueError("schedule needs a parameter grid")
+    if exponent <= 1.0:
+        raise ValueError("exponent must exceed 1 for a summable schedule")
+    lo, hi = min(family.params), max(family.params)
+    idx = np.empty(n + 1, dtype=np.int64)
+    idx[0] = s0
+    t = float(family.params[s0])
+    for k in range(1, n + 1):
+        t = min(max(t + c * float(k) ** (-exponent) * drift, lo), hi)
+        idx[k] = family.nearest_index(t)
+    return ScheduleScheme(idx), int(idx[-1])
 
 
 # ---------------------------------------------------------------------------

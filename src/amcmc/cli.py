@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import families, kernels, ledger, poisson, rwm
-from .adaptation import bernoulli_log_schedule, log_increment_schedule, waning_diagnostic
+from . import adaptation, families, kernels, ledger, poisson, rwm
 from .errors import AmcmcError, ConfigError
 from .kernels import Distribution
 from .poisson import TestFunction
@@ -72,6 +71,42 @@ class RunConfig:
         if key not in self.raw:
             raise ConfigError(f"config field {key!r} is required for {self.experiment}")
         return self.raw[key]
+
+    def scalar(self, name: str, kind: type, default=None):
+        """Field ``name`` converted by ``kind`` (``int``, ``float``, ``str``
+        or ``bool``).
+
+        A dotted name such as ``"d_series.n"`` reads a field of a nested
+        object.  A missing field gives ``default``, or is an error when
+        there is none; so is a value ``kind`` cannot convert.
+        """
+        *parents, key = name.split(".")
+        obj = self.raw
+        for depth, part in enumerate(parents):
+            obj = obj.get(part, {})
+            if not isinstance(obj, dict):
+                where = ".".join(parents[: depth + 1])
+                raise ConfigError(f"config field {where!r} must be an object")
+        if key not in obj:
+            if default is None:
+                raise ConfigError(f"config field {name!r} is required for {self.experiment}")
+            return default
+        return _typed(name, obj[key], kind)
+
+
+def _typed(name: str, value, kind: type):
+    """``kind(value)``, with a failed conversion reported as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _int_list(name: str, value) -> list:
+    """A list field of ints; a non-list or an unconvertible entry is a ConfigError."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [_typed(name, v, int) for v in value]
 
 
 @dataclass
@@ -130,10 +165,13 @@ def build_run_config(args, experiment: str) -> RunConfig:
         fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    seed = _typed("seed", seed, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return RunConfig(
         experiment=experiment,
         raw=cfg,
-        seed=int(seed),
+        seed=seed,
         out=Path(out),
         fmt=fmt,
     )
@@ -245,18 +283,17 @@ def build_scheme(spec: dict, family: families.KernelFamily, n: int):
     kind = spec["kind"]
     if kind == "constant":
         s0 = _scheme_start(spec, family)
-        return ledger.ScheduleScheme(lambda k: s0), s0
+        return adaptation.ScheduleScheme(np.full(n + 1, s0)), s0
     if kind == "alternating":
-        size = family.size
-        return ledger.ScheduleScheme(lambda k: k % size), None
+        return adaptation.ScheduleScheme(np.arange(n + 1) % family.size), None
     if kind == "schedule":
         indices = np.asarray(spec["indices"], dtype=np.int64)
         in_family = (indices >= 0) & (indices < family.size)
         if indices.ndim != 1 or indices.size < n + 1 or not in_family.all():
             raise ConfigError(f"scheme 'schedule' needs {n + 1} indices in [0, {family.size})")
-        return ledger.ScheduleScheme(indices), None
+        return adaptation.ScheduleScheme(indices), None
     if kind == "converging":
-        scheme, limit = ledger.converging_index_schedule(
+        scheme, limit = adaptation.converging_index_schedule(
             family,
             s0=_scheme_start(spec, family),
             n=n,
@@ -364,7 +401,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     n_orbit = 64
     indices = np.arange(n_orbit + 1) % 2
     X = ledger.run_adaptive_chain(
-        family, ledger.ScheduleScheme(indices), x0=1, s0=0, n=n_orbit, seed=cfg.seed
+        family, adaptation.ScheduleScheme(indices), x0=1, s0=0, n=n_orbit, seed=cfg.seed
     ).X
     labels = X + 1
     checks["orbit"] = list(labels[:5]) == [2, 3, 2, 3, 2]
@@ -387,7 +424,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         }
         sigma2 = poisson.clt_variance(P, pi, phi)
         Xs = ledger.run_adaptive_chain(
-            family, ledger.ConstantScheme(), x0=1, s0=s_idx, n=n_mc, seed=cfg.seed
+            family, adaptation.ConstantScheme(), x0=1, s0=s_idx, n=n_mc, seed=cfg.seed
         ).X
         avg = float(phi.values[Xs[1:]].mean())
         band = 3.0 * np.sqrt(sigma2 / n_mc)
@@ -426,7 +463,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 
 def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
-    x0 = int(cfg.get("x0", 0))
+    x0 = cfg.scalar("x0", int, 0)
     if not 0 <= x0 < family.n_states:
         raise ConfigError(f"x0={x0} outside state space [0, {family.n_states})")
     return x0
@@ -435,14 +472,14 @@ def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
 def cmd_lln(cfg: RunConfig) -> int:
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
-    n_grid = [int(n) for n in cfg.get("n_grid", [1000, 10000, 100000])]
+    n_grid = _int_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]))
     if not n_grid or min(n_grid) < 1:
         raise ConfigError("n_grid entries must be >= 1")
     seeds_spec = cfg.get("seeds", {"count": 16})
     if isinstance(seeds_spec, dict):
-        seeds = [cfg.seed + i for i in range(int(seeds_spec.get("count", 16)))]
+        seeds = [cfg.seed + i for i in range(cfg.scalar("seeds.count", int, 16))]
     else:
-        seeds = [int(s) for s in seeds_spec]
+        seeds = _int_list("seeds", seeds_spec)
     if not seeds:
         raise ConfigError("seeds must be non-empty")
     scheme, _ = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
@@ -468,7 +505,7 @@ def cmd_lln(cfg: RunConfig) -> int:
     expect = cfg.get("expect", "converge")
     medians = study["medians"]
     converged = medians[-1] < medians[0] and study["slope"] < -0.2
-    pinned = medians[-1] > float(cfg.get("fail_threshold", 0.1))
+    pinned = medians[-1] > cfg.scalar("fail_threshold", float, 0.1)
     summary = {
         "n_grid": study["n_grid"],
         "medians": medians,
@@ -498,13 +535,13 @@ def _ratio_band(band) -> tuple:
 
 
 def cmd_clt(cfg: RunConfig) -> int:
-    family = build_family(cfg.require("family"))
-    phi = build_phi(cfg.require("phi"), family)
-    n = int(cfg.get("n", 10000))
-    replications = int(cfg.get("replications", 1000))
+    n = cfg.scalar("n", int, 10000)
+    replications = cfg.scalar("replications", int, 1000)
     if n < 1 or replications < 1:
         raise ConfigError("n and replications must be >= 1")
     lo, hi = _ratio_band(cfg.get("ratio_band", [0.85, 1.15]))
+    family = build_family(cfg.require("family"))
+    phi = build_phi(cfg.require("phi"), family)
     x0 = _start_state(cfg, family)
     scheme, limit = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
     study = ledger.clt_study(
@@ -536,10 +573,17 @@ def cmd_clt(cfg: RunConfig) -> int:
     return _finish(cfg, artifacts, summary, EXIT_PASS if in_band else EXIT_UNEXPECTED)
 
 
+def _certificate_horizon(cfg: RunConfig) -> int:
+    horizon = cfg.scalar("horizon", int, 32)
+    if horizon < 2:
+        raise ConfigError(f"horizon must be >= 2, got {horizon}")
+    return horizon
+
+
 def cmd_bounds(cfg: RunConfig) -> int:
+    horizon = _certificate_horizon(cfg)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
-    horizon = int(cfg.get("horizon", 32))
     consts = kernels.fit_ergodicity_constants(list(family.kernels), family.pi, horizon)
     kernels.validate_ergodicity_constants(consts, list(family.kernels), family.pi)
     sols = [poisson.solve_poisson_exact(P, family.pi, phi) for P in family.kernels]
@@ -570,25 +614,32 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_waning(cfg: RunConfig) -> int:
-    spec = cfg.require("d_series")
-    n = int(spec.get("n", 100_000))
-    kind = spec.get("kind")
+    kind = cfg.scalar("d_series.kind", str)
+    n = cfg.scalar("d_series.n", int, 100_000)
+    if n < 1:
+        raise ConfigError(f"d_series.n must be >= 1, got {n}")
+    p = cfg.scalar("p", float, 1.0)
+    if not p > 0:
+        raise ConfigError(f"p must be > 0, got {p}")
     if kind == "rare-log":
-        sched = log_increment_schedule(float(spec.get("c", 2.0)), float(spec.get("epsilon", 0.1)))
+        sched = _spec_errors("d_series")(adaptation.log_increment_schedule)(
+            cfg.scalar("d_series.c", float, 2.0), cfg.scalar("d_series.epsilon", float, 0.1)
+        )
         taus = sched.adaptation_times(n)
         D = np.zeros(n)
         D[np.asarray(taus, dtype=np.int64) - 1] = 1.0
     elif kind == "bernoulli-log":
-        sched = bernoulli_log_schedule(float(spec.get("c", 1.0)), float(spec.get("epsilon", 0.1)))
+        sched = _spec_errors("d_series")(adaptation.bernoulli_log_schedule)(
+            cfg.scalar("d_series.c", float, 1.0), cfg.scalar("d_series.epsilon", float, 0.1)
+        )
         rng = ledger.chain_generator(cfg.seed)
         u = rng.random(n)
         D = np.array([1.0 if u[k - 1] <= sched.eta(k) else 0.0 for k in range(1, n + 1)])
     elif kind == "constant":
-        D = np.full(n, float(spec.get("value", 0.05)))
+        D = np.full(n, cfg.scalar("d_series.value", float, 0.05))
     else:
         raise ConfigError(f"unknown d_series kind {kind!r}")
-    p = float(cfg.get("p", 1.0))
-    report = waning_diagnostic(D, p)
+    report = adaptation.waning_diagnostic(D, p)
     out_dir = _out_dir(cfg)
     artifacts = [
         _write_table(
@@ -599,7 +650,7 @@ def cmd_waning(cfg: RunConfig) -> int:
             cfg.fmt,
         )
     ]
-    expect = bool(cfg.get("expect_waning", True))
+    expect = cfg.scalar("expect_waning", bool, True)
     matched = report.waning == expect
     summary = {
         "p": p,
@@ -614,13 +665,18 @@ def cmd_waning(cfg: RunConfig) -> int:
 
 
 def cmd_poisson(cfg: RunConfig) -> int:
+    tol = cfg.scalar("tol", float, 1e-9)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
+    horizon = _certificate_horizon(cfg)
+    member = cfg.scalar("member", int, 0)
     family = build_family(cfg.require("family"))
+    if not 0 <= member < family.size:
+        raise ConfigError(f"member={member} outside family indices [0, {family.size})")
     phi = build_phi(cfg.require("phi"), family)
-    member = int(cfg.get("member", 0))
-    tol = float(cfg.get("tol", 1e-9))
     P = family.kernel(member)
     sol = poisson.solve_poisson_exact(P, family.pi, phi)
-    consts = kernels.fit_ergodicity_constants([P], family.pi, int(cfg.get("horizon", 32)))
+    consts = kernels.fit_ergodicity_constants([P], family.pi, horizon)
     series = poisson.solve_poisson_neumann(P, family.pi, phi, tol, consts)
     gap = float(np.abs(sol.g - series.g).max())
     out_dir = _out_dir(cfg)
@@ -643,13 +699,16 @@ def cmd_poisson(cfg: RunConfig) -> int:
 
 
 def cmd_kernel_info(cfg: RunConfig) -> int:
+    horizon = cfg.scalar("horizon", int, 16)
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     family = build_family(cfg.require("family"))
     info = []
     curves = {}
     for idx, P in enumerate(family.kernels):
         d = kernels.stationary_distribution(P)
         beta = kernels.dobrushin_coefficient(P)
-        curves[str(idx)] = kernels.sup_tv_to_pi_curve(P, family.pi, int(cfg.get("horizon", 16)))
+        curves[str(idx)] = kernels.sup_tv_to_pi_curve(P, family.pi, horizon)
         info.append(
             {
                 "index": idx,

@@ -38,18 +38,6 @@ class NegativeBeyondTolerance(AmcmcError, ArithmeticError):
     """A variance came out negative beyond floating-point tolerance."""
 
 
-class NonFiniteIncrement(AmcmcError, ValueError):
-    """A stochastic-approximation increment contains NaN or infinity."""
-
-
-class ShapeMismatch(AmcmcError, ValueError):
-    """Adaptation increment shapes are inconsistent with the parameter."""
-
-
-class ZeroNoiseVector(AmcmcError, ValueError):
-    """The proposal noise vector is identically zero."""
-
-
 class OutOfRangeD(AmcmcError, ValueError):
     """A kernel-change magnitude lies outside [0, 1]."""
 

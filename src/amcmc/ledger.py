@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as sp_stats
 
-from .adaptation import RareSchedule, next_adaptation_decision
+from .adaptation import ScheduleScheme
 from .errors import DegenerateVariance, DobrushinViolation, MissingSolution, SchemeEscape
 from .families import KernelFamily
 from .kernels import dobrushin_coefficient, max_tv_between_kernels
@@ -62,177 +62,6 @@ def replication_seed_sequences(seeds: Sequence[int], count: int) -> list:
     if len(seeds) == 1:
         return [np.random.SeedSequence(entropy=seeds[0], spawn_key=(r,)) for r in range(count)]
     raise ValueError(f"need 1 or {count} seeds, got {len(seeds)}")
-
-
-# ---------------------------------------------------------------------------
-# adaptation schemes over finite families
-
-
-class ConstantScheme:
-    """Non-adaptive scheme: the parameter index never changes."""
-
-    def start(self, s0: int, rng) -> int:
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        return s_prev
-
-
-class ScheduleScheme:
-    """Exogenous scheme following a fixed index sequence ``k -> s_k``."""
-
-    def __init__(self, indices: Sequence[int] | Callable[[int], int]):
-        if callable(indices):
-            self._fn = indices
-            self._arr = None
-        else:
-            self._arr = np.asarray(indices, dtype=np.int64)
-            self._fn = lambda k: int(self._arr[k])
-
-    def index_at(self, k: int) -> int:
-        return int(self._fn(k))
-
-    def index_array(self, n: int) -> np.ndarray:
-        if self._arr is not None and self._arr.size >= n + 1:
-            return self._arr[: n + 1]
-        return np.asarray([self.index_at(k) for k in range(n + 1)], dtype=np.int64)
-
-    def start(self, s0: int, rng) -> int:
-        return self.index_at(0)
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        return self.index_at(k)
-
-
-class MeanTrackingScheme:
-    """Covariance-estimation-style scheme on a parameter grid.
-
-    Tracks the running mean of a per-state statistic with step sizes
-    ``1/k`` (so the estimate equals the exact sample mean) and selects the
-    grid member nearest the estimate.  Adaptation moves shrink at rate
-    ``1/k``, so kernel changes die out.
-    """
-
-    def __init__(self, family: KernelFamily, statistic):
-        if family.params is None:
-            raise ValueError("scheme needs a parameter grid")
-        self.family = family
-        self.statistic = np.asarray(statistic, dtype=np.float64)
-        if self.statistic.shape[0] != family.n_states:
-            raise ValueError("statistic must assign a value per state")
-        self._mean = 0.0
-
-    def start(self, s0: int, rng) -> int:
-        self._mean = 0.0
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        self._mean += (float(self.statistic[x_new]) - self._mean) / k
-        return self.family.nearest_index(self._mean)
-
-
-class RateTargetScheme:
-    """Acceptance-rate-style scheme on a parameter grid.
-
-    Runs a projected scalar update ``t <- clip(t + gamma_k (moved - target))``
-    with ``gamma_k = c * k**(-2/3)`` by default, where ``moved`` indicates
-    that the chain left its previous state, and selects the nearest grid
-    member.
-    """
-
-    def __init__(
-        self,
-        family: KernelFamily,
-        target: float = 0.234,
-        c: float = 1.0,
-        exponent: float = 2.0 / 3.0,
-    ):
-        if family.params is None:
-            raise ValueError("scheme needs a parameter grid")
-        self.family = family
-        self.target = target
-        self.c = c
-        self.exponent = exponent
-        self._lo = min(family.params)
-        self._hi = max(family.params)
-        self._t = self._lo
-        self._alphas: list[float] = []
-
-    def start(self, s0: int, rng) -> int:
-        self._t = float(self.family.params[s0])
-        self._alphas = []
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        gamma = self.c * float(k) ** (-self.exponent)
-        moved = 1.0 if x_new != x_prev else 0.0
-        self._alphas.append(moved)
-        self._t = min(max(self._t + gamma * (moved - self.target), self._lo), self._hi)
-        return self.family.nearest_index(self._t)
-
-    def aux_record(self) -> dict:
-        return {"alpha": self._alphas}
-
-
-class RareCycleScheme:
-    """Scheme changing the index only at rare schedule times.
-
-    At each adaptation time the index advances cyclically through the
-    family; between times it is frozen, so the per-step kernel change is
-    exactly zero off the schedule.
-    """
-
-    def __init__(self, family: KernelFamily, schedule_factory: Callable[[], RareSchedule]):
-        self.family = family
-        self.schedule_factory = schedule_factory
-        self._sched: RareSchedule | None = None
-        self._uniforms: list[float] = []
-
-    def start(self, s0: int, rng) -> int:
-        self._sched = self.schedule_factory()
-        self._uniforms = []
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        u = None
-        if self._sched.kind == "bernoulli":
-            u = rng.random()
-            self._uniforms.append(u)
-        if next_adaptation_decision(self._sched, k, u):
-            return (s_prev + 1) % self.family.size
-        return s_prev
-
-    def aux_record(self) -> dict:
-        return {"U": self._uniforms} if self._uniforms else {}
-
-
-def converging_index_schedule(
-    family: KernelFamily,
-    s0: int,
-    n: int,
-    c: float = 0.5,
-    exponent: float = 1.5,
-    drift: float = 1.0,
-) -> tuple[ScheduleScheme, int]:
-    """Deterministic schedule with summable step sizes, hence a settled limit.
-
-    The latent parameter follows ``t_k = clip(t_{k-1} + c k**-exponent *
-    drift)`` over the grid range; because ``sum_k c k**-exponent`` is finite
-    the index stops changing after finitely many steps.  Returns the scheme
-    and the limit index.
-    """
-    if family.params is None:
-        raise ValueError("schedule needs a parameter grid")
-    if exponent <= 1.0:
-        raise ValueError("exponent must exceed 1 for a summable schedule")
-    lo, hi = min(family.params), max(family.params)
-    idx = np.empty(n + 1, dtype=np.int64)
-    idx[0] = s0
-    t = float(family.params[s0])
-    for k in range(1, n + 1):
-        t = min(max(t + c * float(k) ** (-exponent) * drift, lo), hi)
-        idx[k] = family.nearest_index(t)
-    return ScheduleScheme(idx), int(idx[-1])
 
 
 # ---------------------------------------------------------------------------

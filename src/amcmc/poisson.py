@@ -126,6 +126,8 @@ def neumann_truncation_index(
     The tail after ``K`` terms is at most
     ``C * rho**(K+1) * osc / (1 - rho)``.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if consts.rho >= 1.0:
         raise NoContraction("series summation requires rho < 1")
     if osc == 0.0 or consts.rho == 0.0:

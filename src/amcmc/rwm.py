@@ -4,7 +4,8 @@ Two lanes share one target and one eigenvalue-constrained proposal
 covariance.  The discrete lane lays a regular grid over the box and builds
 an exactly reversible transition matrix that feeds the finite-state
 diagnostics; the continuous lane samples the box directly and reports the
-realized acceptance probabilities used for acceptance-rate adaptation.
+realized acceptance probabilities, to compare with the discrete lane's
+exact stationary expectation.
 Proposals falling outside the box are rejected (the density is extended by
 zero).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -314,39 +315,6 @@ def run_rwm_chain(
         "accepts": accepts,
         "mean_alpha": float(alphas.mean()) if n else 0.0,
     }
-
-
-def lipschitz_surrogate(s: RwmParameter, s_prev: RwmParameter, L: float) -> float:
-    """Kernel-change surrogate ``min(1, L * ||Sigma - Sigma_prev||_F)``.
-
-    Used as the per-step change magnitude for continuous-lane waning
-    diagnostics; ``L`` comes from configuration (see
-    :func:`fit_lipschitz_constant`).
-    """
-    gap = float(np.linalg.norm(s.Sigma - s_prev.Sigma))
-    return min(1.0, L * gap)
-
-
-def fit_lipschitz_constant(
-    target: CompactTarget, params: Sequence[RwmParameter], cap: int = DEFAULT_STATE_CAP
-) -> float:
-    """Empirical kernel-change-to-parameter-change ratio on the discrete lane.
-
-    Returns the largest observed ``max_tv / ||Sigma - Sigma'||_F`` over all
-    parameter pairs; a consistency audit for the configured constant, not a
-    proof.
-    """
-    from .kernels import max_tv_between_kernels
-
-    kernels = [build_discrete_rwm(target, p, cap=cap) for p in params]
-    worst = 0.0
-    for i in range(len(params)):
-        for j in range(i + 1, len(params)):
-            gap = float(np.linalg.norm(params[i].Sigma - params[j].Sigma))
-            if gap == 0.0:
-                continue
-            worst = max(worst, max_tv_between_kernels(kernels[i], kernels[j]) / gap)
-    return worst
 
 
 def load_target(spec: dict) -> CompactTarget:

@@ -1,136 +1,36 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from amcmc.adaptation import (
-    ParameterSpace,
+    MeanTrackingScheme,
+    RareCycleScheme,
     RareSchedule,
-    SAState,
-    am_field,
+    RateTargetScheme,
+    ScheduleScheme,
     bernoulli_log_schedule,
-    constant_gamma,
     log_increment_schedule,
     next_adaptation_decision,
-    power_gamma,
-    ram_field,
-    sa_step,
     waning_diagnostic,
 )
-from amcmc.errors import NonFiniteIncrement, OutOfRangeD, ShapeMismatch, ZeroNoiseVector
+from amcmc.errors import OutOfRangeD
+from amcmc.families import mixture_family, random_metropolis_family
+from amcmc.kernels import Distribution
+from amcmc.ledger import run_adaptive_chain
 
-SCALAR_SPACE = ParameterSpace(kind="eigenbox", a=0.5, b=3.0, d=1)
-
-
-class TestSaStep:
-    def test_in_bounds_update_accepted(self):
-        state = SAState(S=1.0, k=0, gamma_schedule=constant_gamma(0.5))
-        out = sa_step(state, 2.0, SCALAR_SPACE, mode="reject")
-        assert out.S == 2.0
-        assert out.k == 1
-
-    def test_reject_keeps_previous(self):
-        state = SAState(S=2.9, k=0, gamma_schedule=constant_gamma(0.5))
-        out = sa_step(state, 2.0, SCALAR_SPACE, mode="reject")
-        assert out.S == 2.9
-
-    def test_project_clamps_to_boundary(self):
-        state = SAState(S=2.9, k=0, gamma_schedule=constant_gamma(0.5))
-        out = sa_step(state, 2.0, SCALAR_SPACE, mode="project")
-        assert out.S == 3.0
-
-    def test_non_finite_increment(self):
-        state = SAState(S=1.0, k=0, gamma_schedule=constant_gamma(0.5))
-        with pytest.raises(NonFiniteIncrement):
-            sa_step(state, float("nan"), SCALAR_SPACE)
-
-    def test_shape_mismatch(self):
-        state = SAState(S=np.eye(2), k=0, gamma_schedule=constant_gamma(0.5))
-        space = ParameterSpace(kind="eigenbox", a=0.1, b=5.0, d=2)
-        with pytest.raises(ShapeMismatch):
-            sa_step(state, np.ones(3), space)
-
-    def test_move_never_exceeds_step_size_bound(self):
-        rng = np.random.Generator(np.random.Philox(3))
-        space = ParameterSpace(kind="eigenbox", a=0.2, b=2.0, d=3)
-        S = np.eye(3)
-        state = SAState(S=S, k=0, gamma_schedule=power_gamma(0.5, 0.7))
-        for mode in ("reject", "project"):
-            st = state
-            for _ in range(200):
-                H = rng.normal(size=(3, 3))
-                H = 0.5 * (H + H.T)
-                gamma = st.gamma_schedule(st.k + 1)
-                nxt = sa_step(st, H, space, mode=mode)
-                move = np.linalg.norm(np.asarray(nxt.S) - np.asarray(st.S))
-                assert move <= gamma * np.linalg.norm(H) + 1e-10
-                assert space.contains(nxt.S)
-                st = nxt
-
-    def test_project_preserves_symmetry(self):
-        space = ParameterSpace(kind="eigenbox", a=0.5, b=1.5, d=2)
-        state = SAState(S=np.eye(2), k=0, gamma_schedule=constant_gamma(1.0))
-        out = sa_step(state, np.array([[3.0, 0.2], [0.2, -2.0]]), space, mode="project")
-        S = np.asarray(out.S)
-        assert np.abs(S - S.T).max() <= 1e-12
-        assert space.contains(S)
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-class TestAmField:
-    def test_fixed_point_zero_increment(self):
-        X = np.array([1.0, -2.0])
-        d_mu, d_sigma = am_field(X, X, np.outer(X, X))
-        assert np.abs(d_mu).max() == 0.0
-        assert np.abs(d_sigma).max() == 0.0
-
-    def test_scalar_evaluation(self):
-        assert am_field(2.0, 0.0, 1.0) == (2.0, 3.0)
-
-    def test_recursive_mean_matches_batch_average(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        xs = rng.uniform(size=(10_000, 2))
-        mu = np.zeros(2)
-        second = np.zeros((2, 2))
-        for k, x in enumerate(xs, start=1):
-            d_mu, d_sigma = am_field(x, mu, second)
-            mu = mu + d_mu / k
-            second = second + d_sigma / k
-        assert np.abs(mu - xs.mean(axis=0)).max() <= 1e-12
-        batch_second = (xs[:, :, None] * xs[:, None, :]).mean(axis=0)
-        assert np.abs(second - batch_second).max() <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            am_field(np.ones(2), np.ones(3), np.eye(2))
-
-
-class TestRamField:
-    def test_zero_at_target_rate(self):
-        out = ram_field(np.array([1.0, 2.0]), 0.234, 0.234, np.eye(2))
-        assert np.abs(out).max() == 0.0
-
-    def test_scalar_evaluation(self):
-        assert ram_field(1.0, 1.0, 0.234, 2.0) == pytest.approx(3.064, abs=1e-12)
-
-    def test_symmetric_rank_one_matches_outer_oracle(self):
-        rng = np.random.Generator(np.random.Philox(7))
-        for _ in range(20):
-            Z = rng.normal(size=3)
-            S = rng.normal(size=(3, 3))
-            S = 0.5 * (S + S.T) + 3.0 * np.eye(3)
-            alpha = float(rng.uniform())
-            out = ram_field(Z, alpha, 0.234, S)
-            # direct dense oracle
-            oracle = (alpha - 0.234) * S @ np.outer(Z, Z) @ S.T / (Z @ Z)
-            assert np.abs(out - oracle).max() <= 1e-12
-            assert np.abs(out - out.T).max() <= 1e-12
-            assert np.linalg.matrix_rank(out, tol=1e-10) <= 1
-
-    def test_zero_noise_vector(self):
-        with pytest.raises(ZeroNoiseVector):
-            ram_field(np.zeros(2), 0.5, 0.234, np.eye(2))
-
-    def test_alpha_range_validated(self):
-        with pytest.raises(ValueError):
-            ram_field(np.ones(2), 1.5, 0.234, np.eye(2))
+def grid_family(members=8):
+    """Mixtures of two random reversible kernels over the grid ``linspace(0, 1, members)``."""
+    pi = Distribution([0.1, 0.2, 0.3, 0.4])
+    pair = random_metropolis_family(pi, 2, seed=19)
+    return mixture_family(pair.kernels[0], pair.kernels[1], pi, members)
 
 
 class TestRareSchedules:
@@ -211,46 +111,88 @@ class TestWaningDiagnostic:
         assert np.all(np.diff(report.partial_sums) >= 0.0)
 
 
-class TestParameterSpace:
-    def test_finite_membership(self):
-        space = ParameterSpace(kind="finite", size=4)
-        assert space.contains(0) and space.contains(3)
-        assert not space.contains(4) and not space.contains(-1)
+class TestGridSchemes:
+    def test_schedule_scheme_needs_an_index_per_step(self):
+        scheme = ScheduleScheme([1, 0, 1])
+        assert scheme.index_array(2).tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match="need 4"):
+            scheme.index_array(3)
+        for bad in ([], [[0, 1]]):
+            with pytest.raises(ValueError):
+                ScheduleScheme(bad)
 
-    def test_eigenbox_membership_checks_symmetry(self):
-        space = ParameterSpace(kind="eigenbox", a=0.5, b=2.0, d=2)
-        assert space.contains(np.eye(2))
-        assert not space.contains(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        assert not space.contains(3.0 * np.eye(2))
+    def test_mean_tracking_follows_the_batch_mean(self):
+        fam = grid_family()
+        stat = np.array([0.9, 0.05, 0.6, 0.3])
+        traj = run_adaptive_chain(fam, MeanTrackingScheme(fam, stat), 0, 3, 5_000, seed=3)
+        batch = np.cumsum(stat[traj.X[1:]]) / np.arange(1, traj.n + 1)
+        grid = np.asarray(fam.params)
+        midpoints = (grid[:-1] + grid[1:]) / 2.0
+        # the running mean and the batch mean may round to different sides of a midpoint
+        clear = np.abs(batch[:, None] - midpoints[None, :]).min(axis=1) > 1e-9
+        assert clear.sum() > 0.9 * traj.n
+        for k in np.nonzero(clear)[0] + 1:
+            assert traj.S[k] == fam.nearest_index(batch[k - 1])
 
-    def test_eigenbox_requires_valid_interval(self):
-        with pytest.raises(ValueError):
-            ParameterSpace(kind="eigenbox", a=2.0, b=1.0, d=2)
+    @pytest.mark.parametrize("target", [0.234, 0.8])
+    def test_rate_target_moves_are_bounded_and_stay_in_range(self, target):
+        class Recording(RateTargetScheme):
+            def start(self, s0, rng):
+                s = super().start(s0, rng)
+                self.latent = [self._t]
+                return s
 
-    def test_projection_is_idempotent_on_members(self):
-        space = ParameterSpace(kind="eigenbox", a=0.5, b=2.0, d=2)
-        S = np.array([[1.0, 0.1], [0.1, 1.2]])
-        assert np.abs(space.project(S) - S).max() <= 1e-12
+            def step(self, k, x_prev, x_new, s_prev, rng):
+                s = super().step(k, x_prev, x_new, s_prev, rng)
+                self.latent.append(self._t)
+                return s
+
+        fam = grid_family()
+        c = 0.5
+        scheme = Recording(fam, target=target, c=c)
+        traj = run_adaptive_chain(fam, scheme, 0, 0, 2_000, seed=5)
+        t = np.asarray(scheme.latent)
+        assert t.min() >= min(fam.params) and t.max() <= max(fam.params)
+        ks = np.arange(1, traj.n + 1, dtype=np.float64)
+        bound = c * ks ** (-2.0 / 3.0) * max(target, 1.0 - target)
+        assert np.all(np.abs(np.diff(t)) <= bound + 1e-12)
+        assert [fam.nearest_index(v) for v in t[1:]] == traj.S[1:].tolist()
+
+    def test_rare_cycle_changes_exactly_at_adaptation_times(self):
+        fam = grid_family()
+        n = 3_000
+        scheme = RareCycleScheme(fam, lambda: log_increment_schedule(2.0, 0.1))
+        traj = run_adaptive_chain(fam, scheme, 0, 0, n, seed=7)
+        changed = (np.nonzero(traj.S[1:] != traj.S[:-1])[0] + 1).tolist()
+        assert changed == log_increment_schedule(2.0, 0.1).adaptation_times(n)
+        assert np.all((traj.S[changed] - traj.S[np.asarray(changed) - 1]) % fam.size == 1)
 
 
-def test_gamma_schedules_positive_and_nonincreasing():
-    for gamma in (power_gamma(1.0, 1.0), power_gamma(0.7, 2.0 / 3.0), constant_gamma(0.2)):
-        values = [gamma(k) for k in range(1, 50)]
-        assert all(v > 0 for v in values)
-        assert all(a >= b for a, b in zip(values, values[1:]))
+MODULES = ("kernels", "families", "poisson", "adaptation", "ledger", "rwm", "cli")
 
 
-def test_sa_waning_surrogate_dominates_kernel_moves():
-    # with a Lipschitz surrogate the change magnitude is at most
-    # L * gamma_k * ||H_k|| for every accepted or rejected update
-    rng = np.random.Generator(np.random.Philox(11))
-    space = ParameterSpace(kind="eigenbox", a=0.5, b=3.0, d=1)
-    state = SAState(S=1.0, k=0, gamma_schedule=power_gamma(1.0, 1.0))
-    L = 2.0
-    for _ in range(100):
-        H = float(rng.normal())
-        gamma = state.gamma_schedule(state.k + 1)
-        nxt = sa_step(state, H, space, mode="reject")
-        D_k = L * abs(float(nxt.S) - float(state.S))
-        assert D_k <= L * gamma * abs(H) + 1e-12
-        state = nxt
+def test_every_module_imports_first():
+    # The package __init__ imports the modules in one fixed order, which can
+    # hide an import cycle; a bare package object stands in for it here, so
+    # each module runs its own imports first.
+    script = textwrap.dedent(
+        f"""
+        import importlib, sys, types
+        import amcmc
+        path = list(amcmc.__path__)
+        for name in {MODULES!r}:
+            for key in [k for k in sys.modules if k == "amcmc" or k.startswith("amcmc.")]:
+                del sys.modules[key]
+            package = types.ModuleType("amcmc")
+            package.__path__ = path
+            sys.modules["amcmc"] = package
+            importlib.import_module("amcmc." + name)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    assert proc.returncode == 0, proc.stderr

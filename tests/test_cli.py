@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import amcmc
-from amcmc.cli import build_family, build_scheme, main
+from amcmc.cli import RunConfig, build_family, build_scheme, main
+from amcmc.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(amcmc.__file__).resolve().parent.parent
@@ -24,12 +25,12 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def run_subprocess(argv):
+def run_subprocess(argv, **env):
     return subprocess.run(
         [sys.executable, "-m", "amcmc", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR), **env),
     )
 
 
@@ -319,6 +320,36 @@ class TestPinnedArtifacts:
             assert hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest() == digest
 
 
+class TestRunConfigScalar:
+    @staticmethod
+    def config(raw):
+        return RunConfig(experiment="waning", raw=raw, seed=0, out=Path("."), fmt="csv")
+
+    def test_converts_top_level_and_dotted_fields(self):
+        cfg = self.config({"p": "2.5", "d_series": {"n": 7.0, "kind": "constant"}})
+        assert cfg.scalar("p", float) == 2.5
+        assert cfg.scalar("d_series.n", int) == 7
+        assert cfg.scalar("d_series.kind", str) == "constant"
+
+    def test_missing_field_gives_default(self):
+        cfg = self.config({"d_series": {}})
+        assert cfg.scalar("p", float, 1.0) == 1.0
+        assert cfg.scalar("d_series.n", int, 100) == 100
+        assert cfg.scalar("seeds.count", int, 16) == 16
+
+    def test_missing_field_without_default_names_it(self):
+        with pytest.raises(ConfigError, match="'d_series.kind' is required for waning"):
+            self.config({"d_series": {}}).scalar("d_series.kind", str)
+
+    def test_bad_conversion_names_the_dotted_field(self):
+        with pytest.raises(ConfigError, match="d_series.n must be int, got 'abc'"):
+            self.config({"d_series": {"n": "abc"}}).scalar("d_series.n", int)
+
+    def test_non_object_parent_names_it(self):
+        with pytest.raises(ConfigError, match="'seeds' must be an object"):
+            self.config({"seeds": [1, 2]}).scalar("seeds.count", int, 16)
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         code = run(["lln", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -367,6 +398,22 @@ class TestConfigHandling:
                      "scheme": {"kind": "constant", "s0": 3}}, "s0=3"),
             ("lln", {"family": {"kind": "mixture", "count": 3},
                      "scheme": {"kind": "converging", "s0": -1}}, "s0=-1"),
+            ("clt", {"family": {"kind": "iid"}, "n": "abc"}, "n must be int, got 'abc'"),
+            ("waning", {"d_series": 5}, "'d_series' must be an object"),
+            ("waning", {"d_series": {"kind": "constant", "n": 0}}, "d_series.n must be >= 1"),
+            ("waning", {"d_series": {"kind": "constant", "n": 100}, "p": -1}, "p must be > 0"),
+            ("bounds", {"family": {"kind": "cyclic-pair"}, "horizon": [3]}, "horizon must be int"),
+            ("bounds", {"family": {"kind": "cyclic-pair"}, "horizon": 0}, "horizon must be >= 2"),
+            ("poisson", {"family": {"kind": "cyclic-pair"}, "member": 7}, "member=7"),
+            ("poisson", {"family": {"kind": "cyclic-pair"}, "tol": -1}, "tol must be"),
+            ("lln", {"family": {"kind": "iid"}, "n_grid": "abc"}, "n_grid must be a list"),
+            ("lln", {"family": {"kind": "iid"}, "n_grid": [10, "x"]}, "n_grid must be int, got 'x'"),
+            ("lln", {"family": {"kind": "iid"}, "seeds": 5}, "seeds must be a list"),
+            ("lln", {"family": {"kind": "iid"}, "seeds": ["x"]}, "seeds must be int, got 'x'"),
+            ("waning", {"d_series": {"kind": "rare-log", "n": 100, "c": -1}},
+             "d_series spec: c and epsilon must be positive"),
+            ("waning", {"d_series": {"kind": "bernoulli-log", "n": 100, "epsilon": 0}},
+             "d_series spec: c and epsilon must be positive"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(
@@ -375,6 +422,16 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"phi": {"kind": "indicator", "state": 0}, **payload})
         out = tmp_path / "runs"
         proc = run_subprocess([command, "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:") and message in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed,message", [("abc", "seed must be int"), ("-1", "seed must be >= 0")])
+    def test_bad_seed_is_one_line_and_leaves_no_run_dir(self, tmp_path, seed, message):
+        out = tmp_path / "runs"
+        proc = run_subprocess(["counterexample", "--out", str(out)], AMCMC_SEED=seed)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()

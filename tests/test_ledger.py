@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcmc.adaptation import log_increment_schedule
+from amcmc.adaptation import (
+    ConstantScheme,
+    MeanTrackingScheme,
+    RareCycleScheme,
+    RateTargetScheme,
+    ScheduleScheme,
+    converging_index_schedule,
+    log_increment_schedule,
+)
 from amcmc.errors import DobrushinViolation, SchemeEscape
 from amcmc.families import (
     KernelFamily,
@@ -20,16 +28,10 @@ from amcmc.kernels import (
     max_tv_between_kernels,
 )
 from amcmc.ledger import (
-    ConstantScheme,
-    MeanTrackingScheme,
-    RareCycleScheme,
-    RateTargetScheme,
-    ScheduleScheme,
     SolutionTable,
     an_bound_check,
     chain_generator,
     clt_study,
-    converging_index_schedule,
     decompose,
     ensemble_schedule_run,
     lln_study,
@@ -88,7 +90,7 @@ class TestRunAdaptiveChain:
     def test_alternation_pins_the_orbit(self):
         fam = cyclic_pair()
         traj = run_adaptive_chain(
-            fam, ScheduleScheme(lambda k: k % 2), x0=1, s0=0, n=20, seed=0
+            fam, ScheduleScheme(np.arange(21) % 2), x0=1, s0=0, n=20, seed=0
         )
         assert traj.X[:5].tolist() == [1, 2, 1, 2, 1]
 
@@ -337,7 +339,7 @@ class TestLlnStudy:
         phi = TestFunction.indicator(0, fam.pi)
         study = lln_study(
             fam,
-            ScheduleScheme(lambda k: 0),
+            ScheduleScheme(np.zeros(100_001, dtype=np.int64)),
             phi,
             n_grid=[1_000, 10_000, 100_000],
             seeds=list(range(32)),
@@ -350,7 +352,7 @@ class TestLlnStudy:
         phi = TestFunction.indicator(0, fam.pi)
         study = lln_study(
             fam,
-            ScheduleScheme(lambda k: k % 2),
+            ScheduleScheme(np.arange(10_001) % 2),
             phi,
             n_grid=[100, 1_000, 10_000],
             seeds=[1, 2, 3, 4],
@@ -381,14 +383,18 @@ class TestCltStudy:
     def test_constant_phi_degenerates_cleanly(self):
         fam = iid_family(PI3)
         phi = TestFunction.from_values([2.0, 2.0, 2.0], fam.pi)
-        study = clt_study(fam, ScheduleScheme(lambda k: 0), phi, 500, 50, seeds=[3])
+        study = clt_study(
+            fam, ScheduleScheme(np.zeros(501, dtype=np.int64)), phi, 500, 50, seeds=[3]
+        )
         assert study["sigma2_oracle"] == 0.0
         assert study["empirical_var"] == 0.0
 
     def test_iid_kernel_variance_ratio(self):
         fam = iid_family(PI3)
         phi = TestFunction.indicator(0, fam.pi)
-        study = clt_study(fam, ScheduleScheme(lambda k: 0), phi, 2_000, 400, seeds=[5])
+        study = clt_study(
+            fam, ScheduleScheme(np.zeros(2_001, dtype=np.int64)), phi, 2_000, 400, seeds=[5]
+        )
         assert study["sigma2_oracle"] == pytest.approx(0.25, abs=1e-12)
         assert 0.85 <= study["ratio"] <= 1.15
         assert study["ks_pvalue"] > 0.01

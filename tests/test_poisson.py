@@ -18,6 +18,7 @@ from amcmc.poisson import (
     check_lipschitz_bound,
     check_poisson_bound,
     clt_variance,
+    neumann_truncation_index,
     solve_poisson_exact,
     solve_poisson_neumann,
     write_reports_json,
@@ -148,6 +149,12 @@ class TestSolvePoissonNeumann:
         exact = solve_poisson_exact(P, pi, phi)
         assert np.abs(series.g - exact.g).max() <= 2 * tol
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_truncation_index_rejects_bad_tol(self, tol):
+        consts = fit_ergodicity_constants([cyclic_pair().kernels[0]], PI3, horizon=16)
+        with pytest.raises(ValueError, match="tol"):
+            neumann_truncation_index(tol, consts, osc=1.0)
+
 
 class TestBoundChecks:
     def test_zero_solution_trivial_margin(self):
@@ -226,7 +233,8 @@ class TestCltVariance:
 
     def test_cyclic_forward_matches_batch_means_simulation(self):
         from amcmc.families import cyclic_pair as _pair
-        from amcmc.ledger import ConstantScheme, run_adaptive_chain
+        from amcmc.adaptation import ConstantScheme
+        from amcmc.ledger import run_adaptive_chain
 
         fam = _pair()
         phi = TestFunction.indicator(0, fam.pi)

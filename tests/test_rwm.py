@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from amcmc.adaptation import ParameterSpace, SAState, constant_gamma, sa_step
 from amcmc.errors import GridTooLarge, NonPositiveDensity
-from amcmc.kernels import max_tv_between_kernels, stationary_distribution
+from amcmc.kernels import stationary_distribution
 from amcmc.rwm import (
     CompactTarget,
     RwmParameter,
     bimodal_mixture_target,
     build_discrete_rwm,
     discrete_acceptance_expectation,
-    fit_lipschitz_constant,
-    lipschitz_surrogate,
     load_target,
     run_rwm_chain,
     rwm_propose_accept,
@@ -41,16 +38,6 @@ class TestRwmParameter:
         p = RwmParameter.from_scalar(1.0, 0.1, 10.0)
         assert p.d == 1
         assert p.Sigma[0, 0] == 1.0
-
-    def test_eigenbox_updates_stay_constructible(self):
-        # parameters accepted by the constrained update always validate
-        space = ParameterSpace(kind="eigenbox", a=0.1, b=4.0, d=2)
-        state = SAState(S=np.eye(2), k=0, gamma_schedule=constant_gamma(0.3))
-        rng = np.random.Generator(np.random.Philox(3))
-        for _ in range(50):
-            H = rng.normal(size=(2, 2))
-            state = sa_step(state, 0.5 * (H + H.T), space, mode="project")
-            RwmParameter(Sigma=np.asarray(state.S), a=0.1, b=4.0)
 
 
 class TestDiscreteLane:
@@ -141,34 +128,6 @@ class TestContinuousLane:
         a = run_rwm_chain(target, param, [0.0], 200, seed=5)
         b = run_rwm_chain(target, param, [0.0], 200, seed=5)
         assert np.array_equal(a["points"], b["points"])
-
-
-class TestLipschitzSurrogate:
-    def test_no_change_gives_zero(self):
-        p = RwmParameter.from_scalar(1.0, 0.1, 10.0)
-        assert lipschitz_surrogate(p, p, L=2.0) == 0.0
-
-    def test_direct_formula(self):
-        p = RwmParameter.from_scalar(1.0, 0.1, 10.0)
-        q = RwmParameter.from_scalar(1.1, 0.1, 10.0)
-        assert lipschitz_surrogate(q, p, L=2.0) == pytest.approx(0.2, abs=1e-12)
-
-    def test_clamped_at_one(self):
-        p = RwmParameter.from_scalar(0.2, 0.1, 10.0)
-        q = RwmParameter.from_scalar(5.0, 0.1, 10.0)
-        assert lipschitz_surrogate(q, p, L=10.0) == 1.0
-
-    def test_fitted_constant_dominates_exact_changes(self):
-        target = truncated_gaussian_target([[-2.0, 2.0]], m=30)
-        grid = [RwmParameter.from_scalar(v, 0.05, 5.0) for v in (0.4, 0.6, 0.8, 1.0)]
-        L = fit_lipschitz_constant(target, grid)
-        assert L > 0.0
-        kernels = [build_discrete_rwm(target, p) for p in grid]
-        for i in range(len(grid)):
-            for j in range(i + 1, len(grid)):
-                exact = max_tv_between_kernels(kernels[i], kernels[j])
-                gap = float(np.linalg.norm(grid[i].Sigma - grid[j].Sigma))
-                assert exact <= L * gap + 1e-12
 
 
 class TestTargetSpecFile:
