@@ -351,7 +351,11 @@ def waning_diagnostic(
     window = max(1, n // 10)
     start = n - window
     tail = (weighted[-1] - (weighted[start - 1] if start >= 1 else 0.0)) / window
-    decreasing = bool(np.all(np.diff(stat) < 0.0)) if stat.size > 1 else False
+    # a cumulative sum of k nonnegative terms is off by at most about
+    # k * eps of itself, so a smaller drop of the statistic is roundoff
+    slack = np.finfo(np.float64).eps * cps * stat
+    drops = np.diff(stat) < -(slack[:-1] + slack[1:])
+    decreasing = bool(np.all(drops)) if stat.size > 1 else False
     waning = bool(stat[-1] == 0.0 or (decreasing and stat[-1] < stat[0]))
     return WaningReport(
         D_series=D,

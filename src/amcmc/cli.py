@@ -1,10 +1,12 @@
 """Config-driven experiment runner.
 
 Each subcommand loads a declarative JSON config (flags override config
-fields, environment variables with the ``AMCMC_`` prefix sit between), runs
-one named experiment, writes plot-ready CSV/JSON artifacts plus a run
-record keyed by the config hash, and exits 0 when every embedded check
-passes, 2 when an expected failure was demonstrated, and 1 otherwise.
+fields, environment variables with the ``AMCMC_`` prefix sit between) and
+runs one named experiment.  A command only computes: it returns its tables,
+a summary and an exit code, and :func:`_finish` writes them as plot-ready
+CSV/JSON artifacts plus a run record keyed by the config hash.  The exit
+code is 0 when every embedded check passes, 2 when an expected failure was
+demonstrated, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -72,9 +74,10 @@ class RunConfig:
             raise ConfigError(f"config field {key!r} is required for {self.experiment}")
         return self.raw[key]
 
-    def scalar(self, name: str, kind: type, default=None):
+    def scalar(self, name: str, kind: type, default=None, least=None, choices=None):
         """Field ``name`` converted by ``kind`` (``int``, ``float``, ``str``
-        or ``bool``).
+        or ``bool``) and checked by :func:`_typed` against ``least`` and
+        ``choices``.
 
         A dotted name such as ``"d_series.n"`` reads a field of a nested
         object.  A missing field gives ``default``, or is an error when
@@ -91,46 +94,35 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"config field {name!r} is required for {self.experiment}")
             return default
-        return _typed(name, obj[key], kind)
+        return _typed(name, obj[key], kind, least, choices)
 
 
-def _typed(name: str, value, kind: type):
-    """``kind(value)``, with a failed conversion reported as a ConfigError."""
+def _typed(name: str, value, kind: type, least=None, choices=None):
+    """``kind(value)``, with a failed conversion or a broken range rule
+    reported as a ConfigError.
+
+    A ``bool`` must be given as one; ``choices`` lists the allowed values;
+    an ``int`` must be ``>= least`` and a ``float`` finite and ``> least``.
+    """
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     try:
-        return kind(value)
+        v = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+    if choices is not None and v not in choices:
+        raise ConfigError(f"{name} must be one of {'|'.join(choices)}, got {value!r}")
+    if least is None or (least <= v if kind is int else least < v < math.inf):
+        return v
+    rule = f">= {least}" if kind is int else f"> {least} and finite"
+    raise ConfigError(f"{name} must be {rule}, got {v}")
 
 
-def _int_list(name: str, value) -> list:
-    """A list field of ints; a non-list or an unconvertible entry is a ConfigError."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [_typed(name, v, int) for v in value]
-
-
-@dataclass
-class RunRecord:
-    """Persisted summary of one experiment run."""
-
-    config_hash: str
-    experiment: str
-    created_utc: str
-    artifacts: list
-    summary: dict
-    prior_run: bool = False
-    exit_code: int = EXIT_PASS
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "experiment": self.experiment,
-            "created_utc": self.created_utc,
-            "artifacts": self.artifacts,
-            "summary": self.summary,
-            "prior_run": self.prior_run,
-            "exit_code": self.exit_code,
-        }
+def _int_list(name: str, value, least: int) -> list:
+    """A non-empty list field of ints ``>= least``, else a ConfigError."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a list of one or more ints, got {value!r}")
+    return [_typed(name, v, int, least) for v in value]
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -165,9 +157,7 @@ def build_run_config(args, experiment: str) -> RunConfig:
         fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    seed = _typed("seed", seed, int)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    seed = _typed("seed", seed, int, least=0)
     return RunConfig(
         experiment=experiment,
         raw=cfg,
@@ -318,14 +308,6 @@ def _csv_cell(v):
     return repr(float(v))
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
-
-
 def _json_cell(v):
     if isinstance(v, str):
         return v
@@ -336,37 +318,62 @@ def _json_cell(v):
     return float(v)
 
 
-def _write_table(out_dir: Path, name: str, header: list, rows, fmt: str) -> str:
-    rows = list(rows)
-    if fmt == "json":
-        path = out_dir / f"{name}.json"
-        payload = [dict(zip(header, (_json_cell(v) for v in row))) for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        path = out_dir / f"{name}.csv"
-        _write_csv(path, header, rows)
-    return path.name
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _finish(cfg: RunConfig, artifacts: list, summary: dict, exit_code: int) -> int:
+def _write_table(path: Path, table) -> None:
+    """Write a ``(header, rows)`` table in the format ``path``'s suffix
+    names; a table given as text, such as a kernel file, is written as is."""
+    if isinstance(table, str):
+        path.write_text(table)
+        return
+    header, rows = table
+    if path.suffix == ".json":
+        _write_json(path, [dict(zip(header, map(_json_cell, row))) for row in rows])
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def _ergodicity_table(curves: dict) -> tuple:
+    """The ``s,k,sup_tv`` table of each member's ``e(k)`` curve (``k`` from 1)."""
+    rows = [(s, k, e) for s, curve in curves.items() for k, e in enumerate(curve, start=1)]
+    return ["s", "k", "sup_tv"], rows
+
+
+def _finish(cfg: RunConfig, tables: dict, summary: dict, exit_code: int) -> int:
+    """Write a finished run under ``OUT/<experiment>-<hash12>/``.
+
+    ``tables`` maps a name to a table.  A name with a suffix, such as
+    ``reports.json``, keeps that fixed format; the others take ``--format``.
+    When both give one file name, the first table is the one written.
+    """
     out_dir = cfg.out / f"{cfg.experiment}-{cfg.hash[:12]}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files: dict = {}
+    for name, table in tables.items():
+        files.setdefault(name if "." in name else f"{name}.{cfg.fmt}", table)
+    for name, table in files.items():
+        _write_table(out_dir / name, table)
     record_path = out_dir / "record.json"
     prior = record_path.exists()
     if prior:
         old = json.loads(record_path.read_text())
         print(f"prior run detected: {record_path} (created {old.get('created_utc')})")
-    record = RunRecord(
-        config_hash=cfg.hash,
-        experiment=cfg.experiment,
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        artifacts=artifacts,
-        summary=summary,
-        prior_run=prior,
-        exit_code=exit_code,
-    )
-    record_path.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    record = {
+        "config_hash": cfg.hash,
+        "experiment": cfg.experiment,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "artifacts": list(files),
+        "summary": summary,
+        "prior_run": prior,
+        "exit_code": exit_code,
+    }
+    _write_json(record_path, record)
+    _write_json(out_dir / "summary.json", summary)
     status = {EXIT_PASS: "pass", EXIT_EXPECTED_FAILURE: "expected-failure-demonstrated"}.get(
         exit_code, "FAIL"
     )
@@ -374,17 +381,12 @@ def _finish(cfg: RunConfig, artifacts: list, summary: dict, exit_code: int) -> i
     return exit_code
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out_dir = cfg.out / f"{cfg.experiment}-{cfg.hash[:12]}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (tables, summary, exit code) for _finish and
+# writes no file
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
+def cmd_counterexample(cfg: RunConfig) -> tuple:
     """Reproduce the alternating-kernel failure of the law of large numbers."""
     family = families.cyclic_pair()
     pi = family.pi
@@ -436,16 +438,12 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         }
         checks[f"lln_{name}"] = lln[name]["within_band"]
 
-    out_dir = _out_dir(cfg)
-    artifacts = []
-    artifacts.append(
-        _write_table(out_dir, "orbit", ["k", "state_label"], list(enumerate(labels)), cfg.fmt)
-    )
-    kernels.write_sup_tv_csv(out_dir / "ergodicity.csv", curves)
-    artifacts.append("ergodicity.csv")
+    tables = {
+        "orbit": (["k", "state_label"], list(enumerate(labels))),
+        "ergodicity.csv": _ergodicity_table(curves),
+    }
     for name, P in zip(("forward", "backward"), family.kernels):
-        kernels.write_kernel_json(out_dir / f"kernel_{name}.json", P, pi)
-        artifacts.append(f"kernel_{name}.json")
+        tables[f"kernel_{name}.json"] = kernels.kernel_json_text(P, pi)
 
     demonstrated = checks["orbit"] and checks["pinned_average"]
     sane = all(checks.values())
@@ -459,7 +457,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         "expected_failure_demonstrated": demonstrated,
     }
     code = EXIT_EXPECTED_FAILURE if (demonstrated and sane) else EXIT_UNEXPECTED
-    return _finish(cfg, artifacts, summary, code)
+    return tables, summary, code
 
 
 def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
@@ -469,43 +467,27 @@ def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
     return x0
 
 
-def cmd_lln(cfg: RunConfig) -> int:
-    family = build_family(cfg.require("family"))
-    phi = build_phi(cfg.require("phi"), family)
-    n_grid = _int_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]))
-    if not n_grid or min(n_grid) < 1:
-        raise ConfigError("n_grid entries must be >= 1")
+def cmd_lln(cfg: RunConfig) -> tuple:
+    n_grid = _int_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), least=1)
     seeds_spec = cfg.get("seeds", {"count": 16})
     if isinstance(seeds_spec, dict):
-        seeds = [cfg.seed + i for i in range(cfg.scalar("seeds.count", int, 16))]
+        seeds = [cfg.seed + i for i in range(cfg.scalar("seeds.count", int, 16, least=1))]
     else:
-        seeds = _int_list("seeds", seeds_spec)
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
+        seeds = _int_list("seeds", seeds_spec, least=0)
+    expect = cfg.scalar("expect", str, "converge", choices=("converge", "fail"))
+    fail_threshold = cfg.scalar("fail_threshold", float, 0.1)
+    family = build_family(cfg.require("family"))
+    phi = build_phi(cfg.require("phi"), family)
     scheme, _ = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
     study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=_start_state(cfg, family))
 
-    out_dir = _out_dir(cfg)
-    artifacts = [
-        _write_table(
-            out_dir,
-            "lln",
-            ["n", "seed", "error"],
-            [(r["n"], r["seed"], r["error"]) for r in study["rows"]],
-            cfg.fmt,
-        ),
-        _write_table(
-            out_dir,
-            "lln_medians",
-            ["n", "median_error"],
-            list(zip(study["n_grid"], study["medians"])),
-            cfg.fmt,
-        ),
-    ]
-    expect = cfg.get("expect", "converge")
+    tables = {
+        "lln": (["n", "seed", "error"], [(r["n"], r["seed"], r["error"]) for r in study["rows"]]),
+        "lln_medians": (["n", "median_error"], list(zip(study["n_grid"], study["medians"]))),
+    }
     medians = study["medians"]
     converged = medians[-1] < medians[0] and study["slope"] < -0.2
-    pinned = medians[-1] > cfg.scalar("fail_threshold", float, 0.1)
+    pinned = medians[-1] > fail_threshold
     summary = {
         "n_grid": study["n_grid"],
         "medians": medians,
@@ -518,7 +500,7 @@ def cmd_lln(cfg: RunConfig) -> int:
         code = EXIT_EXPECTED_FAILURE if pinned else EXIT_UNEXPECTED
     else:
         code = EXIT_PASS if converged else EXIT_UNEXPECTED
-    return _finish(cfg, artifacts, summary, code)
+    return tables, summary, code
 
 
 def _ratio_band(band) -> tuple:
@@ -534,11 +516,9 @@ def _ratio_band(band) -> tuple:
     return band[0], band[1]
 
 
-def cmd_clt(cfg: RunConfig) -> int:
-    n = cfg.scalar("n", int, 10000)
-    replications = cfg.scalar("replications", int, 1000)
-    if n < 1 or replications < 1:
-        raise ConfigError("n and replications must be >= 1")
+def cmd_clt(cfg: RunConfig) -> tuple:
+    n = cfg.scalar("n", int, 10000, least=1)
+    replications = cfg.scalar("replications", int, 1000, least=1)
     lo, hi = _ratio_band(cfg.get("ratio_band", [0.85, 1.15]))
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
@@ -547,16 +527,11 @@ def cmd_clt(cfg: RunConfig) -> int:
     study = ledger.clt_study(
         family, scheme, phi, n, replications, seeds=[cfg.seed], x0=x0, limit_index=limit
     )
-    out_dir = _out_dir(cfg)
-    artifacts = [
-        _write_table(
-            out_dir,
-            "clt_replicates",
-            ["replication", "scaled_error"],
-            list(enumerate(study["replicates"])),
-            cfg.fmt,
+    tables = {
+        "clt_replicates": (
+            ["replication", "scaled_error"], list(enumerate(study["replicates"]))
         )
-    ]
+    }
     in_band = study["sigma2_oracle"] == 0.0 or (lo <= study["ratio"] <= hi)
     summary = {
         "empirical_var": study["empirical_var"],
@@ -570,18 +545,11 @@ def cmd_clt(cfg: RunConfig) -> int:
         "replications": replications,
         "limit_index": study["limit_index"],
     }
-    return _finish(cfg, artifacts, summary, EXIT_PASS if in_band else EXIT_UNEXPECTED)
+    return tables, summary, EXIT_PASS if in_band else EXIT_UNEXPECTED
 
 
-def _certificate_horizon(cfg: RunConfig) -> int:
-    horizon = cfg.scalar("horizon", int, 32)
-    if horizon < 2:
-        raise ConfigError(f"horizon must be >= 2, got {horizon}")
-    return horizon
-
-
-def cmd_bounds(cfg: RunConfig) -> int:
-    horizon = _certificate_horizon(cfg)
+def cmd_bounds(cfg: RunConfig) -> tuple:
+    horizon = cfg.scalar("horizon", int, 32, least=2)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     consts = kernels.fit_ergodicity_constants(list(family.kernels), family.pi, horizon)
@@ -592,17 +560,9 @@ def cmd_bounds(cfg: RunConfig) -> int:
         for j in range(i + 1, family.size):
             D = kernels.max_tv_between_kernels(family.kernel(i), family.kernel(j))
             reports.append(poisson.check_lipschitz_bound(sols[i], sols[j], D, consts, phi))
-    out_dir = _out_dir(cfg)
-    poisson.write_reports_json(out_dir / "reports.json", reports)
-    artifacts = ["reports.json"]
-    artifacts.append(
-        _write_table(
-            out_dir,
-            "reports",
-            ["quantity", "value", "bound", "pass", "margin"],
-            [(r.quantity, r.value, r.bound, str(r.passed), r.margin) for r in reports],
-            cfg.fmt,
-        )
+    table = (
+        ["quantity", "value", "bound", "pass", "margin"],
+        [(r.quantity, r.value, r.bound, r.passed, r.margin) for r in reports],
     )
     all_pass = all(r.passed for r in reports)
     summary = {
@@ -610,17 +570,15 @@ def cmd_bounds(cfg: RunConfig) -> int:
         "n_reports": len(reports),
         "all_pass": bool(all_pass),
     }
-    return _finish(cfg, artifacts, summary, EXIT_PASS if all_pass else EXIT_UNEXPECTED)
+    tables = {"reports.json": table, "reports": table}
+    return tables, summary, EXIT_PASS if all_pass else EXIT_UNEXPECTED
 
 
-def cmd_waning(cfg: RunConfig) -> int:
+def cmd_waning(cfg: RunConfig) -> tuple:
     kind = cfg.scalar("d_series.kind", str)
-    n = cfg.scalar("d_series.n", int, 100_000)
-    if n < 1:
-        raise ConfigError(f"d_series.n must be >= 1, got {n}")
-    p = cfg.scalar("p", float, 1.0)
-    if not p > 0:
-        raise ConfigError(f"p must be > 0, got {p}")
+    n = cfg.scalar("d_series.n", int, 100_000, least=1)
+    p = cfg.scalar("p", float, 1.0, least=0)
+    expect = cfg.scalar("expect_waning", bool, True)
     if kind == "rare-log":
         sched = _spec_errors("d_series")(adaptation.log_increment_schedule)(
             cfg.scalar("d_series.c", float, 2.0), cfg.scalar("d_series.epsilon", float, 0.1)
@@ -640,17 +598,12 @@ def cmd_waning(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown d_series kind {kind!r}")
     report = adaptation.waning_diagnostic(D, p)
-    out_dir = _out_dir(cfg)
-    artifacts = [
-        _write_table(
-            out_dir,
-            "waning",
+    tables = {
+        "waning": (
             ["n", "statistic", "weighted_sum"],
             list(zip(report.checkpoints, report.statistic, report.weighted_sums)),
-            cfg.fmt,
         )
-    ]
-    expect = cfg.scalar("expect_waning", bool, True)
+    }
     matched = report.waning == expect
     summary = {
         "p": p,
@@ -661,14 +614,12 @@ def cmd_waning(cfg: RunConfig) -> int:
         "expect_waning": expect,
         "matched": bool(matched),
     }
-    return _finish(cfg, artifacts, summary, EXIT_PASS if matched else EXIT_UNEXPECTED)
+    return tables, summary, EXIT_PASS if matched else EXIT_UNEXPECTED
 
 
-def cmd_poisson(cfg: RunConfig) -> int:
-    tol = cfg.scalar("tol", float, 1e-9)
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"tol must be finite and > 0, got {tol}")
-    horizon = _certificate_horizon(cfg)
+def cmd_poisson(cfg: RunConfig) -> tuple:
+    tol = cfg.scalar("tol", float, 1e-9, least=0)
+    horizon = cfg.scalar("horizon", int, 32, least=2)
     member = cfg.scalar("member", int, 0)
     family = build_family(cfg.require("family"))
     if not 0 <= member < family.size:
@@ -679,8 +630,6 @@ def cmd_poisson(cfg: RunConfig) -> int:
     consts = kernels.fit_ergodicity_constants([P], family.pi, horizon)
     series = poisson.solve_poisson_neumann(P, family.pi, phi, tol, consts)
     gap = float(np.abs(sol.g - series.g).max())
-    out_dir = _out_dir(cfg)
-    poisson.write_solution_csv(out_dir / "solution.csv", sol)
     checks = {
         "residual": sol.residual_inf_norm <= 1e-10,
         "centering": abs(sol.pi_mean) <= 1e-10,
@@ -694,14 +643,12 @@ def cmd_poisson(cfg: RunConfig) -> int:
         "tol": tol,
         "checks": checks,
     }
-    ok = all(checks.values())
-    return _finish(cfg, ["solution.csv"], summary, EXIT_PASS if ok else EXIT_UNEXPECTED)
+    tables = {"solution.csv": (["state", "g"], list(enumerate(sol.g)))}
+    return tables, summary, EXIT_PASS if all(checks.values()) else EXIT_UNEXPECTED
 
 
-def cmd_kernel_info(cfg: RunConfig) -> int:
-    horizon = cfg.scalar("horizon", int, 16)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+def cmd_kernel_info(cfg: RunConfig) -> tuple:
+    horizon = cfg.scalar("horizon", int, 16, least=1)
     family = build_family(cfg.require("family"))
     info = []
     curves = {}
@@ -718,10 +665,7 @@ def cmd_kernel_info(cfg: RunConfig) -> int:
             }
         )
         print(f"kernel {idx}: n={P.n} dobrushin={beta:.6f}")
-    out_dir = _out_dir(cfg)
-    kernels.write_sup_tv_csv(out_dir / "ergodicity.csv", curves)
-    summary = {"kernels": info}
-    return _finish(cfg, ["ergodicity.csv"], summary, EXIT_PASS)
+    return {"ergodicity.csv": _ergodicity_table(curves)}, {"kernels": info}, EXIT_PASS
 
 
 COMMANDS = {
@@ -760,7 +704,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_run_config(args, args.command)
-        code = COMMANDS[args.command](cfg)
+        code = _finish(cfg, *COMMANDS[args.command](cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_UNEXPECTED

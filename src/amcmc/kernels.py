@@ -9,7 +9,6 @@ from powers of the contraction coefficient.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -371,16 +370,17 @@ def validate_ergodicity_constants(
 # file formats
 
 
-def kernel_to_json_dict(P: StochasticMatrix, pi: Distribution | None = None) -> dict:
+def kernel_json_text(P: StochasticMatrix, pi: Distribution | None = None) -> str:
+    """A kernel file: JSON with fields ``n``, ``rows`` and optional ``pi``."""
     d = {"n": P.n, "rows": [list(map(float, row)) for row in P.rows]}
     if pi is not None:
         d["pi"] = list(map(float, pi.weights))
-    return d
+    return json.dumps(d, indent=2) + "\n"
 
 
 def write_kernel_json(path, P: StochasticMatrix, pi: Distribution | None = None) -> None:
-    """Write a kernel file: JSON with fields ``n``, ``rows`` and optional ``pi``."""
-    Path(path).write_text(json.dumps(kernel_to_json_dict(P, pi), indent=2) + "\n")
+    """Write the kernel file :func:`kernel_json_text` makes."""
+    Path(path).write_text(kernel_json_text(P, pi))
 
 
 def read_kernel_json(path) -> tuple[StochasticMatrix, Distribution | None]:
@@ -392,17 +392,3 @@ def read_kernel_json(path) -> tuple[StochasticMatrix, Distribution | None]:
     P = StochasticMatrix(rows)
     pi = Distribution(d["pi"]) if "pi" in d else None
     return P, pi
-
-
-def write_sup_tv_csv(path, curves: dict) -> None:
-    """Export convergence curves as CSV with header ``s,k,sup_tv``.
-
-    ``curves`` maps a member label to its ``e(k)`` array (``k`` starting
-    at 1).
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "k", "sup_tv"])
-        for label, curve in curves.items():
-            for k, value in enumerate(curve, start=1):
-                writer.writerow([label, k, repr(float(value))])

@@ -154,10 +154,9 @@ def run_adaptive_chain(
 class SolutionTable:
     """Poisson solutions and their one-step expectations per family index."""
 
-    def __init__(self, family: KernelFamily, phi: TestFunction, solver=None):
+    def __init__(self, family: KernelFamily, phi: TestFunction):
         self.family = family
         self.phi = phi
-        self.solver = solver if solver is not None else solve_poisson_exact
         self._g: dict[int, np.ndarray] = {}
         self._Pg: dict[int, np.ndarray] = {}
         self._Pg2: dict[int, np.ndarray] = {}
@@ -170,7 +169,7 @@ class SolutionTable:
             if not 0 <= s < self.family.size:
                 raise MissingSolution(f"index {s} outside family")
             P = self.family.kernel(s)
-            sol = self.solver(P, self.family.pi, self.phi)
+            sol = solve_poisson_exact(P, self.family.pi, self.phi)
             self._g[s] = sol.g
             self._Pg[s] = P.rows @ sol.g
             self._Pg2[s] = P.rows @ (sol.g**2)
@@ -247,23 +246,23 @@ class DecompositionLedger:
         return out
 
 
-def decompose(
-    traj: Trajectory, family: KernelFamily, phi: TestFunction, oracle=None
-) -> DecompositionLedger:
+def decompose(traj: Trajectory, family: KernelFamily, phi: TestFunction) -> DecompositionLedger:
     """Compute every term of the decomposition exactly along a trajectory.
 
-    ``oracle`` is the Poisson solver used for the per-index solutions
-    (exact solve by default); solutions are cached per distinct index.
+    The per-index Poisson solutions are exact solves, cached per distinct
+    index.
     """
-    table = SolutionTable(family, phi, solver=oracle)
+    table = SolutionTable(family, phi)
     table.ensure(traj.S)
     S_prev, S_next = traj.S[:-1], traj.S[1:]
     X_prev, X_next = traj.X[:-1], traj.X[1:]
 
-    delta = table.g_at(S_prev, X_next) - table.Pg_at(S_prev, X_prev)
-    a_terms = table.g_at(S_next, X_next) - table.g_at(S_prev, X_next)
-    r_terms = table.Pg_at(S_prev, X_prev) - table.Pg_at(S_next, X_next)
-    cond_var = table.Pg2_at(S_prev, X_prev) - table.Pg_at(S_prev, X_prev) ** 2
+    Pg_prev = table.Pg_at(S_prev, X_prev)
+    g_moved = table.g_at(S_prev, X_next)
+    delta = g_moved - Pg_prev
+    a_terms = table.g_at(S_next, X_next) - g_moved
+    r_terms = Pg_prev - table.Pg_at(S_next, X_next)
+    cond_var = table.Pg2_at(S_prev, X_prev) - Pg_prev**2
 
     # exact kernel-change magnitudes; zero whenever the index is unchanged
     D = np.zeros(traj.n)
@@ -292,7 +291,7 @@ def decompose(
 
 
 def martingale_check(
-    traj: Trajectory, ledger: DecompositionLedger, family: KernelFamily, oracle=None
+    traj: Trajectory, ledger: DecompositionLedger, family: KernelFamily
 ) -> dict:
     """Verify the martingale structure of the differences exactly.
 

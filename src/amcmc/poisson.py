@@ -9,11 +9,8 @@ certified truncation index serves as an independent oracle.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -173,15 +170,6 @@ class BoundReport:
     passed: bool
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "value": self.value,
-            "bound": self.bound,
-            "pass": self.passed,
-            "margin": self.margin,
-        }
-
 
 def _make_report(quantity: str, value: float, bound: float, tol: float = 1e-10) -> BoundReport:
     return BoundReport(
@@ -235,23 +223,3 @@ def clt_variance(P: StochasticMatrix, pi: Distribution, phi: TestFunction) -> fl
     if value < -1e-8:
         raise NegativeBeyondTolerance(f"variance {value:.3e} below -1e-8")
     return max(value, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def write_reports_json(path, reports) -> None:
-    """Serialize bound reports as a JSON array of
-    ``{quantity, value, bound, pass, margin}`` records."""
-    payload = [r.to_dict() for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_solution_csv(path, sol: PoissonSolution) -> None:
-    """Export the solution vector as CSV with header ``state,g``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "g"])
-        for state, value in enumerate(sol.g):
-            writer.writerow([state, repr(float(value))])

@@ -195,6 +195,19 @@ class TestBounds:
         assert kinds == {"poisson_sup_norm", "poisson_solution_gap"}
         assert all(r["pass"] for r in reports)
 
+    def test_json_format_keeps_boolean_pass_listed_once(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"family": {"kind": "cyclic-pair"}, "phi": {"kind": "indicator", "state": 0}},
+        )
+        code = run(["bounds", "--config", cfg, "--out", str(tmp_path / "runs"), "--format", "json"])
+        assert code == 0
+        run_dir = only_run_dir(tmp_path / "runs", "bounds")
+        reports = json.loads((run_dir / "reports.json").read_text())
+        assert reports and all(r["pass"] is True for r in reports)
+        record = json.loads((run_dir / "record.json").read_text())
+        assert record["artifacts"] == ["reports.json"]
+
 
 class TestWaning:
     def test_rare_log_schedule_wanes(self, tmp_path):
@@ -237,15 +250,20 @@ class TestPoisson:
         run_dir = only_run_dir(tmp_path / "runs", "poisson")
         lines = (run_dir / "solution.csv").read_text().strip().splitlines()
         assert lines[0] == "state,g"
+        assert len(lines) == 1 + build_family({"kind": "cyclic-pair"}).n_states
 
 
 class TestKernelInfo:
     def test_prints_and_exports(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"family": {"kind": "cyclic-pair"}})
+        cfg = write_config(tmp_path, {"family": {"kind": "cyclic-pair"}, "horizon": 5})
         code = run(["kernel-info", "--config", cfg, "--out", str(tmp_path / "runs")])
         assert code == 0
         out = capsys.readouterr().out
         assert "kernel 0" in out and "dobrushin" in out
+        run_dir = only_run_dir(tmp_path / "runs", "kernel-info")
+        lines = (run_dir / "ergodicity.csv").read_text().strip().splitlines()
+        assert lines[0] == "s,k,sup_tv"
+        assert len(lines) == 1 + build_family({"kind": "cyclic-pair"}).size * 5
 
 
 class TestKernelFileFamilies:
@@ -294,12 +312,33 @@ class TestShippedConfigs:
 
 
 class TestPinnedArtifacts:
-    """sha256 of the study tables of shipped configs at seed 1, so any change
-    to the sampled streams or the lockstep step shows up byte for byte."""
+    """sha256 of the artifacts of shipped configs (and of the counterexample)
+    at seed 1, so any change to the sampled streams, the lockstep step or a
+    file format shows up byte for byte."""
 
     @pytest.mark.parametrize(
         "command,name,digests",
         [
+            ("kernel-info", "bounds_mixture.json", {
+                "ergodicity.csv":
+                    "74478ceb87e14987b76e6fd6233e6083da1571c9cc4d3f3513299da511f5ad67"}),
+            ("poisson", "poisson_cyclic.json", {
+                "solution.csv":
+                    "733cc95848016d46054ca66625e8e02f3f09b1d2bfffd1a96a31e3afd19b2758"}),
+            ("bounds", "bounds_mixture.json", {
+                "reports.csv": "28d92a41aa89bd59bbbc9ea175e16ec983a9bba08a45ec56f90c9638b63fdc55",
+                "reports.json":
+                    "d392af2c14ed4113d234f8c6738bb3f61bc796079f0427b2b80db209b68755b1"}),
+            ("waning", "waning_rare.json", {
+                "waning.csv": "1dedb2dc77f695f42054b33b726700b373020cde406a1ec17e29b38edf6c5027"}),
+            ("waning", "waning_constant_control.json", {
+                "waning.csv": "3ac8018234dc0a84bb4901c7ce2062eb1d05df1511ed7a2ede20227bd2ffe3de"}),
+            ("counterexample", None, {
+                "orbit.csv": "6170b229a50c35acf75dc118022f78c0dd6a2276faeba184ea4af742c4c126ac",
+                "kernel_forward.json":
+                    "bae11272add0331380e7aa69b86f36e1734f18b2b41e19e159806ff28883b512",
+                "kernel_backward.json":
+                    "229fd41bf9ac717abaca6d3c923eb7eb76581e6dd635a8b415f32ca387c0d173"}),
             ("clt", "clt_iid.json", {
                 "clt_replicates.csv":
                     "58f093cf0c9ba6b83db22059121039a851ff8fbfa8d4a621a1aafd8562551573"}),
@@ -314,7 +353,8 @@ class TestPinnedArtifacts:
         ],
     )
     def test_study_tables_match_pinned_sha256(self, tmp_path, command, name, digests):
-        run([command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path), "--seed", "1"])
+        config = ["--config", str(CONFIG_DIR / name)] if name else []
+        run([command, *config, "--out", str(tmp_path), "--seed", "1"])
         run_dir = only_run_dir(tmp_path, command)
         for artifact, digest in digests.items():
             assert hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest() == digest
@@ -414,6 +454,15 @@ class TestConfigHandling:
              "d_series spec: c and epsilon must be positive"),
             ("waning", {"d_series": {"kind": "bernoulli-log", "n": 100, "epsilon": 0}},
              "d_series spec: c and epsilon must be positive"),
+            ("waning", {"d_series": {"kind": "constant", "n": 100}, "p": float("inf")},
+             "p must be > 0 and finite"),
+            ("waning", {"d_series": {"kind": "constant", "n": 100}, "expect_waning": "false"},
+             "expect_waning must be true or false"),
+            ("poisson", {"family": {"kind": "cyclic-pair"}, "tol": float("inf")},
+             "tol must be > 0 and finite"),
+            ("lln", {"family": {"kind": "iid"}, "seeds": [3, -1]}, "seeds must be >= 0"),
+            ("lln", {"family": {"kind": "iid"}, "expect": "fails"},
+             "expect must be one of converge|fail"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(

@@ -27,7 +27,6 @@ from amcmc.kernels import (
     tv_distance,
     validate_ergodicity_constants,
     write_kernel_json,
-    write_sup_tv_csv,
 )
 
 
@@ -386,11 +385,3 @@ class TestFileFormats:
         assert np.array_equal(pi.weights, fam.pi.weights)
         payload = json.loads(path.read_text())
         assert set(payload) == {"n", "rows", "pi"}
-
-    def test_sup_tv_csv_header(self, tmp_path):
-        fam = cyclic_pair()
-        path = tmp_path / "curves.csv"
-        write_sup_tv_csv(path, {"0": sup_tv_to_pi_curve(fam.kernels[0], fam.pi, 4)})
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "s,k,sup_tv"
-        assert len(lines) == 5

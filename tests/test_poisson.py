@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -21,8 +19,6 @@ from amcmc.poisson import (
     neumann_truncation_index,
     solve_poisson_exact,
     solve_poisson_neumann,
-    write_reports_json,
-    write_solution_csv,
 )
 
 PI3 = Distribution([0.5, 0.25, 0.25])
@@ -268,28 +264,6 @@ class TestCltVariance:
             pi = stationary_distribution(P)
             phi = TestFunction.from_values(rng.normal(size=5), pi)
             assert clt_variance(P, pi, phi) >= 0.0
-
-
-class TestFileFormats:
-    def test_reports_json_schema(self, tmp_path):
-        fam = cyclic_pair()
-        consts = fit_ergodicity_constants(list(fam.kernels), fam.pi, horizon=16)
-        phi = TestFunction.indicator(0, fam.pi)
-        sol = solve_poisson_exact(fam.kernels[0], fam.pi, phi)
-        path = tmp_path / "reports.json"
-        write_reports_json(path, [check_poisson_bound(sol, consts, phi)])
-        payload = json.loads(path.read_text())
-        assert set(payload[0]) == {"quantity", "value", "bound", "pass", "margin"}
-
-    def test_solution_csv_header(self, tmp_path):
-        fam = cyclic_pair()
-        phi = TestFunction.indicator(0, fam.pi)
-        sol = solve_poisson_exact(fam.kernels[0], fam.pi, phi)
-        path = tmp_path / "g.csv"
-        write_solution_csv(path, sol)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "state,g"
-        assert len(lines) == 4
 
 
 def test_negative_variance_guard_not_triggered_by_valid_solves():
