@@ -1,17 +1,17 @@
 """Adaptive MCMC on finite state spaces with exact decomposition diagnostics."""
 
 from .adaptation import (
+    BernoulliSchedule,
     ConstantScheme,
+    DeterministicSchedule,
     MeanTrackingScheme,
     RareCycleScheme,
-    RareSchedule,
     RateTargetScheme,
     ScheduleScheme,
     WaningReport,
     bernoulli_log_schedule,
     converging_index_schedule,
     log_increment_schedule,
-    next_adaptation_decision,
     waning_diagnostic,
 )
 from .families import (

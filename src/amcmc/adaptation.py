@@ -4,14 +4,14 @@ schemes, rare adaptation schedules and waning diagnostics.
 A scheme chooses the family index ``S_k`` the chain uses next.  It exposes
 ``start(s0, rng)``, returning ``S_0``, and ``step(k, x_prev, x_new, s_prev,
 rng)``, returning ``S_k`` after the chain moved from ``x_prev`` to
-``x_new``; a scheme with ``aux_record()`` adds per-step series to the
-trajectory.  Exogenous schemes (:class:`ScheduleScheme`) also give their
+``x_new``.  Exogenous schemes (:class:`ScheduleScheme`) also give their
 whole index sequence through ``index_array(n)``, which lets the lockstep
 studies run many replications at once.  The grid schemes follow the
 adaptation rules of the supporting theory: running-mean tracking (Haario,
 Saksman & Tamminen 2001), acceptance-rate targeting (Vihola 2012) and
-cyclic moves at increasingly rare times.  :func:`waning_diagnostic` checks
-that the resulting kernel-change magnitudes die out.
+cyclic moves at increasingly rare times, where a rare schedule answers
+``adapts(k, rng)``.  :func:`waning_diagnostic` checks that the resulting
+kernel-change magnitudes die out.
 """
 
 from __future__ import annotations
@@ -27,36 +27,23 @@ from .families import KernelFamily
 
 # ---------------------------------------------------------------------------
 # rare adaptation schedules
+#
+# A rare schedule answers one question, ``adapts(k, rng)``: may the
+# parameter change at step ``k``?  It draws whatever it needs from the
+# chain's stream ``rng`` after the transition uniform of that step.
 
 
-class RareSchedule:
-    """Schedule deciding when the parameter may change.
-
-    ``kind="deterministic"`` adapts exactly at times ``tau_j = sum_{i<=j}
-    n_i`` with increments ``n_j = increment(j)`` clamped to at least 1 so
-    the times are strictly increasing.  ``kind="bernoulli"`` adapts at step
-    ``k`` when an independent uniform falls below the activation
-    probability ``eta_k``.
+class DeterministicSchedule:
+    """Adapts exactly at times ``tau_j = sum_{i<=j} n_i``, with increments
+    ``n_j = increment(j)`` clamped to at least 1 so the times strictly
+    increase.  Draws nothing from the stream.
 
     Single-owner: the cached adaptation times mutate as they are extended,
     so one instance should drive one chain.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        increment: Callable[[int], float] | None = None,
-        activation: Callable[[int], float] | None = None,
-    ):
-        if kind not in ("deterministic", "bernoulli"):
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        if kind == "deterministic" and increment is None:
-            raise ValueError("deterministic schedule needs an increment rule")
-        if kind == "bernoulli" and activation is None:
-            raise ValueError("bernoulli schedule needs activation probabilities")
-        self.kind = kind
+    def __init__(self, increment: Callable[[int], float]):
         self.increment = increment
-        self.activation = activation
         self._taus: list[int] = []
         self._tau_set: set[int] = set()
 
@@ -69,11 +56,21 @@ class RareSchedule:
             self._tau_set.add(tau)
 
     def adaptation_times(self, up_to: int) -> list[int]:
-        """Adaptation times ``tau_j <= up_to`` (deterministic kind only)."""
-        if self.kind != "deterministic":
-            raise ValueError("adaptation times are only predetermined for deterministic schedules")
+        """Adaptation times ``tau_j <= up_to``."""
         self._extend_taus(up_to)
         return [t for t in self._taus if t <= up_to]
+
+    def adapts(self, k: int, rng) -> bool:
+        self._extend_taus(k)
+        return k in self._tau_set
+
+
+class BernoulliSchedule:
+    """Adapts at step ``k`` when one uniform drawn from the stream is at
+    most the activation probability ``eta_k = activation(k)``."""
+
+    def __init__(self, activation: Callable[[int], float]):
+        self.activation = activation
 
     def eta(self, k: int) -> float:
         value = float(self.activation(k))
@@ -81,46 +78,26 @@ class RareSchedule:
             raise ValueError(f"activation probability eta_{k}={value} outside (0, 1]")
         return value
 
-
-def next_adaptation_decision(sched: RareSchedule, k: int, u: float | None = None) -> bool:
-    """Decide whether step ``k`` adapts.
-
-    Deterministic schedules adapt exactly at their precomputed times;
-    Bernoulli schedules adapt when ``u <= eta_k``.  ``u`` is required only
-    for the Bernoulli kind.
-    """
-    if k < 1:
-        raise ValueError("step index must be >= 1")
-    if sched.kind == "deterministic":
-        sched._extend_taus(k)
-        return k in sched._tau_set
-    if u is None:
-        raise ValueError("bernoulli schedule needs a uniform draw")
-    return u <= sched.eta(k)
+    def adapts(self, k: int, rng) -> bool:
+        return rng.random() <= self.eta(k)
 
 
-def log_increment_schedule(c: float = 2.0, epsilon: float = 0.1) -> RareSchedule:
+def log_increment_schedule(c: float = 2.0, epsilon: float = 0.1) -> DeterministicSchedule:
     """Deterministic schedule with slowly growing gaps
     ``n_j = max(1, ceil(c * log(j)**(1+epsilon)))``."""
     if c <= 0 or epsilon <= 0:
         raise ValueError("c and epsilon must be positive")
-    return RareSchedule(
-        kind="deterministic",
-        increment=lambda j: c * math.log(j) ** (1.0 + epsilon),
-    )
+    return DeterministicSchedule(lambda j: c * math.log(j) ** (1.0 + epsilon))
 
 
-def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> RareSchedule:
+def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> BernoulliSchedule:
     """Bernoulli schedule with activation ``eta_k = min(1, c / log(k)**(1+epsilon))``.
 
     ``log(max(k, 2))`` guards the first step.
     """
     if c <= 0 or epsilon <= 0:
         raise ValueError("c and epsilon must be positive")
-    return RareSchedule(
-        kind="bernoulli",
-        activation=lambda k: min(1.0, c / math.log(max(k, 2)) ** (1.0 + epsilon)),
-    )
+    return BernoulliSchedule(lambda k: min(1.0, c / math.log(max(k, 2)) ** (1.0 + epsilon)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,54 +187,42 @@ class RateTargetScheme:
         self._lo = min(family.params)
         self._hi = max(family.params)
         self._t = self._lo
-        self._alphas: list[float] = []
 
     def start(self, s0: int, rng) -> int:
         self._t = float(self.family.params[s0])
-        self._alphas = []
         return s0
 
     def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
         gamma = self.c * float(k) ** (-self.exponent)
         moved = 1.0 if x_new != x_prev else 0.0
-        self._alphas.append(moved)
         self._t = min(max(self._t + gamma * (moved - self.target), self._lo), self._hi)
         return self.family.nearest_index(self._t)
 
-    def aux_record(self) -> dict:
-        return {"alpha": self._alphas}
-
 
 class RareCycleScheme:
-    """Scheme changing the index only at rare schedule times.
+    """Scheme changing the index only when its rare schedule adapts.
 
-    At each adaptation time the index advances cyclically through the
-    family; between times it is frozen, so the per-step kernel change is
-    exactly zero off the schedule.
+    At each adaptation the index advances cyclically through the family;
+    between them it is frozen, so the per-step kernel change is exactly
+    zero off the schedule.  ``schedule_factory`` makes a fresh schedule
+    for every chain the scheme starts.
     """
 
-    def __init__(self, family: KernelFamily, schedule_factory: Callable[[], RareSchedule]):
+    def __init__(
+        self,
+        family: KernelFamily,
+        schedule_factory: Callable[[], DeterministicSchedule | BernoulliSchedule],
+    ):
         self.family = family
         self.schedule_factory = schedule_factory
-        self._sched: RareSchedule | None = None
-        self._uniforms: list[float] = []
+        self._sched = None
 
     def start(self, s0: int, rng) -> int:
         self._sched = self.schedule_factory()
-        self._uniforms = []
         return s0
 
     def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        u = None
-        if self._sched.kind == "bernoulli":
-            u = rng.random()
-            self._uniforms.append(u)
-        if next_adaptation_decision(self._sched, k, u):
-            return (s_prev + 1) % self.family.size
-        return s_prev
-
-    def aux_record(self) -> dict:
-        return {"U": self._uniforms} if self._uniforms else {}
+        return (s_prev + 1) % self.family.size if self._sched.adapts(k, rng) else s_prev
 
 
 def converging_index_schedule(

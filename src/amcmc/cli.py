@@ -64,6 +64,7 @@ class RunConfig:
         payload = dict(self.raw)
         payload["experiment"] = self.experiment
         payload["seed"] = self.seed
+        payload["format"] = self.fmt
         return config_hash(payload)
 
     def get(self, key, default=None):
@@ -266,31 +267,30 @@ def _scheme_start(spec: dict, family: families.KernelFamily) -> int:
 
 
 @_spec_errors("scheme")
-def build_scheme(spec: dict, family: families.KernelFamily, n: int):
+def build_scheme(spec: dict, family: families.KernelFamily, n: int) -> adaptation.ScheduleScheme:
     """Exogenous (fixed index sequence) scheme for the lockstep studies."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("scheme spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "constant":
-        s0 = _scheme_start(spec, family)
-        return adaptation.ScheduleScheme(np.full(n + 1, s0)), s0
+        return adaptation.ScheduleScheme(np.full(n + 1, _scheme_start(spec, family)))
     if kind == "alternating":
-        return adaptation.ScheduleScheme(np.arange(n + 1) % family.size), None
+        return adaptation.ScheduleScheme(np.arange(n + 1) % family.size)
     if kind == "schedule":
         indices = np.asarray(spec["indices"], dtype=np.int64)
         in_family = (indices >= 0) & (indices < family.size)
         if indices.ndim != 1 or indices.size < n + 1 or not in_family.all():
             raise ConfigError(f"scheme 'schedule' needs {n + 1} indices in [0, {family.size})")
-        return adaptation.ScheduleScheme(indices), None
+        return adaptation.ScheduleScheme(indices)
     if kind == "converging":
-        scheme, limit = adaptation.converging_index_schedule(
+        scheme, _ = adaptation.converging_index_schedule(
             family,
             s0=_scheme_start(spec, family),
             n=n,
             c=float(spec.get("c", 0.5)),
             exponent=float(spec.get("exponent", 1.5)),
         )
-        return scheme, limit
+        return scheme
     raise ConfigError(f"unknown scheme kind {kind!r}")
 
 
@@ -478,7 +478,7 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     fail_threshold = cfg.scalar("fail_threshold", float, 0.1)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
-    scheme, _ = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
+    scheme = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
     study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=_start_state(cfg, family))
 
     tables = {
@@ -523,10 +523,8 @@ def cmd_clt(cfg: RunConfig) -> tuple:
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     x0 = _start_state(cfg, family)
-    scheme, limit = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
-    study = ledger.clt_study(
-        family, scheme, phi, n, replications, seeds=[cfg.seed], x0=x0, limit_index=limit
-    )
+    scheme = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
+    study = ledger.clt_study(family, scheme, phi, n, replications, cfg.seed, x0=x0)
     tables = {
         "clt_replicates": (
             ["replication", "scaled_error"], list(enumerate(study["replicates"]))
@@ -574,25 +572,26 @@ def cmd_bounds(cfg: RunConfig) -> tuple:
     return tables, summary, EXIT_PASS if all_pass else EXIT_UNEXPECTED
 
 
+# d_series kind -> (schedule builder, default c)
+RARE_SCHEDULES = {
+    "rare-log": (adaptation.log_increment_schedule, 2.0),
+    "bernoulli-log": (adaptation.bernoulli_log_schedule, 1.0),
+}
+
+
 def cmd_waning(cfg: RunConfig) -> tuple:
     kind = cfg.scalar("d_series.kind", str)
     n = cfg.scalar("d_series.n", int, 100_000, least=1)
     p = cfg.scalar("p", float, 1.0, least=0)
     expect = cfg.scalar("expect_waning", bool, True)
-    if kind == "rare-log":
-        sched = _spec_errors("d_series")(adaptation.log_increment_schedule)(
-            cfg.scalar("d_series.c", float, 2.0), cfg.scalar("d_series.epsilon", float, 0.1)
+    if kind in RARE_SCHEDULES:
+        build, c = RARE_SCHEDULES[kind]
+        sched = _spec_errors("d_series")(build)(
+            cfg.scalar("d_series.c", float, c), cfg.scalar("d_series.epsilon", float, 0.1)
         )
-        taus = sched.adaptation_times(n)
-        D = np.zeros(n)
-        D[np.asarray(taus, dtype=np.int64) - 1] = 1.0
-    elif kind == "bernoulli-log":
-        sched = _spec_errors("d_series")(adaptation.bernoulli_log_schedule)(
-            cfg.scalar("d_series.c", float, 1.0), cfg.scalar("d_series.epsilon", float, 0.1)
-        )
+        # D_k is 1 exactly at the steps where the schedule adapts
         rng = ledger.chain_generator(cfg.seed)
-        u = rng.random(n)
-        D = np.array([1.0 if u[k - 1] <= sched.eta(k) else 0.0 for k in range(1, n + 1)])
+        D = np.array([sched.adapts(k, rng) for k in range(1, n + 1)], dtype=np.float64)
     elif kind == "constant":
         D = np.full(n, cfg.scalar("d_series.value", float, 0.05))
     else:

@@ -36,8 +36,9 @@ from .poisson import TestFunction, clt_variance, solve_poisson_exact
 # Reproducibility contract: the chain with seed material ``s`` draws from
 # Generator(Philox(SeedSequence(s))), one counter-based stream per chain.
 # Per step the transition uniform is drawn first, then any draws the
-# adaptation scheme requires, in that order.  Replication r of a study with
-# root seed ``s`` uses SeedSequence(entropy=s, spawn_key=(r,)).
+# adaptation scheme requires, in that order.  Replication r of a CLT or
+# A_n study with root seed ``s`` uses SeedSequence(entropy=s, spawn_key=(r,));
+# an LLN study runs one chain per seed it is given.
 
 
 def chain_generator(seed) -> np.random.Generator:
@@ -47,21 +48,10 @@ def chain_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def replication_seed_sequences(seeds: Sequence[int], count: int) -> list:
-    """Per-replication seed material.
-
-    With one root seed, replication ``r`` uses
-    ``SeedSequence(entropy=root, spawn_key=(r,))``; with an explicit list of
-    ``count`` seeds, each is used directly.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    if len(seeds) == count:
-        return [np.random.SeedSequence(s) for s in seeds]
-    if len(seeds) == 1:
-        return [np.random.SeedSequence(entropy=seeds[0], spawn_key=(r,)) for r in range(count)]
-    raise ValueError(f"need 1 or {count} seeds, got {len(seeds)}")
+def replication_seed_sequences(seed: int, count: int) -> list:
+    """Seed material of replications ``0..count-1`` under root ``seed``:
+    ``SeedSequence(entropy=seed, spawn_key=(r,))`` for replication ``r``."""
+    return [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +60,7 @@ def replication_seed_sequences(seeds: Sequence[int], count: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Realized adaptive chain: states, parameter indices, seed material.
+    """Realized adaptive chain: states and parameter indices.
 
     ``X`` and ``S`` both have ``n + 1`` entries including the initial pair;
     the transition producing ``X_k`` used kernel index ``S[k-1]``.
@@ -79,8 +69,6 @@ class Trajectory:
     X: np.ndarray
     S: np.ndarray
     n: int
-    seed: object
-    aux: dict | None = None
 
     def __post_init__(self):
         if self.X.shape[0] != self.n + 1 or self.S.shape[0] != self.n + 1:
@@ -105,9 +93,7 @@ def run_adaptive_chain(
     Transitions use inverse-CDF sampling over the kernel row.  Per step the
     transition uniform is drawn first, then the scheme's own draws, from
     the chain's single counter-based stream, so runs are bit-reproducible
-    given the seed.  Schemes exposing ``aux_record()`` contribute per-step
-    auxiliary series (activation uniforms, realized rate signals) to the
-    trajectory.
+    given the seed.
 
     Raises
     ------
@@ -141,10 +127,7 @@ def run_adaptive_chain(
         X[k] = x_new
         S[k] = s_new
         x, s = x_new, s_new
-    aux = None
-    if hasattr(scheme, "aux_record"):
-        aux = {key: np.asarray(val) for key, val in scheme.aux_record().items()}
-    return Trajectory(X=X, S=S, n=n, seed=seed, aux=aux)
+    return Trajectory(X=X, S=S, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +337,15 @@ def ensemble_schedule_run(
     seed_seqs: Sequence,
     x0: int,
     record_prefixes: Sequence[int] | None = None,
-    a_terms: bool = False,
     solutions: SolutionTable | None = None,
 ):
     """Advance many replications in lockstep under one index schedule.
 
     Returns per-replication sums ``sum_{k<=n} phi(X_k)``, optionally the
     running sums recorded at ``record_prefixes`` (an array of shape
-    ``(len(prefixes), R)``), and optionally the per-replication adaptation
-    sums ``A_n`` (needs ``solutions``).  Each step costs
-    ``O(R log n_states)``.
+    ``(len(prefixes), R)``), the per-replication adaptation sums ``A_n``
+    exactly when ``solutions`` is given (else None), and the final states.
+    Each step costs ``O(R log n_states)``.
     """
     if not 0 <= x0 < family.n_states:
         raise ValueError(f"x0={x0} outside state space")
@@ -384,7 +366,7 @@ def ensemble_schedule_run(
     states = np.full(R, x0, dtype=np.int64)
     phi_vals = phi.values
     phi_sums = np.zeros(R)
-    a_sums = np.zeros(R) if a_terms else None
+    a_sums = np.zeros(R) if solutions is not None else None
     prefixes = list(record_prefixes) if record_prefixes is not None else []
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
@@ -398,7 +380,7 @@ def ensemble_schedule_run(
             start = start + half * (flat[start + (half - 1)] <= u)
         states = start - row + (u[:, None] < windows[s_prev][start]).argmax(axis=1)
         phi_sums += phi_vals[states]
-        if a_terms:
+        if solutions is not None:
             s_new = schedule[k]
             if s_new != s_prev:
                 a_sums += (solutions.g(s_new) - solutions.g(s_prev))[states]
@@ -454,18 +436,18 @@ def clt_study(
     phi: TestFunction,
     n: int,
     replications: int,
-    seeds: Sequence[int],
+    seed: int,
     x0: int = 0,
-    limit_index: int | None = None,
 ) -> dict:
     """Distributional check of ``sqrt(n) (avg - pi(phi))`` against the
     asymptotic variance at the scheme's limiting kernel.
 
     Requires a scheme that settles on a fixed index (an exogenous schedule
-    whose index stops changing); ``limit_index`` defaults to the schedule's
-    final index.  Reports the empirical variance across replications, the
-    oracle variance, their ratio, and a Kolmogorov-Smirnov normality
-    summary.
+    whose index stops changing); the limit is the schedule's index at step
+    ``n``.  Replication ``r`` draws from ``SeedSequence(entropy=seed,
+    spawn_key=(r,))`` at every replication count.  Reports the empirical
+    variance across replications, the oracle variance, their ratio, and a
+    Kolmogorov-Smirnov normality summary.
 
     Raises
     ------
@@ -473,10 +455,9 @@ def clt_study(
         If the oracle variance is zero but the replicates fluctuate.
     """
     indices = scheme.index_array(n)
-    if limit_index is None:
-        limit_index = int(indices[-1])
+    limit_index = int(indices[-1])
     sigma2 = clt_variance(family.kernel(limit_index), family.pi, phi)
-    seed_seqs = replication_seed_sequences(seeds, replications)
+    seed_seqs = replication_seed_sequences(seed, replications)
     phi_sums, _, _, _ = ensemble_schedule_run(family, indices, phi, n, seed_seqs, x0)
     scaled = np.sqrt(n) * (phi_sums / n - phi.mean_under_pi)
     empirical = float(scaled.var(ddof=1)) if replications > 1 else 0.0
@@ -507,7 +488,7 @@ def an_bound_check(
     phi: TestFunction,
     n: int,
     replications: int,
-    seeds: Sequence[int],
+    seed: int,
     x0: int = 0,
 ) -> dict:
     """Monte Carlo check of the adaptation-term bound under one-step
@@ -536,9 +517,9 @@ def an_bound_check(
 
     table = SolutionTable(family, phi)
     table.ensure(used)
-    seed_seqs = replication_seed_sequences(seeds, replications)
+    seed_seqs = replication_seed_sequences(seed, replications)
     _, _, a_sums, _ = ensemble_schedule_run(
-        family, indices, phi, n, seed_seqs, x0, a_terms=True, solutions=table
+        family, indices, phi, n, seed_seqs, x0, solutions=table
     )
     sq = a_sums**2 / n
     estimate = float(sq.mean())

@@ -178,7 +178,7 @@ def test_criterion_5_clt_study():
         fam = iid_family(pi)
         phi = TestFunction.indicator(0, pi)
         study = clt_study(
-            fam, ScheduleScheme(np.zeros(10_001, dtype=np.int64)), phi, 10_000, 1_000, seeds=[42]
+            fam, ScheduleScheme(np.zeros(10_001, dtype=np.int64)), phi, 10_000, 1_000, seed=42
         )
         assert study["sigma2_oracle"] == pytest.approx(0.25, abs=1e-12)
         assert abs(study["empirical_var"] - 0.25) <= 0.15 * 0.25
@@ -187,9 +187,7 @@ def test_criterion_5_clt_study():
         phi_g = TestFunction.indicator(0, grid.pi)
         scheme, limit = converging_index_schedule(grid, s0=0, n=10_000)
         sigma2_limit = clt_variance(grid.kernel(limit), grid.pi, phi_g)
-        study2 = clt_study(
-            grid, scheme, phi_g, 10_000, 600, seeds=[43], limit_index=limit
-        )
+        study2 = clt_study(grid, scheme, phi_g, 10_000, 600, seed=43)
         assert study2["sigma2_oracle"] == pytest.approx(sigma2_limit, abs=1e-12)
         assert abs(study2["empirical_var"] - sigma2_limit) <= 0.15 * sigma2_limit
 
@@ -200,13 +198,13 @@ def test_criterion_6_adaptation_term_bound():
         fam = random_metropolis_family(pi, 2, seed=13)
         phi = TestFunction.indicator(0, pi)
         schedule = np.arange(1_001) % 2
-        report = an_bound_check(schedule, fam, phi, 1_000, 200, seeds=[6])
+        report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=6)
         assert report["beta"] < 1.0
         assert report["estimate"] <= report["bound"] + report["se"]
 
         smoothed = smoothed_family(cyclic_pair(), 0.2)
         phi_s = TestFunction.indicator(0, smoothed.pi)
-        report2 = an_bound_check(schedule, smoothed, phi_s, 1_000, 200, seeds=[7])
+        report2 = an_bound_check(schedule, smoothed, phi_s, 1_000, 200, seed=7)
         assert report2["beta"] < 1.0
         assert report2["estimate"] <= report2["bound"] + report2["se"]
 

@@ -8,22 +8,31 @@ import numpy as np
 import pytest
 
 from amcmc.adaptation import (
+    BernoulliSchedule,
     MeanTrackingScheme,
     RareCycleScheme,
-    RareSchedule,
     RateTargetScheme,
     ScheduleScheme,
     bernoulli_log_schedule,
     log_increment_schedule,
-    next_adaptation_decision,
     waning_diagnostic,
 )
 from amcmc.errors import OutOfRangeD
 from amcmc.families import mixture_family, random_metropolis_family
 from amcmc.kernels import Distribution
-from amcmc.ledger import run_adaptive_chain
+from amcmc.ledger import chain_generator, run_adaptive_chain
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+class FixedUniform:
+    """Stand-in stream whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def grid_family(members=8):
@@ -50,7 +59,7 @@ class TestRareSchedules:
     def test_deterministic_decision_matches_times(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
         taus = set(sched.adaptation_times(500))
-        hits = {k for k in range(1, 501) if next_adaptation_decision(sched, k)}
+        hits = {k for k in range(1, 501) if sched.adapts(k, rng=None)}
         assert hits == taus
 
     def test_bernoulli_activation_decays_with_shrinking_decade_tails(self):
@@ -68,15 +77,19 @@ class TestRareSchedules:
     def test_bernoulli_decision_uses_uniform(self):
         sched = bernoulli_log_schedule(c=1.0, epsilon=0.1)
         eta_10 = sched.eta(10)
-        assert next_adaptation_decision(sched, 10, u=eta_10 * 0.5)
-        assert not next_adaptation_decision(sched, 10, u=eta_10 + 1e-9)
-        with pytest.raises(ValueError):
-            next_adaptation_decision(sched, 10)
+        assert sched.adapts(10, FixedUniform(eta_10 * 0.5))
+        assert sched.adapts(10, FixedUniform(eta_10))
+        assert not sched.adapts(10, FixedUniform(eta_10 + 1e-9))
 
     def test_unit_activation_adapts_every_step(self):
-        sched = RareSchedule(kind="bernoulli", activation=lambda k: 1.0)
+        sched = BernoulliSchedule(lambda k: 1.0)
         for k in (1, 7, 100):
-            assert next_adaptation_decision(sched, k, u=0.999) is True
+            assert sched.adapts(k, FixedUniform(0.999)) is True
+
+    @pytest.mark.parametrize("eta", [0.0, 1.5, float("nan")])
+    def test_activation_outside_unit_interval_rejected(self, eta):
+        with pytest.raises(ValueError, match="outside"):
+            BernoulliSchedule(lambda k: eta).adapts(3, FixedUniform(0.5))
 
 
 class TestWaningDiagnostic:
@@ -169,6 +182,20 @@ class TestGridSchemes:
         traj = run_adaptive_chain(fam, scheme, 0, 0, n, seed=7)
         changed = (np.nonzero(traj.S[1:] != traj.S[:-1])[0] + 1).tolist()
         assert changed == log_increment_schedule(2.0, 0.1).adaptation_times(n)
+        assert np.all((traj.S[changed] - traj.S[np.asarray(changed) - 1]) % fam.size == 1)
+
+    def test_bernoulli_rare_cycle_changes_where_second_uniform_is_below_eta(self):
+        fam = grid_family()
+        n, seed = 3_000, 29
+        scheme = RareCycleScheme(fam, lambda: bernoulli_log_schedule(1.0, 0.1))
+        traj = run_adaptive_chain(fam, scheme, 0, 0, n, seed=seed)
+        # per step the transition uniform comes first, then the schedule's
+        draws = chain_generator(seed).random(2 * n).reshape(n, 2)
+        eta = bernoulli_log_schedule(1.0, 0.1).eta
+        expected = [k for k in range(1, n + 1) if draws[k - 1, 1] <= eta(k)]
+        changed = (np.nonzero(traj.S[1:] != traj.S[:-1])[0] + 1).tolist()
+        assert changed == expected
+        assert 0 < len(expected) < n
         assert np.all((traj.S[changed] - traj.S[np.asarray(changed) - 1]) % fam.size == 1)
 
 

@@ -350,10 +350,17 @@ class TestPinnedArtifacts:
                 "lln.csv": "b3c9625e7a25abec9d97c8543d0aec0f734f9760c6da4c942f2e60ebb3f58f36",
                 "lln_medians.csv":
                     "c2a743c650df34b9ee71b47e540f8b637b30bbbf9ced5d71ff9bd23d04544dea"}),
+            ("waning", {"d_series": {"kind": "bernoulli-log", "n": 100000, "c": 1.0,
+                                     "epsilon": 0.1}, "p": 1.0}, {
+                "waning.csv": "92650c9f291b732f4c590525881414e7119fb7300f356284c7fd077c9813e7d4"}),
         ],
     )
     def test_study_tables_match_pinned_sha256(self, tmp_path, command, name, digests):
-        config = ["--config", str(CONFIG_DIR / name)] if name else []
+        """``name`` is a shipped config, an inline config or None (no config)."""
+        if isinstance(name, dict):
+            config = ["--config", write_config(tmp_path, name)]
+        else:
+            config = ["--config", str(CONFIG_DIR / name)] if name else []
         run([command, *config, "--out", str(tmp_path), "--seed", "1"])
         run_dir = only_run_dir(tmp_path, command)
         for artifact, digest in digests.items():
@@ -496,9 +503,25 @@ class TestConfigHandling:
     )
     def test_scheme_kinds_without_start_ignore_s0(self, scheme, expected):
         family = build_family({"kind": "mixture", "count": 3})
-        built, limit = build_scheme(scheme, family, 2)
-        assert limit is None
+        built = build_scheme(scheme, family, 2)
         assert built.index_array(2).tolist() == expected
+
+    def test_format_gets_its_own_run_directory(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"d_series": {"kind": "constant", "n": 100}, "p": 1.0,
+                                      "expect_waning": False})
+        out = tmp_path / "runs"
+        assert run(["waning", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+        monkeypatch.setenv("AMCMC_FORMAT", "json")
+        assert run(["waning", "--config", cfg, "--out", str(out)]) == 0
+        records = {}
+        for run_dir in out.iterdir():
+            record = json.loads((run_dir / "record.json").read_text())
+            assert not record["prior_run"]
+            assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+                ["record.json", "summary.json", *record["artifacts"]]
+            )
+            records[run_dir.name] = record["artifacts"]
+        assert sorted(records.values()) == [["waning.csv"], ["waning.json"]]
 
     def test_json_format_flag(self, tmp_path):
         code = run(

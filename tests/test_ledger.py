@@ -310,7 +310,7 @@ class TestLockstepBisect:
         seed_seqs = [np.random.SeedSequence(entropy=n_states, spawn_key=(r,)) for r in range(7)]
         sums, recorded, a_sums, last = ensemble_schedule_run(
             fam, indices, phi, n, seed_seqs, x0,
-            record_prefixes=prefixes, a_terms=True, solutions=table,
+            record_prefixes=prefixes, solutions=table,
         )
         for r, ss in enumerate(seed_seqs):
             traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
@@ -384,7 +384,7 @@ class TestCltStudy:
         fam = iid_family(PI3)
         phi = TestFunction.from_values([2.0, 2.0, 2.0], fam.pi)
         study = clt_study(
-            fam, ScheduleScheme(np.zeros(501, dtype=np.int64)), phi, 500, 50, seeds=[3]
+            fam, ScheduleScheme(np.zeros(501, dtype=np.int64)), phi, 500, 50, seed=3
         )
         assert study["sigma2_oracle"] == 0.0
         assert study["empirical_var"] == 0.0
@@ -393,7 +393,7 @@ class TestCltStudy:
         fam = iid_family(PI3)
         phi = TestFunction.indicator(0, fam.pi)
         study = clt_study(
-            fam, ScheduleScheme(np.zeros(2_001, dtype=np.int64)), phi, 2_000, 400, seeds=[5]
+            fam, ScheduleScheme(np.zeros(2_001, dtype=np.int64)), phi, 2_000, 400, seed=5
         )
         assert study["sigma2_oracle"] == pytest.approx(0.25, abs=1e-12)
         assert 0.85 <= study["ratio"] <= 1.15
@@ -404,18 +404,27 @@ class TestCltStudy:
         phi = TestFunction.indicator(0, fam.pi)
         scheme, limit = converging_index_schedule(fam, s0=0, n=4_000)
         assert limit == fam.size - 1  # drift pushes to the top of the grid
-        study = clt_study(fam, scheme, phi, 4_000, 400, seeds=[7], limit_index=limit)
+        study = clt_study(fam, scheme, phi, 4_000, 400, seed=7)
+        assert study["limit_index"] == limit
         assert study["sigma2_oracle"] == pytest.approx(
             clt_variance(fam.kernel(limit), fam.pi, phi), abs=1e-12
         )
         assert 0.85 <= study["ratio"] <= 1.15
+
+    def test_one_replication_is_replication_zero_of_more(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        scheme = ScheduleScheme(np.zeros(101, dtype=np.int64))
+        one = clt_study(fam, scheme, phi, 100, 1, seed=5)["replicates"]
+        three = clt_study(fam, scheme, phi, 100, 3, seed=5)["replicates"]
+        assert one.tobytes() == three[:1].tobytes()
 
 
 class TestAnBoundCheck:
     def test_constant_schedule_zero_term(self):
         fam = smoothed_family(cyclic_pair(), 0.2)
         phi = TestFunction.indicator(0, fam.pi)
-        report = an_bound_check(np.zeros(501, dtype=int), fam, phi, 500, 50, seeds=[11])
+        report = an_bound_check(np.zeros(501, dtype=int), fam, phi, 500, 50, seed=11)
         assert report["estimate"] == 0.0
         assert report["passed"]
 
@@ -424,7 +433,7 @@ class TestAnBoundCheck:
         fam = random_metropolis_family(pi, 2, seed=13)
         phi = TestFunction.indicator(0, fam.pi)
         schedule = np.arange(1_001) % 2
-        report = an_bound_check(schedule, fam, phi, 1_000, 200, seeds=[13])
+        report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=13)
         assert report["beta"] < 1.0
         assert report["passed"]
 
@@ -432,7 +441,7 @@ class TestAnBoundCheck:
         fam = smoothed_family(cyclic_pair(), 0.2)
         phi = TestFunction.indicator(0, fam.pi)
         schedule = np.arange(1_001) % 2
-        report = an_bound_check(schedule, fam, phi, 1_000, 200, seeds=[17])
+        report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=17)
         assert report["beta"] < 1.0
         assert report["passed"]
 
@@ -440,7 +449,7 @@ class TestAnBoundCheck:
         fam = cyclic_pair()
         phi = TestFunction.indicator(0, fam.pi)
         with pytest.raises(DobrushinViolation):
-            an_bound_check(np.arange(101) % 2, fam, phi, 100, 10, seeds=[19])
+            an_bound_check(np.arange(101) % 2, fam, phi, 100, 10, seed=19)
 
 
 class TestLedgerCsv:
@@ -474,12 +483,20 @@ def test_ledger_summary_reports_both_scalings():
     assert out["max_identity_residual"] <= 1e-9 * 400
 
 
-def test_rate_target_scheme_records_aux_series():
+def test_rate_target_indices_replay_from_the_states():
+    """The rate signal of step k is ``X[k] != X[k-1]``, so the trajectory
+    alone determines every index the scheme chose."""
     fam = grid_family()
-    traj = run_adaptive_chain(fam, RateTargetScheme(fam), 0, 0, 100, seed=61)
-    assert traj.aux is not None
-    assert traj.aux["alpha"].shape == (100,)
-    assert set(np.unique(traj.aux["alpha"])) <= {0.0, 1.0}
+    scheme = RateTargetScheme(fam)
+    traj = run_adaptive_chain(fam, scheme, 0, 0, 500, seed=61)
+    lo, hi = min(fam.params), max(fam.params)
+    t = fam.params[0]
+    for k in range(1, traj.n + 1):
+        gamma = scheme.c * float(k) ** (-scheme.exponent)
+        moved = 1.0 if traj.X[k] != traj.X[k - 1] else 0.0
+        t = min(max(t + gamma * (moved - scheme.target), lo), hi)
+        assert fam.nearest_index(t) == traj.S[k]
+    assert len(set(traj.S.tolist())) > 1
 
 
 def test_family_from_builder_materializes_grid():
