@@ -231,14 +231,13 @@ def converging_index_schedule(
     n: int,
     c: float = 0.5,
     exponent: float = 1.5,
-    drift: float = 1.0,
 ) -> tuple[ScheduleScheme, int]:
     """Deterministic schedule with summable step sizes, hence a settled limit.
 
-    The latent parameter follows ``t_k = clip(t_{k-1} + c k**-exponent *
-    drift)`` over the grid range; because ``sum_k c k**-exponent`` is finite
-    the index stops changing after finitely many steps.  Returns the scheme
-    and the limit index.
+    The latent parameter follows ``t_k = clip(t_{k-1} + c k**-exponent)``
+    over the grid range; because ``sum_k c k**-exponent`` is finite the
+    index stops changing after finitely many steps.  Returns the scheme and
+    the limit index.
     """
     if family.params is None:
         raise ValueError("schedule needs a parameter grid")
@@ -249,7 +248,7 @@ def converging_index_schedule(
     idx[0] = s0
     t = float(family.params[s0])
     for k in range(1, n + 1):
-        t = min(max(t + c * float(k) ** (-exponent) * drift, lo), hi)
+        t = min(max(t + c * float(k) ** (-exponent), lo), hi)
         idx[k] = family.nearest_index(t)
     return ScheduleScheme(idx), int(idx[-1])
 

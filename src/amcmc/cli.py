@@ -518,7 +518,7 @@ def _ratio_band(band) -> tuple:
 
 def cmd_clt(cfg: RunConfig) -> tuple:
     n = cfg.scalar("n", int, 10000, least=1)
-    replications = cfg.scalar("replications", int, 1000, least=1)
+    replications = cfg.scalar("replications", int, 1000, least=2)
     lo, hi = _ratio_band(cfg.get("ratio_band", [0.85, 1.15]))
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)

@@ -67,10 +67,6 @@ class StochasticMatrix:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    def power(self, k: int) -> np.ndarray:
-        """Return the raw ``k``-step transition matrix ``P^k``."""
-        return np.linalg.matrix_power(self.rows, k)
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -182,13 +178,18 @@ def _dobrushin_raw(rows: np.ndarray) -> float:
     neg_e = -e  # ascending, for searchsorted
     slack = 64 * n * np.finfo(np.float64).eps
     best = 0.0
+    # one block holds every row's differences: a fresh block per row is up to
+    # n*n floats, which the allocator hands back to the OS and faults in again
+    # on each row
+    block = np.empty((n - 1, rows.shape[1]))
     for i in range(n - 1):
         # partners j > i with e[i] + e[j] > best - slack are rows i+1 .. stop-1
         stop = int(np.searchsorted(neg_e, e[i] - (best - slack), side="left"))
         if stop <= i + 1:
             break  # later rows have smaller e and even fewer partners
         # same subtract, abs, contiguous sum and halving as the all-pairs form
-        d = 0.5 * np.abs(rows[i] - rows[i + 1 : stop]).sum(axis=1)
+        diff = np.subtract(rows[i], rows[i + 1 : stop], out=block[: stop - i - 1])
+        d = 0.5 * np.abs(diff, out=diff).sum(axis=1)
         best = max(best, float(d.max()))
         if best >= 1.0:
             return 1.0

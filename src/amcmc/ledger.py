@@ -16,13 +16,13 @@ estimated.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats as sp_stats
 
 from .adaptation import ScheduleScheme
 from .errors import DegenerateVariance, DobrushinViolation, MissingSolution, SchemeEscape
@@ -430,6 +430,94 @@ def lln_study(
     return {"rows": rows, "n_grid": n_grid, "medians": medians, "slope": slope}
 
 
+# Kolmogorov-Smirnov normality test of the CLT replicates.  The p-value is
+# ``P(D_n >= d)`` under the exact Kolmogorov distribution, computed one of
+# two ways chosen by ``n d^2``.  Below ``_KS_TAIL_FROM`` it is
+# ``1 - P(D_n < d)`` from the Durbin matrix; from there on it is twice the
+# one-sided tail.  Doubling counts the event that both one-sided statistics
+# reach ``d``, of relative size about ``exp(-6 n d^2)`` (4e-11 at the switch);
+# for ``d >= 1/2`` that event is empty.  The cancellation in ``1 - P(D_n < d)``
+# costs about as much at the switch and more beyond it.
+
+_KS_TAIL_FROM = 4.0
+
+
+def _kolmogorov_cdf(n: int, d: float) -> float:
+    """``P(D_n < d)`` for ``1/(2n) < d < 1`` by the Durbin matrix method of
+    Marsaglia, Tsang & Wang (2003, J. Stat. Softw. 8(18)): with
+    ``n d = k - h``, it is ``n!/n^n`` times entry ``(k, k)`` of ``H^n``.
+
+    ``H^n`` comes from repeated squaring; each product is scaled by a power
+    of two carried in a separate exponent, so nothing overflows.
+    """
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    inv_fact = np.array([1 / math.factorial(j) for j in range(m + 1)])
+    i = np.arange(m)
+    lag = i[:, None] - i[None, :] + 1
+    H = np.where(lag >= 0, inv_fact[np.maximum(lag, 0)], 0.0)
+    h_terms = h ** np.arange(1, m + 1) * inv_fact[1:]  # h^j / j!
+    H[:, 0] -= h_terms
+    H[-1, :] -= h_terms[::-1]
+    if h > 0.5:
+        H[-1, 0] += (2 * h - 1) ** m * inv_fact[m]
+
+    def scaled(A: np.ndarray, exponent: int) -> tuple:
+        shift = math.frexp(A[k - 1, k - 1])[1]
+        return np.ldexp(A, -shift), exponent + shift
+
+    power, e_power, e_H = np.eye(m), 0, 0
+    steps = n
+    while steps:
+        if steps & 1:
+            power, e_power = scaled(power @ H, e_power + e_H)
+        steps >>= 1
+        if steps:
+            H, e_H = scaled(H @ H, 2 * e_H)
+    p = float(power[k - 1, k - 1])
+    for j in range(1, n + 1):  # times n!/n^n, one factor at a time
+        p, shift = math.frexp(p * j / n)
+        e_power += shift
+    return math.ldexp(p, e_power)
+
+
+def _smirnov_tail(n: int, d: float) -> float:
+    """``P(D_n^+ >= d)``, the one-sided tail, by the Birnbaum-Tingey (1951)
+    sum ``d sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)`` in logs."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    log_fact = np.array([math.lgamma(v + 1) for v in range(n + 1)])
+    with np.errstate(divide="ignore"):
+        logs = (
+            log_fact[n] - log_fact[j] - log_fact[n - j]
+            + (n - j) * np.log(np.maximum(1.0 - d - j / n, 0.0))
+            + (j - 1) * np.log(d + j / n)
+        )
+    top = logs.max()
+    return d * math.exp(top) * math.fsum(np.exp(logs - top))
+
+
+def ks_normal(z) -> tuple[float, float]:
+    """Two-sided one-sample Kolmogorov-Smirnov test of ``z`` against N(0, 1).
+
+    Returns the statistic ``D_n = sup_x |F_n(x) - Phi(x)|``, with
+    ``Phi(x) = erfc(-x / sqrt 2) / 2``, and its exact p-value
+    ``P(D_n >= D_n(z))``.
+    """
+    z = np.sort(np.asarray(z, dtype=np.float64))
+    n = z.shape[0]
+    root2 = math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc(-v / root2) for v in z.tolist()])
+    d = float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max()))
+    if d >= 1.0:
+        return d, 0.0
+    if n * d <= 0.5:  # D_n >= 1/(2n) always
+        return d, 1.0
+    if d < 0.5 and n * d * d < _KS_TAIL_FROM:
+        return d, 1.0 - _kolmogorov_cdf(n, d)
+    return d, 2.0 * _smirnov_tail(n, d)
+
+
 def clt_study(
     family: KernelFamily,
     scheme: ScheduleScheme,
@@ -447,20 +535,24 @@ def clt_study(
     ``n``.  Replication ``r`` draws from ``SeedSequence(entropy=seed,
     spawn_key=(r,))`` at every replication count.  Reports the empirical
     variance across replications, the oracle variance, their ratio, and a
-    Kolmogorov-Smirnov normality summary.
+    Kolmogorov-Smirnov normality summary (``ks_normal``).
 
     Raises
     ------
+    ValueError
+        If ``replications < 2``: one replicate has no variance.
     DegenerateVariance
         If the oracle variance is zero but the replicates fluctuate.
     """
+    if replications < 2:
+        raise ValueError(f"replications={replications} must be >= 2")
     indices = scheme.index_array(n)
     limit_index = int(indices[-1])
     sigma2 = clt_variance(family.kernel(limit_index), family.pi, phi)
     seed_seqs = replication_seed_sequences(seed, replications)
     phi_sums, _, _, _ = ensemble_schedule_run(family, indices, phi, n, seed_seqs, x0)
     scaled = np.sqrt(n) * (phi_sums / n - phi.mean_under_pi)
-    empirical = float(scaled.var(ddof=1)) if replications > 1 else 0.0
+    empirical = float(scaled.var(ddof=1))
     if sigma2 == 0.0:
         if empirical > 1e-12:
             raise DegenerateVariance(
@@ -468,7 +560,7 @@ def clt_study(
             )
         ks_stat, ks_p = 0.0, 1.0
     else:
-        ks_stat, ks_p = sp_stats.kstest(scaled / np.sqrt(sigma2), "norm")
+        ks_stat, ks_p = ks_normal(scaled / np.sqrt(sigma2))
     return {
         "replicates": scaled,
         "empirical_var": empirical,
@@ -502,9 +594,13 @@ def an_bound_check(
 
     Raises
     ------
+    ValueError
+        If ``replications < 2``: one replicate has no standard error.
     DobrushinViolation
         If any kernel in the schedule has contraction coefficient 1.
     """
+    if replications < 2:
+        raise ValueError(f"replications={replications} must be >= 2")
     indices = np.asarray(schedule, dtype=np.int64)
     if indices.shape[0] != n + 1:
         raise ValueError("schedule must provide indices for steps 0..n")
@@ -523,7 +619,7 @@ def an_bound_check(
     )
     sq = a_sums**2 / n
     estimate = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
+    se = float(sq.std(ddof=1) / np.sqrt(replications))
     return {
         "estimate": estimate,
         "se": se,

@@ -397,6 +397,22 @@ class TestRunConfigScalar:
             self.config({"seeds": [1, 2]}).scalar("seeds.count", int, 16)
 
 
+class TestDependencies:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        probe = (
+            "import sys, amcmc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         code = run(["lln", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -446,6 +462,8 @@ class TestConfigHandling:
             ("lln", {"family": {"kind": "mixture", "count": 3},
                      "scheme": {"kind": "converging", "s0": -1}}, "s0=-1"),
             ("clt", {"family": {"kind": "iid"}, "n": "abc"}, "n must be int, got 'abc'"),
+            ("clt", {"family": {"kind": "iid"}, "n": 10, "replications": 1},
+             "replications must be >= 2"),
             ("waning", {"d_series": 5}, "'d_series' must be an object"),
             ("waning", {"d_series": {"kind": "constant", "n": 0}}, "d_series.n must be >= 1"),
             ("waning", {"d_series": {"kind": "constant", "n": 100}, "p": -1}, "p must be > 0"),

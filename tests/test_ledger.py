@@ -1,3 +1,6 @@
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,12 +31,16 @@ from amcmc.kernels import (
     max_tv_between_kernels,
 )
 from amcmc.ledger import (
+    _KS_TAIL_FROM,
     SolutionTable,
+    _kolmogorov_cdf,
+    _smirnov_tail,
     an_bound_check,
     chain_generator,
     clt_study,
     decompose,
     ensemble_schedule_run,
+    ks_normal,
     lln_study,
     martingale_check,
     run_adaptive_chain,
@@ -411,13 +418,63 @@ class TestCltStudy:
         )
         assert 0.85 <= study["ratio"] <= 1.15
 
-    def test_one_replication_is_replication_zero_of_more(self):
+    def test_fewer_replications_are_a_prefix_of_more(self):
         fam = iid_family(PI3)
         phi = TestFunction.indicator(0, fam.pi)
         scheme = ScheduleScheme(np.zeros(101, dtype=np.int64))
-        one = clt_study(fam, scheme, phi, 100, 1, seed=5)["replicates"]
+        two = clt_study(fam, scheme, phi, 100, 2, seed=5)["replicates"]
         three = clt_study(fam, scheme, phi, 100, 3, seed=5)["replicates"]
-        assert one.tobytes() == three[:1].tobytes()
+        assert two.tobytes() == three[:2].tobytes()
+
+    def test_one_replication_rejected(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        scheme = ScheduleScheme(np.zeros(101, dtype=np.int64))
+        with pytest.raises(ValueError, match="replications=1 must be >= 2"):
+            clt_study(fam, scheme, phi, 100, 1, seed=5)
+
+
+class TestKsNormal:
+    @pytest.mark.parametrize("n", [400, 600, 800, 1000])
+    def test_matches_scipy_kstest(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(n)
+        # one point per stratum of Phi: scaled by 1.04 its p-value lies in (0.999, 1)
+        inv_cdf = NormalDist().inv_cdf
+        strata = np.array([inv_cdf((i + u) / n) for i, u in enumerate(rng.random(n))])
+        samples = [rng.standard_normal(n) for _ in range(16)]
+        samples += [rng.standard_normal(n) + shift for shift in (0.05, 0.1, 0.3, 0.5)]
+        samples += [strata, strata * 1.04]
+        tails = 0
+        for z in samples:
+            stat, pvalue = ks_normal(z)
+            ref = stats.kstest(z, "norm")
+            assert abs(stat - ref.statistic) <= 1e-15
+            assert pvalue == pytest.approx(ref.pvalue, rel=1e-4)
+            if ref.pvalue < 1e-6 or ref.pvalue > 0.999:
+                assert pvalue == pytest.approx(ref.pvalue, rel=1e-9)
+                tails += 1
+        assert tails >= 4
+
+    @pytest.mark.parametrize("n", [5, 50, 400, 1000])
+    def test_closed_forms_and_switch(self, n):
+        # P(D_n < d) = n!/n^n (2nd - 1)^n for 1/(2n) < d <= 1/n (Ruben & Gambino 1982)
+        for nd in (0.6, 0.8, 1.0):
+            exact = math.exp(math.lgamma(n + 1) - n * math.log(n)) * (2 * nd - 1) ** n
+            assert _kolmogorov_cdf(n, nd / n) == pytest.approx(exact, rel=1e-12)
+        # P(D_n^+ >= d) = (1 - d)^n for d >= 1 - 1/n
+        for d in (1 - 1 / n, 1 - 0.5 / n):
+            assert _smirnov_tail(n, d) == pytest.approx((1 - d) ** n, rel=1e-12)
+        # the two p-value forms agree where the test switches between them
+        d = math.sqrt(_KS_TAIL_FROM / n)
+        if d < 0.5:
+            doubled_tail = 2.0 * _smirnov_tail(n, d)
+            assert 1.0 - _kolmogorov_cdf(n, d) == pytest.approx(doubled_tail, rel=1e-10)
+
+    def test_extremes(self):
+        assert ks_normal(np.full(10, 50.0)) == (1.0, 0.0)
+        stat, pvalue = ks_normal([0.0])
+        assert (stat, pvalue) == (0.5, 1.0)
 
 
 class TestAnBoundCheck:
@@ -444,6 +501,12 @@ class TestAnBoundCheck:
         report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=17)
         assert report["beta"] < 1.0
         assert report["passed"]
+
+    def test_one_replication_rejected(self):
+        fam = smoothed_family(cyclic_pair(), 0.2)
+        phi = TestFunction.indicator(0, fam.pi)
+        with pytest.raises(ValueError, match="replications=1 must be >= 2"):
+            an_bound_check(np.zeros(101, dtype=int), fam, phi, 100, 1, seed=11)
 
     def test_raw_cyclic_pair_rejected(self):
         fam = cyclic_pair()
