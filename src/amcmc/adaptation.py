@@ -85,8 +85,8 @@ class BernoulliSchedule:
 def log_increment_schedule(c: float = 2.0, epsilon: float = 0.1) -> DeterministicSchedule:
     """Deterministic schedule with slowly growing gaps
     ``n_j = max(1, ceil(c * log(j)**(1+epsilon)))``."""
-    if c <= 0 or epsilon <= 0:
-        raise ValueError("c and epsilon must be positive")
+    if not (0 < c < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("c and epsilon must be positive and finite")
     return DeterministicSchedule(lambda j: c * math.log(j) ** (1.0 + epsilon))
 
 
@@ -95,8 +95,8 @@ def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> BernoulliSch
 
     ``log(max(k, 2))`` guards the first step.
     """
-    if c <= 0 or epsilon <= 0:
-        raise ValueError("c and epsilon must be positive")
+    if not (0 < c < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("c and epsilon must be positive and finite")
     return BernoulliSchedule(lambda k: min(1.0, c / math.log(max(k, 2)) ** (1.0 + epsilon)))
 
 
@@ -241,8 +241,10 @@ def converging_index_schedule(
     """
     if family.params is None:
         raise ValueError("schedule needs a parameter grid")
-    if exponent <= 1.0:
-        raise ValueError("exponent must exceed 1 for a summable schedule")
+    if not 1.0 < exponent < math.inf:
+        raise ValueError(f"exponent={exponent} must be finite and exceed 1 to be summable")
+    if not math.isfinite(c):
+        raise ValueError(f"c={c} must be finite")
     lo, hi = min(family.params), max(family.params)
     idx = np.empty(n + 1, dtype=np.int64)
     idx[0] = s0
@@ -299,10 +301,10 @@ def waning_diagnostic(
     D = np.asarray(D_series, dtype=np.float64).reshape(-1)
     if D.size == 0:
         raise ValueError("empty series")
-    if np.any(D < 0.0) or np.any(D > 1.0):
+    if not ((D >= 0) & (D <= 1)).all():
         raise OutOfRangeD("change magnitudes must lie in [0, 1]")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     n = D.size
     partial = np.cumsum(D)
     ks = np.arange(1, n + 1, dtype=np.float64)

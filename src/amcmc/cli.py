@@ -103,7 +103,8 @@ def _typed(name: str, value, kind: type, least=None, choices=None):
     reported as a ConfigError.
 
     A ``bool`` must be given as one; ``choices`` lists the allowed values;
-    an ``int`` must be ``>= least`` and a ``float`` finite and ``> least``.
+    an ``int`` must be ``>= least``; a ``float`` must be finite, and
+    ``> least`` when one is given.
     """
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -113,10 +114,12 @@ def _typed(name: str, value, kind: type, least=None, choices=None):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
     if choices is not None and v not in choices:
         raise ConfigError(f"{name} must be one of {'|'.join(choices)}, got {value!r}")
-    if least is None or (least <= v if kind is int else least < v < math.inf):
-        return v
-    rule = f">= {least}" if kind is int else f"> {least} and finite"
-    raise ConfigError(f"{name} must be {rule}, got {v}")
+    if kind is int and not (least is None or least <= v):
+        raise ConfigError(f"{name} must be >= {least}, got {v}")
+    if kind is float and not (math.isfinite(v) and (least is None or least < v)):
+        rule = "finite" if least is None else f"> {least} and finite"
+        raise ConfigError(f"{name} must be {rule}, got {v}")
+    return v
 
 
 def _int_list(name: str, value, least: int) -> list:
@@ -287,8 +290,8 @@ def build_scheme(spec: dict, family: families.KernelFamily, n: int) -> adaptatio
             family,
             s0=_scheme_start(spec, family),
             n=n,
-            c=float(spec.get("c", 0.5)),
-            exponent=float(spec.get("exponent", 1.5)),
+            c=_typed("scheme.c", spec.get("c", 0.5), float),
+            exponent=_typed("scheme.exponent", spec.get("exponent", 1.5), float, least=1),
         )
         return scheme
     raise ConfigError(f"unknown scheme kind {kind!r}")
@@ -586,9 +589,8 @@ def cmd_waning(cfg: RunConfig) -> tuple:
     expect = cfg.scalar("expect_waning", bool, True)
     if kind in RARE_SCHEDULES:
         build, c = RARE_SCHEDULES[kind]
-        sched = _spec_errors("d_series")(build)(
-            cfg.scalar("d_series.c", float, c), cfg.scalar("d_series.epsilon", float, 0.1)
-        )
+        sched = build(cfg.scalar("d_series.c", float, c, least=0),
+                      cfg.scalar("d_series.epsilon", float, 0.1, least=0))
         # D_k is 1 exactly at the steps where the schedule adapts
         rng = ledger.chain_generator(cfg.seed)
         D = np.array([sched.adapts(k, rng) for k in range(1, n + 1)], dtype=np.float64)

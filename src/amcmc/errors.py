@@ -46,10 +46,6 @@ class SchemeEscape(AmcmcError, RuntimeError):
     """An adaptation scheme produced a parameter outside its feasible set."""
 
 
-class MissingSolution(AmcmcError, KeyError):
-    """No Poisson solution is available for a visited parameter value."""
-
-
 class DegenerateVariance(AmcmcError, ArithmeticError):
     """The oracle variance is zero but the empirical variance is not."""
 

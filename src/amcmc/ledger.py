@@ -10,7 +10,9 @@ from kernel changes, and a telescoping remainder ``R_n``:
 
 On a finite state space every ingredient is computable exactly, so the
 identities here are assertable to floating-point accuracy rather than
-estimated.
+estimated.  The Poisson solutions are one table per trajectory or schedule
+(:func:`poisson_table`): dense ``(members, states)`` arrays read by
+``[S, X]``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import ScheduleScheme
-from .errors import DegenerateVariance, DobrushinViolation, MissingSolution, SchemeEscape
+from .errors import DegenerateVariance, DobrushinViolation, SchemeEscape
 from .families import KernelFamily
 from .kernels import dobrushin_coefficient, max_tv_between_kernels
 from .poisson import TestFunction, clt_variance, solve_poisson_exact
@@ -134,52 +136,38 @@ def run_adaptive_chain(
 # exact decomposition
 
 
-class SolutionTable:
-    """Poisson solutions and their one-step expectations per family index."""
+def _check_in_family(indices, family: KernelFamily) -> None:
+    """Raise SchemeEscape unless every index lies in ``[0, family.size)``;
+    a NumPy gather would wrap a negative index silently."""
+    indices = np.asarray(indices)
+    outside = indices[(indices < 0) | (indices >= family.size)]
+    if outside.size:
+        raise SchemeEscape(f"index {outside[0]} outside family [0, {family.size})")
 
-    def __init__(self, family: KernelFamily, phi: TestFunction):
-        self.family = family
-        self.phi = phi
-        self._g: dict[int, np.ndarray] = {}
-        self._Pg: dict[int, np.ndarray] = {}
-        self._Pg2: dict[int, np.ndarray] = {}
 
-    def ensure(self, indices) -> None:
-        for s in np.unique(np.asarray(indices)):
-            s = int(s)
-            if s in self._g:
-                continue
-            if not 0 <= s < self.family.size:
-                raise MissingSolution(f"index {s} outside family")
-            P = self.family.kernel(s)
-            sol = solve_poisson_exact(P, self.family.pi, self.phi)
-            self._g[s] = sol.g
-            self._Pg[s] = P.rows @ sol.g
-            self._Pg2[s] = P.rows @ (sol.g**2)
+@dataclass(frozen=True, eq=False)
+class PoissonTable:
+    """Poisson solutions ``g[s]`` of member ``s``, with ``Pg[s] = P_s g_s``
+    and ``Pg2[s] = P_s g_s**2``: ``(family.size, n_states)`` arrays whose
+    rows of unsolved members are NaN."""
 
-    def _gather(self, table: dict, S: np.ndarray, X: np.ndarray) -> np.ndarray:
-        out = np.empty(S.shape[0])
-        for s in np.unique(S):
-            mask = S == s
-            out[mask] = table[int(s)][X[mask]]
-        return out
+    g: np.ndarray
+    Pg: np.ndarray
+    Pg2: np.ndarray
 
-    def g_at(self, S, X) -> np.ndarray:
-        return self._gather(self._g, np.asarray(S), np.asarray(X))
 
-    def Pg_at(self, S, X) -> np.ndarray:
-        return self._gather(self._Pg, np.asarray(S), np.asarray(X))
-
-    def Pg2_at(self, S, X) -> np.ndarray:
-        return self._gather(self._Pg2, np.asarray(S), np.asarray(X))
-
-    def g(self, s: int) -> np.ndarray:
-        self.ensure([s])
-        return self._g[int(s)]
-
-    def Pg(self, s: int) -> np.ndarray:
-        self.ensure([s])
-        return self._Pg[int(s)]
+def poisson_table(family: KernelFamily, phi: TestFunction, indices) -> PoissonTable:
+    """One exact solve per distinct index of ``indices``; SchemeEscape if
+    one lies outside the family."""
+    _check_in_family(indices, family)
+    g, Pg, Pg2 = np.full((3, family.size, family.n_states), np.nan)
+    for s in np.unique(indices).tolist():
+        P = family.kernel(s)
+        sol = solve_poisson_exact(P, family.pi, phi)
+        g[s] = sol.g
+        Pg[s] = P.rows @ sol.g
+        Pg2[s] = P.rows @ (sol.g**2)
+    return PoissonTable(g=g, Pg=Pg, Pg2=Pg2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +188,7 @@ class DecompositionLedger:
     D: np.ndarray
     cond_var: np.ndarray
     centered_sums: np.ndarray
-    solutions: SolutionTable = field(repr=False)
+    solutions: PoissonTable = field(repr=False)
 
     def identity_residuals(self) -> np.ndarray:
         """Per-prefix gap ``|M_k + A_k + R_k - centered_sums_k|``."""
@@ -208,9 +196,8 @@ class DecompositionLedger:
 
     def telescope_residuals(self, traj: Trajectory) -> np.ndarray:
         """Per-prefix gap between ``R_k`` and its closed two-term form."""
-        tab = self.solutions
-        first = tab.Pg_at(traj.S[:1], traj.X[:1])[0]
-        closed = first - tab.Pg_at(traj.S[1:], traj.X[1:])
+        Pg = self.solutions.Pg
+        closed = Pg[traj.S[0], traj.X[0]] - Pg[traj.S[1:], traj.X[1:]]
         return np.abs(self.R - closed)
 
     def summary(self) -> dict:
@@ -232,33 +219,28 @@ class DecompositionLedger:
 def decompose(traj: Trajectory, family: KernelFamily, phi: TestFunction) -> DecompositionLedger:
     """Compute every term of the decomposition exactly along a trajectory.
 
-    The per-index Poisson solutions are exact solves, cached per distinct
-    index.
+    The Poisson solutions are one exact solve per distinct index; an index
+    outside the family raises SchemeEscape.
     """
-    table = SolutionTable(family, phi)
-    table.ensure(traj.S)
+    table = poisson_table(family, phi, traj.S)
     S_prev, S_next = traj.S[:-1], traj.S[1:]
     X_prev, X_next = traj.X[:-1], traj.X[1:]
 
-    Pg_prev = table.Pg_at(S_prev, X_prev)
-    g_moved = table.g_at(S_prev, X_next)
+    Pg_prev = table.Pg[S_prev, X_prev]
+    g_moved = table.g[S_prev, X_next]
     delta = g_moved - Pg_prev
-    a_terms = table.g_at(S_next, X_next) - g_moved
-    r_terms = Pg_prev - table.Pg_at(S_next, X_next)
-    cond_var = table.Pg2_at(S_prev, X_prev) - Pg_prev**2
+    a_terms = table.g[S_next, X_next] - g_moved
+    r_terms = Pg_prev - table.Pg[S_next, X_next]
+    cond_var = table.Pg2[S_prev, X_prev] - Pg_prev**2
 
-    # exact kernel-change magnitudes; zero whenever the index is unchanged
+    # exact kernel-change magnitudes, one per distinct (from, to) pair;
+    # zero whenever the index is unchanged
     D = np.zeros(traj.n)
-    changed = S_next != S_prev
-    if np.any(changed):
-        pair_cache: dict[tuple[int, int], float] = {}
-        for k in np.nonzero(changed)[0]:
-            key = (int(S_prev[k]), int(S_next[k]))
-            if key not in pair_cache:
-                pair_cache[key] = max_tv_between_kernels(
-                    family.kernel(key[1]), family.kernel(key[0])
-                )
-            D[k] = pair_cache[key]
+    changed = np.nonzero(S_next != S_prev)[0]
+    pairs, at = np.unique(S_prev[changed] * family.size + S_next[changed], return_inverse=True)
+    tv = [max_tv_between_kernels(family.kernel(to), family.kernel(frm))
+          for frm, to in (divmod(key, family.size) for key in pairs.tolist())]
+    D[changed] = np.asarray(tv)[at]
 
     centered = np.cumsum(phi.values[X_next] - phi.mean_under_pi)
     return DecompositionLedger(
@@ -295,10 +277,10 @@ def martingale_check(
         # one row sum per distinct visited state, not per step
         visited, at_step = np.unique(x, return_inverse=True)
         rows = family.kernel(s).rows[visited]
-        g = table.g(s)
+        g = table.g[s]
         row_g = (rows @ g)[at_step]
         row_g2 = (rows @ (g**2))[at_step]
-        Pg_x = table.Pg(s)[x]
+        Pg_x = table.Pg[s, x]
         cond_mean[mask] = row_g - Pg_x
         cond_var_direct[mask] = row_g2 - 2.0 * Pg_x * row_g + Pg_x**2
     return {
@@ -337,18 +319,25 @@ def ensemble_schedule_run(
     seed_seqs: Sequence,
     x0: int,
     record_prefixes: Sequence[int] | None = None,
-    solutions: SolutionTable | None = None,
+    solutions: PoissonTable | None = None,
 ):
     """Advance many replications in lockstep under one index schedule.
 
     Returns per-replication sums ``sum_{k<=n} phi(X_k)``, optionally the
     running sums recorded at ``record_prefixes`` (an array of shape
     ``(len(prefixes), R)``), the per-replication adaptation sums ``A_n``
-    exactly when ``solutions`` is given (else None), and the final states.
-    Each step costs ``O(R log n_states)``.
+    exactly when ``solutions`` holds every scheduled index (else None), and
+    the final states.  Each step costs ``O(R log n_states)``.  A scheduled
+    index outside the family raises SchemeEscape; an ``x0`` outside the
+    state space, or ``record_prefixes`` not strictly increasing within
+    ``[1, n]``, raises ValueError.
     """
     if not 0 <= x0 < family.n_states:
         raise ValueError(f"x0={x0} outside state space")
+    _check_in_family(indices, family)
+    prefixes = [] if record_prefixes is None else [int(k) for k in record_prefixes]
+    if not all(a < b for a, b in zip([0, *prefixes], [*prefixes, n + 1])):
+        raise ValueError(f"record_prefixes must increase strictly within [1, {n}]")
     R = len(seed_seqs)
     U = np.empty((n, R))
     for i, ss in enumerate(seed_seqs):
@@ -367,7 +356,6 @@ def ensemble_schedule_run(
     phi_vals = phi.values
     phi_sums = np.zeros(R)
     a_sums = np.zeros(R) if solutions is not None else None
-    prefixes = list(record_prefixes) if record_prefixes is not None else []
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
     for k in range(1, n + 1):
@@ -383,8 +371,8 @@ def ensemble_schedule_run(
         if solutions is not None:
             s_new = schedule[k]
             if s_new != s_prev:
-                a_sums += (solutions.g(s_new) - solutions.g(s_prev))[states]
-        if prefixes and next_record < len(prefixes) and k == prefixes[next_record]:
+                a_sums += (solutions.g[s_new] - solutions.g[s_prev])[states]
+        if next_record < len(prefixes) and k == prefixes[next_record]:
             recorded[next_record] = phi_sums
             next_record += 1
     return phi_sums, recorded, a_sums, states
@@ -541,12 +529,15 @@ def clt_study(
     ------
     ValueError
         If ``replications < 2``: one replicate has no variance.
+    SchemeEscape
+        If a scheduled index lies outside the family.
     DegenerateVariance
         If the oracle variance is zero but the replicates fluctuate.
     """
     if replications < 2:
         raise ValueError(f"replications={replications} must be >= 2")
     indices = scheme.index_array(n)
+    _check_in_family(indices, family)
     limit_index = int(indices[-1])
     sigma2 = clt_variance(family.kernel(limit_index), family.pi, phi)
     seed_seqs = replication_seed_sequences(seed, replications)
@@ -596,6 +587,8 @@ def an_bound_check(
     ------
     ValueError
         If ``replications < 2``: one replicate has no standard error.
+    SchemeEscape
+        If a scheduled index lies outside the family.
     DobrushinViolation
         If any kernel in the schedule has contraction coefficient 1.
     """
@@ -604,6 +597,7 @@ def an_bound_check(
     indices = np.asarray(schedule, dtype=np.int64)
     if indices.shape[0] != n + 1:
         raise ValueError("schedule must provide indices for steps 0..n")
+    _check_in_family(indices, family)
     used = np.unique(indices)
     beta = max(dobrushin_coefficient(family.kernel(int(s))) for s in used)
     if beta >= 1.0:
@@ -611,8 +605,7 @@ def an_bound_check(
     c_prime = 2.0 / (1.0 - beta) * phi.osc
     bound = c_prime**2 * (1.0 + 2.0 * beta / (1.0 - beta))
 
-    table = SolutionTable(family, phi)
-    table.ensure(used)
+    table = poisson_table(family, phi, used)
     seed_seqs = replication_seed_sequences(seed, replications)
     _, _, a_sums, _ = ensemble_schedule_run(
         family, indices, phi, n, seed_seqs, x0, solutions=table

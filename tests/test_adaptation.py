@@ -14,11 +14,12 @@ from amcmc.adaptation import (
     RateTargetScheme,
     ScheduleScheme,
     bernoulli_log_schedule,
+    converging_index_schedule,
     log_increment_schedule,
     waning_diagnostic,
 )
 from amcmc.errors import OutOfRangeD
-from amcmc.families import mixture_family, random_metropolis_family
+from amcmc.families import cyclic_pair, mixture_family, random_metropolis_family
 from amcmc.kernels import Distribution
 from amcmc.ledger import chain_generator, run_adaptive_chain
 
@@ -92,6 +93,27 @@ class TestRareSchedules:
             BernoulliSchedule(lambda k: eta).adapts(3, FixedUniform(0.5))
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("build", [log_increment_schedule, bernoulli_log_schedule])
+@pytest.mark.parametrize("bad", NON_FINITE + [0.0, -1.0])
+def test_rare_schedules_reject_c_or_epsilon_not_finite_and_positive(build, bad):
+    for c, epsilon in ((bad, 0.1), (1.0, bad)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            build(c, epsilon)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_converging_schedule_rejects_non_finite_c_or_exponent(bad):
+    pair = cyclic_pair()
+    family = mixture_family(*pair.kernels, pair.pi, 3)
+    with pytest.raises(ValueError, match="c=.* must be finite"):
+        converging_index_schedule(family, s0=0, n=10, c=bad)
+    with pytest.raises(ValueError, match="exponent=.* must be finite"):
+        converging_index_schedule(family, s0=0, n=10, exponent=bad)
+
+
 class TestWaningDiagnostic:
     def test_zero_series_statistic_zero_everywhere(self):
         report = waning_diagnostic(np.zeros(10_000), p=1.0)
@@ -121,6 +143,16 @@ class TestWaningDiagnostic:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeD):
             waning_diagnostic([0.5, 1.5], p=1.0)
+
+    @pytest.mark.parametrize("D", [[float("nan")] * 3, [0.5, float("nan")]])
+    def test_nan_change_magnitude_is_out_of_range(self, D):
+        with pytest.raises(OutOfRangeD):
+            waning_diagnostic(D, p=1.0)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.0])
+    def test_p_must_be_positive_and_finite(self, p):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            waning_diagnostic([0.5, 0.25], p=p)
 
     def test_partial_sums_nondecreasing(self):
         rng = np.random.Generator(np.random.Philox(9))

@@ -476,9 +476,21 @@ class TestConfigHandling:
             ("lln", {"family": {"kind": "iid"}, "seeds": 5}, "seeds must be a list"),
             ("lln", {"family": {"kind": "iid"}, "seeds": ["x"]}, "seeds must be int, got 'x'"),
             ("waning", {"d_series": {"kind": "rare-log", "n": 100, "c": -1}},
-             "d_series spec: c and epsilon must be positive"),
+             "d_series.c must be > 0 and finite"),
             ("waning", {"d_series": {"kind": "bernoulli-log", "n": 100, "epsilon": 0}},
-             "d_series spec: c and epsilon must be positive"),
+             "d_series.epsilon must be > 0 and finite"),
+            ("waning", {"d_series": {"kind": "rare-log", "n": 100, "c": float("nan")}},
+             "d_series.c must be > 0 and finite, got nan"),
+            ("waning", {"d_series": {"kind": "constant", "n": 100, "value": float("nan")}},
+             "d_series.value must be finite, got nan"),
+            ("lln", {"family": {"kind": "iid"}, "fail_threshold": float("nan")},
+             "fail_threshold must be finite, got nan"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 10, "replications": 4,
+                     "scheme": {"kind": "converging", "c": float("nan")}},
+             "scheme.c must be finite, got nan"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 10, "replications": 4,
+                     "scheme": {"kind": "converging", "exponent": 1}},
+             "scheme.exponent must be > 1 and finite"),
             ("waning", {"d_series": {"kind": "constant", "n": 100}, "p": float("inf")},
              "p must be > 0 and finite"),
             ("waning", {"d_series": {"kind": "constant", "n": 100}, "expect_waning": "false"},

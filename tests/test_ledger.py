@@ -3,7 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amcmc.adaptation import (
@@ -12,6 +12,7 @@ from amcmc.adaptation import (
     RareCycleScheme,
     RateTargetScheme,
     ScheduleScheme,
+    bernoulli_log_schedule,
     converging_index_schedule,
     log_increment_schedule,
 )
@@ -27,12 +28,13 @@ from amcmc.families import (
 from amcmc.kernels import (
     Distribution,
     StochasticMatrix,
+    _strongly_connected,
     fit_ergodicity_constants,
     max_tv_between_kernels,
 )
 from amcmc.ledger import (
     _KS_TAIL_FROM,
-    SolutionTable,
+    Trajectory,
     _kolmogorov_cdf,
     _smirnov_tail,
     an_bound_check,
@@ -43,10 +45,11 @@ from amcmc.ledger import (
     ks_normal,
     lln_study,
     martingale_check,
+    poisson_table,
     run_adaptive_chain,
     write_ledger_csv,
 )
-from amcmc.poisson import TestFunction, clt_variance
+from amcmc.poisson import TestFunction, clt_variance, solve_poisson_exact
 
 PI3 = Distribution([0.5, 0.25, 0.25])
 
@@ -241,6 +244,65 @@ def index_schedule(kind: str, size: int, n: int, rng) -> np.ndarray:
     return rng.integers(0, size, size=n + 1)
 
 
+def reference_ledger(traj, fam, phi) -> dict:
+    """The ledger step by step: one exact solve per index, a plain loop over
+    ``k``, and the exact kernel change at every step whose index moves."""
+    sols = {}
+    for s in set(traj.S.tolist()):
+        P = fam.kernel(s)
+        g = solve_poisson_exact(P, fam.pi, phi).g
+        sols[s] = (g, P.rows @ g, P.rows @ (g**2))
+    out = {name: [] for name in ("Delta", "A", "R", "cond_var", "D")}
+    a_sum = r_sum = 0.0
+    for k in range(traj.n):
+        s, s_next = int(traj.S[k]), int(traj.S[k + 1])
+        x, x_next = int(traj.X[k]), int(traj.X[k + 1])
+        g, Pg, Pg2 = sols[s]
+        g_next, Pg_next, _ = sols[s_next]
+        out["Delta"].append(g[x_next] - Pg[x])
+        a_sum += g_next[x_next] - g[x_next]
+        r_sum += Pg[x] - Pg_next[x_next]
+        out["A"].append(a_sum)
+        out["R"].append(r_sum)
+        out["cond_var"].append(Pg2[x] - Pg[x] * Pg[x])
+        moved = s != s_next
+        out["D"].append(max_tv_between_kernels(fam.kernel(s_next), fam.kernel(s)) if moved else 0.0)
+    return out
+
+
+class TestDecomposeProperty:
+    """Every ledger column equals the step-by-step reference bit for bit,
+    on random irreducible families, observables and index sequences."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(("dense", "metropolis")),
+        driver=st.sampled_from(SCHEDULE_KINDS + ("rare-cycle",)),
+        n_states=st.integers(min_value=1, max_value=40),
+        size=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_step_by_step_reference(self, kind, driver, n_states, size, n, seed):
+        fam = random_family(kind, n_states, size, seed)
+        assume(all(_strongly_connected(P.rows) for P in fam.kernels))
+        rng = np.random.default_rng(seed)
+        phi = TestFunction.from_values(rng.normal(size=n_states), fam.pi)
+        x0 = int(rng.integers(n_states))
+        if driver == "rare-cycle":
+            scheme = RareCycleScheme(fam, lambda: bernoulli_log_schedule(1.0, 0.1))
+        else:
+            scheme = ScheduleScheme(index_schedule(driver, size, n, rng))
+        traj = run_adaptive_chain(fam, scheme, x0, 0, n, seed)
+        ledger = decompose(traj, fam, phi)
+        ref = reference_ledger(traj, fam, phi)
+        for name, values in ref.items():
+            assert getattr(ledger, name).tolist() == values, name
+        centered = math.fsum(phi.values[traj.X[1:]] - phi.mean_under_pi)
+        assert abs(math.fsum([ledger.M[-1], ledger.A[-1], ledger.R[-1]]) - centered) <= 1e-9 * n
+        assert martingale_check(traj, ledger, fam)["max_abs_cond_mean"] <= 1e-10
+
+
 class TestEnsembleContract:
     def test_lockstep_matches_single_chain_bitwise(self):
         fam = grid_family()
@@ -312,8 +374,7 @@ class TestLockstepBisect:
         indices = (np.arange(n + 1) // 5) % fam.size
         prefixes = [1, 37, n]
         x0 = n_states - 1
-        table = SolutionTable(fam, phi)
-        table.ensure(range(fam.size))
+        table = poisson_table(fam, phi, range(fam.size))
         seed_seqs = [np.random.SeedSequence(entropy=n_states, spawn_key=(r,)) for r in range(7)]
         sums, recorded, a_sums, last = ensemble_schedule_run(
             fam, indices, phi, n, seed_seqs, x0,
@@ -328,7 +389,7 @@ class TestLockstepBisect:
             a_n = 0.0
             for k in range(1, n + 1):
                 if S[k] != S[k - 1]:
-                    a_n += float((table.g(int(S[k])) - table.g(int(S[k - 1])))[X[k]])
+                    a_n += float((table.g[S[k]] - table.g[S[k - 1]])[X[k]])
             assert a_n == a_sums[r]
             assert X[-1] == last[r]
 
@@ -338,6 +399,62 @@ class TestLockstepBisect:
         with pytest.raises(ValueError, match="x0"):
             ensemble_schedule_run(fam, np.zeros(3, dtype=np.int64), phi, 2,
                                   [np.random.SeedSequence(1)], x0=3)
+
+    @pytest.mark.parametrize("prefixes", [[0, 5], [2, 2], [3, 2], [11], [-1]])
+    def test_record_prefixes_must_increase_within_1_to_n(self, prefixes):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        with pytest.raises(ValueError, match="record_prefixes"):
+            ensemble_schedule_run(fam, np.zeros(11, dtype=np.int64), phi, 10,
+                                  [np.random.SeedSequence(1)], x0=0, record_prefixes=prefixes)
+
+
+class TestIndexOutsideFamily:
+    """A NumPy gather wraps an index of -1 to the last member, so every entry
+    point checks the indices before it solves or steps."""
+
+    @staticmethod
+    def setup(bad):
+        fam = smoothed_family(cyclic_pair(), 0.2)
+        indices = np.zeros(21, dtype=np.int64)
+        indices[7] = fam.size if bad == "size" else -1
+        return fam, TestFunction.indicator(0, fam.pi), indices
+
+    @pytest.mark.parametrize("bad", ["minus-one", "size"])
+    def test_decompose_of_hand_built_trajectory(self, bad):
+        fam, phi, indices = self.setup(bad)
+        traj = Trajectory(X=np.zeros(21, dtype=np.int64), S=indices, n=20)
+        with pytest.raises(SchemeEscape, match="outside family"):
+            decompose(traj, fam, phi)
+
+    @pytest.mark.parametrize("bad", ["minus-one", "size"])
+    def test_clt_study(self, bad):
+        fam, phi, indices = self.setup(bad)
+        with pytest.raises(SchemeEscape, match="outside family"):
+            clt_study(fam, ScheduleScheme(indices), phi, 20, 4, seed=1)
+        with pytest.raises(SchemeEscape, match="outside family"):
+            clt_study(fam, ScheduleScheme(indices[::-1]), phi, 20, 4, seed=1)
+
+    @pytest.mark.parametrize("bad", ["minus-one", "size"])
+    def test_lln_study(self, bad):
+        fam, phi, indices = self.setup(bad)
+        with pytest.raises(SchemeEscape, match="outside family"):
+            lln_study(fam, ScheduleScheme(indices), phi, n_grid=[10, 20], seeds=[1, 2])
+
+    @pytest.mark.parametrize("bad", ["minus-one", "size"])
+    def test_an_bound_check(self, bad):
+        fam, phi, indices = self.setup(bad)
+        with pytest.raises(SchemeEscape, match="outside family"):
+            an_bound_check(indices, fam, phi, 20, 4, seed=1)
+
+    def test_table_solves_only_the_given_indices(self):
+        fam = grid_family()
+        phi = TestFunction.indicator(0, fam.pi)
+        table = poisson_table(fam, phi, [3, 1, 3])
+        for arr in (table.g, table.Pg, table.Pg2):
+            assert arr.shape == (fam.size, fam.n_states)
+            assert np.isnan(np.delete(arr, [1, 3], axis=0)).all()
+            assert np.isfinite(arr[[1, 3]]).all()
 
 
 class TestLlnStudy:
@@ -384,6 +501,14 @@ class TestLlnStudy:
             seeds=list(range(8)),
         )
         assert study["medians"][-1] < study["medians"][0]
+
+
+    def test_grid_below_one_rejected(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        scheme = ScheduleScheme(np.zeros(1_001, dtype=np.int64))
+        with pytest.raises(ValueError, match="record_prefixes"):
+            lln_study(fam, scheme, phi, n_grid=[0, 1_000], seeds=[1, 2])
 
 
 class TestCltStudy:
