@@ -12,6 +12,11 @@ Saksman & Tamminen 2001), acceptance-rate targeting (Vihola 2012) and
 cyclic moves at increasingly rare times, where a rare schedule answers
 ``adapts(k, rng)``.  :func:`waning_diagnostic` checks that the resulting
 kernel-change magnitudes die out.
+
+The ``rng`` a scheme receives is the chain's stream, and a scheme draws
+from it only with ``rng.random()``, as every scheme here does.  Both chain
+drivers read each chain's stream in blocks; the doubles and their order are
+those of one scalar draw each, so a trajectory does not depend on the block.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from .families import KernelFamily
 # rare adaptation schedules
 #
 # A rare schedule answers one question, ``adapts(k, rng)``: may the
-# parameter change at step ``k``?  It draws whatever it needs from the
-# chain's stream ``rng`` after the transition uniform of that step.
+# parameter change at step ``k``?  It draws what it needs with
+# ``rng.random()`` from the chain's stream, after the transition uniform of
+# that step.
 
 
 class DeterministicSchedule:

@@ -18,6 +18,7 @@ estimated.  The Poisson solutions are one table per trajectory or schedule
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -41,6 +42,12 @@ from .poisson import TestFunction, clt_variance, solve_poisson_exact
 # adaptation scheme requires, in that order.  Replication r of a CLT or
 # A_n study with root seed ``s`` uses SeedSequence(entropy=s, spawn_key=(r,));
 # an LLN study runs one chain per seed it is given.
+#
+# Both drivers read a stream ``_STREAM_BLOCK`` doubles at a time.  Philox's
+# bulk fill yields the doubles of that many scalar ``random()`` calls in the
+# same order, so a trajectory does not depend on the block length.
+
+_STREAM_BLOCK = 4096
 
 
 def chain_generator(seed) -> np.random.Generator:
@@ -54,6 +61,15 @@ def replication_seed_sequences(seed: int, count: int) -> list:
     """Seed material of replications ``0..count-1`` under root ``seed``:
     ``SeedSequence(entropy=seed, spawn_key=(r,))`` for replication ``r``."""
     return [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(count)]
+
+
+class _BlockStream:
+    """A chain's stream read in blocks: ``random()`` returns the double the
+    next scalar ``rng.random()`` would.  Schemes draw only through it."""
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(_STREAM_BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +94,13 @@ class Trajectory:
 
 
 def _cum_tables(family: KernelFamily) -> list:
-    """Inverse-CDF table per kernel: its row cumsums, last column pinned to 1."""
+    """Inverse-CDF table per kernel, flat: entry ``x * n_states + j`` is the
+    cumsum of row ``x`` up to column ``j``, each row's last entry pinned to 1."""
     tables = []
     for P in family.kernels:
         cum = np.cumsum(P.rows, axis=1)
         cum[:, -1] = 1.0  # pin against roundoff so inverse CDF always lands
-        tables.append(cum)
+        tables.append(cum.reshape(-1))
     return tables
 
 
@@ -95,7 +112,8 @@ def run_adaptive_chain(
     Transitions use inverse-CDF sampling over the kernel row.  Per step the
     transition uniform is drawn first, then the scheme's own draws, from
     the chain's single counter-based stream, so runs are bit-reproducible
-    given the seed.
+    given the seed.  The scheme receives the stream as an object whose
+    ``random()`` returns the next uniform.
 
     Raises
     ------
@@ -108,28 +126,29 @@ def run_adaptive_chain(
         raise ValueError(f"s0={s0} outside family")
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
-    rng = chain_generator(seed)
-    X = np.empty(n + 1, dtype=np.int64)
-    S = np.empty(n + 1, dtype=np.int64)
-    X[0] = x0
-    S[0] = scheme.start(s0, rng)
-    if not 0 <= S[0] < family.size:
-        raise SchemeEscape(f"scheme start index {S[0]} outside family")
-    # bisect compares Python floats faster than numpy scalars, with equal outcomes
-    cums = [table.tolist() for table in _cum_tables(family)]
+    stream = _BlockStream(chain_generator(seed))
+    draw = stream.random
+    x = int(x0)
+    s = int(scheme.start(s0, stream))
+    if not 0 <= s < family.size:
+        raise SchemeEscape(f"scheme start index {s} outside family")
+    # bisect reads a row of the flat table in place: its probes over
+    # [lo, lo + n_states) are those over the row alone, shifted by lo
+    cums = [memoryview(flat) for flat in _cum_tables(family)]
     n_states = family.n_states
-    x = int(X[0])
-    s = int(S[0])
+    last = n_states - 1
+    X = [x]
+    S = [s]
     for k in range(1, n + 1):
-        u = rng.random()
-        x_new = min(bisect_right(cums[s][x], u), n_states - 1)
-        s_new = int(scheme.step(k, x, x_new, s, rng))
+        lo = x * n_states
+        x_new = min(bisect_right(cums[s], draw(), lo, lo + n_states) - lo, last)
+        s_new = int(scheme.step(k, x, x_new, s, stream))
         if not 0 <= s_new < family.size:
             raise SchemeEscape(f"scheme produced index {s_new} outside family at step {k}")
-        X[k] = x_new
-        S[k] = s_new
+        X.append(x_new)
+        S.append(s_new)
         x, s = x_new, s_new
-    return Trajectory(X=X, S=S, n=n)
+    return Trajectory(X=np.array(X, dtype=np.int64), S=np.array(S, dtype=np.int64), n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +312,9 @@ def martingale_check(
 # ---------------------------------------------------------------------------
 # vectorized ensemble over deterministic index schedules
 #
-# Column r of the uniform matrix is the first n draws of the stream for
-# seed material r, so a single chain run with the same seed and schedule
-# visits exactly the same states.
+# Column r of the uniform block holds the next draws of the stream for
+# seed material r, refilled every ``_STREAM_BLOCK`` steps, so a single chain
+# run with the same seed and schedule visits exactly the same states.
 #
 # Each step finds, for every replication, the first entry of its row's
 # cumsum that exceeds its uniform: ``bisect_right``'s index.  Cumsums never
@@ -326,11 +345,11 @@ def ensemble_schedule_run(
     Returns per-replication sums ``sum_{k<=n} phi(X_k)``, optionally the
     running sums recorded at ``record_prefixes`` (an array of shape
     ``(len(prefixes), R)``), the per-replication adaptation sums ``A_n``
-    exactly when ``solutions`` holds every scheduled index (else None), and
-    the final states.  Each step costs ``O(R log n_states)``.  A scheduled
-    index outside the family raises SchemeEscape; an ``x0`` outside the
-    state space, or ``record_prefixes`` not strictly increasing within
-    ``[1, n]``, raises ValueError.
+    when ``solutions`` is given (else None), and the final states.  Each
+    step costs ``O(R log n_states)``.  A scheduled index outside the family
+    raises SchemeEscape; an ``x0`` outside the state space,
+    ``record_prefixes`` not strictly increasing within ``[1, n]``, or
+    ``solutions`` lacking a scheduled index raises ValueError.
     """
     if not 0 <= x0 < family.n_states:
         raise ValueError(f"x0={x0} outside state space")
@@ -338,18 +357,22 @@ def ensemble_schedule_run(
     prefixes = [] if record_prefixes is None else [int(k) for k in record_prefixes]
     if not all(a < b for a, b in zip([0, *prefixes], [*prefixes, n + 1])):
         raise ValueError(f"record_prefixes must increase strictly within [1, {n}]")
+    if solutions is not None:
+        used = np.unique(indices)
+        unsolved = used[np.isnan(solutions.g[used]).any(axis=1)]
+        if unsolved.size:
+            raise ValueError(f"solutions lack scheduled index {unsolved[0]}")
     R = len(seed_seqs)
-    U = np.empty((n, R))
-    for i, ss in enumerate(seed_seqs):
-        U[:, i] = chain_generator(ss).random(n)
+    streams = [chain_generator(ss) for ss in seed_seqs]
+    U = np.empty((min(n, _STREAM_BLOCK), R))
     n_states = family.n_states
     halves = []
     width = n_states
     while width > _BISECT_WINDOW:
         halves.append(width // 2)
         width -= width // 2
-    # flats[s][x * n_states + j] is entry [x, j] of table s; windows[s][i] is flats[s][i : i + width]
-    flats = [cum.reshape(-1) for cum in _cum_tables(family)]
+    # windows[s][i] is flats[s][i : i + width]
+    flats = _cum_tables(family)
     windows = [sliding_window_view(flat, width) for flat in flats]
     schedule = np.asarray(indices).tolist()
     states = np.full(R, x0, dtype=np.int64)
@@ -359,8 +382,13 @@ def ensemble_schedule_run(
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
     for k in range(1, n + 1):
+        j = (k - 1) % _STREAM_BLOCK
+        if j == 0:
+            block = min(_STREAM_BLOCK, n - k + 1)
+            for i, rng in enumerate(streams):
+                U[:block, i] = rng.random(block)
         s_prev = schedule[k - 1]
-        u = U[k - 1]
+        u = U[j]
         flat = flats[s_prev]
         row = states * n_states
         start = row
@@ -397,6 +425,8 @@ def lln_study(
     seeds and the log-log slope of the medians.  Restricted to exogenous
     (fixed-index-sequence) schemes so replications can run in lockstep.
     """
+    if len(seeds) == 0:
+        raise ValueError("lln_study needs at least one seed")
     n_grid = sorted({int(n) for n in n_grid})
     n_max = n_grid[-1]
     indices = scheme.index_array(n_max)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+from bisect import bisect_right
 from statistics import NormalDist
 
 import numpy as np
@@ -34,6 +37,8 @@ from amcmc.kernels import (
 )
 from amcmc.ledger import (
     _KS_TAIL_FROM,
+    _STREAM_BLOCK,
+    PoissonTable,
     Trajectory,
     _kolmogorov_cdf,
     _smirnov_tail,
@@ -341,6 +346,12 @@ class TestEnsembleContract:
             traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
             assert sequential_sum(phi.values[traj.X[1:]]) == sums[r]
             assert traj.X[-1] == last[r]
+        # the ensemble reads only g, so any finite rows stand in for solutions
+        g = rng.normal(size=(size, n_states))
+        prefixes = sorted(set(rng.integers(1, n + 1, size=3).tolist())) if n else []
+        check_against_reference_ensemble(
+            fam, indices, phi, n, seed_seqs, x0, prefixes, PoissonTable(g=g, Pg=g, Pg2=g)
+        )
 
 
 def circulant_kernel(n_states: int, weights, shifts) -> StochasticMatrix:
@@ -407,6 +418,180 @@ class TestLockstepBisect:
         with pytest.raises(ValueError, match="record_prefixes"):
             ensemble_schedule_run(fam, np.zeros(11, dtype=np.int64), phi, 10,
                                   [np.random.SeedSequence(1)], x0=0, record_prefixes=prefixes)
+
+
+def reference_chain(family, scheme, x0, s0, n, seed):
+    """Reference chain driver: every table copied into nested lists, one
+    scalar ``rng.random()`` per draw, X and S filled into numpy arrays.
+    Returns ``(X, S)``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    X = np.empty(n + 1, dtype=np.int64)
+    S = np.empty(n + 1, dtype=np.int64)
+    X[0] = x0
+    S[0] = scheme.start(s0, rng)
+    cums = []
+    for P in family.kernels:
+        cum = np.cumsum(P.rows, axis=1)
+        cum[:, -1] = 1.0
+        cums.append(cum.tolist())
+    x, s = int(X[0]), int(S[0])
+    for k in range(1, n + 1):
+        u = rng.random()
+        x_new = min(bisect_right(cums[s][x], u), family.n_states - 1)
+        s_new = int(scheme.step(k, x, x_new, s, rng))
+        X[k] = x_new
+        S[k] = s_new
+        x, s = x_new, s_new
+    return X, S
+
+
+ORACLE_SCHEMES = ("constant", "schedule", "mean", "rate", "rare-bernoulli", "rare-log")
+
+
+def oracle_scheme(name: str, family, n: int, rng):
+    """A fresh scheme of kind ``name``; ``family`` must carry a parameter grid."""
+    if name == "constant":
+        return ConstantScheme()
+    if name == "schedule":
+        return ScheduleScheme(index_schedule("random", family.size, n, rng))
+    if name == "mean":
+        return MeanTrackingScheme(family, rng.uniform(size=family.n_states))
+    if name == "rate":
+        return RateTargetScheme(family, target=0.234, c=1.0)
+    # a Bernoulli schedule draws after each transition uniform; log-increment draws nothing
+    make = bernoulli_log_schedule if name == "rare-bernoulli" else log_increment_schedule
+    return RareCycleScheme(family, lambda: make(1.0, 0.1))
+
+
+def gridded(family):
+    return dataclasses.replace(family, params=tuple(np.linspace(0.0, 1.0, family.size)))
+
+
+# every block edge of the drivers' stream reads
+BLOCK_EDGES = (_STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK + 1)
+
+
+class TestChainOracle:
+    """The driver against the reference driver, bit for bit."""
+
+    @staticmethod
+    def check(family, name, x0, s0, n, seed):
+        scheme_rng = np.random.default_rng(seed)
+        expected = reference_chain(family, oracle_scheme(name, family, n, scheme_rng), x0, s0, n, seed)
+        scheme_rng = np.random.default_rng(seed)
+        traj = run_adaptive_chain(family, oracle_scheme(name, family, n, scheme_rng), x0, s0, n, seed)
+        assert traj.X.dtype == traj.S.dtype == np.int64
+        assert traj.X.tolist() == expected[0].tolist()
+        assert traj.S.tolist() == expected[1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(FAMILY_KINDS),
+        name=st.sampled_from(ORACLE_SCHEMES),
+        n_states=st.integers(min_value=1, max_value=90),
+        size=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_reference_chain(self, kind, name, n_states, size, n, seed):
+        fam = gridded(random_family(kind, n_states, size, seed))
+        rng = np.random.default_rng(seed + 1)
+        self.check(fam, name, int(rng.integers(n_states)), int(rng.integers(size)), n, seed)
+
+    @pytest.mark.parametrize("name", ["rare-bernoulli", "mean"])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_block_edges(self, name, n):
+        fam = gridded(random_family("sparse", 7, 3, seed=n))
+        self.check(fam, name, 6, 1, n, np.random.SeedSequence(entropy=n, spawn_key=(2,)))
+
+
+def reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes, g):
+    """Per replication, the reference chain summed left to right: ``phi``
+    sums, the sums at ``prefixes``, ``A_n`` from the solutions ``g`` (rows
+    by member), and the last state."""
+    sums, recorded, a_sums, last = [], [], [], []
+    for ss in seed_seqs:
+        X, S = reference_chain(family, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
+        total = a_n = 0.0
+        at = []
+        for k in range(1, n + 1):
+            total += phi.values[X[k]]
+            if S[k] != S[k - 1]:
+                a_n += g[S[k], X[k]] - g[S[k - 1], X[k]]
+            if k in prefixes:
+                at.append(total)
+        sums.append(total)
+        recorded.append(at)
+        a_sums.append(a_n)
+        last.append(int(X[-1]))
+    return sums, np.array(recorded).T.tolist(), a_sums, last
+
+
+def check_against_reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes, table):
+    sums, recorded, a_sums, last = ensemble_schedule_run(
+        family, indices, phi, n, seed_seqs, x0, record_prefixes=prefixes, solutions=table
+    )
+    expected = reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes, table.g)
+    assert sums.tolist() == expected[0]
+    assert (recorded.tolist() if prefixes else []) == expected[1]
+    assert a_sums.tolist() == expected[2]
+    assert last.tolist() == expected[3]
+
+
+class TestEnsembleOracle:
+    """The lockstep ensemble against the reference chain across the stream's
+    block edges; the random-family property is in TestEnsembleContract."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_block_edges(self, n):
+        fam = grid_family(states=6, members=3)
+        phi = TestFunction.from_values(np.random.default_rng(n).normal(size=6), fam.pi)
+        indices = (np.arange(n + 1) // 3) % fam.size
+        table = poisson_table(fam, phi, range(fam.size))
+        edges = {1, _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK, n}
+        prefixes = sorted(k for k in edges if k <= n)
+        seed_seqs = [np.random.SeedSequence(entropy=n, spawn_key=(r,)) for r in range(3)]
+        check_against_reference_ensemble(fam, indices, phi, n, seed_seqs, 5, prefixes, table)
+
+    def test_solutions_missing_a_scheduled_index_rejected(self):
+        fam = smoothed_family(cyclic_pair(), 0.2)
+        phi = TestFunction.indicator(0, fam.pi)
+        table = poisson_table(fam, phi, [0])
+        with pytest.raises(ValueError, match="index 1"):
+            ensemble_schedule_run(fam, np.arange(11) % 2, phi, 10,
+                                  [np.random.SeedSequence(1)], x0=0, solutions=table)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced while ``run()`` executes, after one untraced warm-up."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDriverMemory:
+    """The drivers read the cumsum tables in place and hold one block of
+    uniforms, not a copy of the family or the whole stream."""
+
+    def test_chain_peak_below_twice_the_tables(self):
+        fam = random_family("sparse", 200, 8, seed=3)
+        peak = traced_peak(lambda: run_adaptive_chain(fam, ConstantScheme(), 0, 0, 100, 1))
+        assert peak < 2 * 8 * 200**2 * 8
+
+    def test_ensemble_peak_below_the_whole_stream(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        n, reps = 20000, 8
+        indices = np.zeros(n + 1, dtype=np.int64)
+        seed_seqs = [np.random.SeedSequence(r) for r in range(reps)]
+        peak = traced_peak(lambda: ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0))
+        assert peak < n * reps * 8
 
 
 class TestIndexOutsideFamily:
@@ -509,6 +694,13 @@ class TestLlnStudy:
         scheme = ScheduleScheme(np.zeros(1_001, dtype=np.int64))
         with pytest.raises(ValueError, match="record_prefixes"):
             lln_study(fam, scheme, phi, n_grid=[0, 1_000], seeds=[1, 2])
+
+    def test_no_seeds_rejected(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        scheme = ScheduleScheme(np.zeros(11, dtype=np.int64))
+        with pytest.raises(ValueError, match="seed"):
+            lln_study(fam, scheme, phi, n_grid=[10], seeds=[])
 
 
 class TestCltStudy:
