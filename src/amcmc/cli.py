@@ -122,11 +122,11 @@ def _typed(name: str, value, kind: type, least=None, choices=None):
     return v
 
 
-def _int_list(name: str, value, least: int) -> list:
-    """A non-empty list field of ints ``>= least``, else a ConfigError."""
+def _typed_list(name: str, value, kind: type, least=None) -> list:
+    """A non-empty list field, each entry checked by :func:`_typed`."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a list of one or more ints, got {value!r}")
-    return [_typed(name, v, int, least) for v in value]
+        raise ConfigError(f"{name} must be a list of one or more {kind.__name__}s, got {value!r}")
+    return [_typed(name, v, kind, least) for v in value]
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -234,15 +234,14 @@ def build_family(spec: dict) -> families.KernelFamily:
             pi = kernels.stationary_distribution(loaded[0][0])
         return families.KernelFamily(kernels=tuple(P for P, _ in loaded), pi=pi)
     if kind == "rwm-grid":
+        a = _typed("family.a", spec.get("a", 0.1), float, least=0)
+        b = _typed("family.b", spec.get("b", 10.0), float, least=0)
+        sigmas = _typed_list("family.sigmas", spec.get("sigmas"), float, least=0)
+        params = [rwm.RwmParameter.from_scalar(s, a, b) for s in sigmas]
         target = rwm.load_target(spec["target"])
-        a, b = float(spec.get("a", 0.1)), float(spec.get("b", 10.0))
-        sigmas = spec.get("sigmas")
-        if not sigmas:
-            raise ConfigError("family kind 'rwm-grid' needs a 'sigmas' list")
-        params = [rwm.RwmParameter.from_scalar(float(s), a, b) for s in sigmas]
         mats = tuple(rwm.build_discrete_rwm(target, p) for p in params)
         pi = target.grid_distribution()
-        return families.KernelFamily(kernels=mats, pi=pi, params=tuple(float(s) for s in sigmas))
+        return families.KernelFamily(kernels=mats, pi=pi, params=tuple(sigmas))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -419,8 +418,7 @@ def cmd_counterexample(cfg: RunConfig) -> tuple:
     n_mc = 100_000
     for s_idx, (name, P) in enumerate(zip(("forward", "backward"), family.kernels)):
         consts = kernels.fit_ergodicity_constants([P], pi, horizon=32)
-        kernels.validate_ergodicity_constants(consts, [P], pi)
-        curves[name] = kernels.sup_tv_to_pi_curve(P, pi, horizon=32)
+        curves[name] = consts.curves[0]
         certificates[name] = {
             "C": consts.C,
             "rho": consts.rho,
@@ -471,12 +469,12 @@ def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
 
 
 def cmd_lln(cfg: RunConfig) -> tuple:
-    n_grid = _int_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), least=1)
+    n_grid = _typed_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), int, least=1)
     seeds_spec = cfg.get("seeds", {"count": 16})
     if isinstance(seeds_spec, dict):
         seeds = [cfg.seed + i for i in range(cfg.scalar("seeds.count", int, 16, least=1))]
     else:
-        seeds = _int_list("seeds", seeds_spec, least=0)
+        seeds = _typed_list("seeds", seeds_spec, int, least=0)
     expect = cfg.scalar("expect", str, "converge", choices=("converge", "fail"))
     fail_threshold = cfg.scalar("fail_threshold", float, 0.1)
     family = build_family(cfg.require("family"))
@@ -554,7 +552,6 @@ def cmd_bounds(cfg: RunConfig) -> tuple:
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     consts = kernels.fit_ergodicity_constants(list(family.kernels), family.pi, horizon)
-    kernels.validate_ergodicity_constants(consts, list(family.kernels), family.pi)
     sols = [poisson.solve_poisson_exact(P, family.pi, phi) for P in family.kernels]
     reports = [poisson.check_poisson_bound(sol, consts, phi) for sol in sols]
     for i in range(family.size):

@@ -23,7 +23,7 @@ class NonUnique(AmcmcError, ArithmeticError):
 
 
 class NotSimultaneouslyErgodic(AmcmcError, ArithmeticError):
-    """No power of the kernels contracts uniformly within the fitting horizon."""
+    """No power of the kernels contracts uniformly, or a certificate fails its curves."""
 
 
 class SingularBeyondCentering(AmcmcError, ArithmeticError):

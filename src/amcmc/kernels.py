@@ -3,8 +3,8 @@
 Kernels are row-stochastic matrices over a finite state space.  This module
 provides total-variation geometry (distances between measures, between
 kernels, and the one-step contraction coefficient), stationary-distribution
-solving, and a validated geometric-ergodicity certificate ``(C, rho)`` fitted
-from powers of the contraction coefficient.
+solving, and a geometric-ergodicity certificate ``(C, rho)`` fitted from
+powers of the contraction coefficient and checked against its own curves.
 """
 
 from __future__ import annotations
@@ -94,27 +94,40 @@ class Distribution:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErgodicityConstants:
-    """Validated geometric-ergodicity certificate for a kernel family.
+    """Geometric-ergodicity certificate for a kernel family, with its curves.
 
-    Certifies ``sup_x d_tv(P_s^k(x, .), pi) <= C * rho**k`` for every member
-    ``s`` and every ``k`` up to ``horizon`` (checked numerically), with
-    ``beta`` the largest one-step contraction coefficient in the family.
+    ``curves`` (read-only, members x horizon) holds ``e_s(k) = sup_x
+    d_tv(P_s^k(x, .), pi)`` for ``k = 1..horizon``.  Construction raises
+    :class:`NotSimultaneouslyErgodic` unless every ``e_s(k) <= C * rho**k +
+    BOUND_TOL``.  ``beta`` is the largest one-step contraction coefficient.
     """
 
     C: float
     rho: float
     beta: float
-    horizon: int
+    curves: np.ndarray
 
     def __post_init__(self):
-        if self.C < 1.0:
-            raise ValueError("C must be >= 1")
+        if not 1.0 <= self.C < np.inf:
+            raise ValueError("C must be finite and >= 1")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
+        curves = _as_readonly(self.curves)
+        if curves.ndim != 2 or curves.size < 1:
+            raise DimensionMismatch(f"curves must be (members, horizon), got {curves.shape}")
+        ks = np.arange(1, curves.shape[1] + 1)
+        worst = float(np.max(curves - self.C * self.rho**ks))
+        if not worst <= BOUND_TOL:  # a NaN curve fails too
+            raise NotSimultaneouslyErgodic(f"certificate violated by {worst:.3e}")
+        object.__setattr__(self, "curves", curves)
+
+    @property
+    def horizon(self) -> int:
+        return self.curves.shape[1]
 
 
 def _dists(x) -> np.ndarray:
@@ -165,23 +178,24 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     return _dobrushin_raw(P.rows)
 
 
-def _dobrushin_raw(rows: np.ndarray) -> float:
+def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None) -> float:
+    """The coefficient of ``rows``, worked out in ``work`` (two ``n x n`` blocks).
+    A caller taking many lends the same blocks to each call: the allocator hands
+    a freed block back to the OS and faults it in again on the next call."""
     n = rows.shape[0]
     if n == 1:
         return 0.0
-    e = 0.5 * np.abs(rows - rows.mean(axis=0)).sum(axis=1)
+    block, ordered = np.empty((2, n, n)) if work is None else work
+    diff = np.subtract(rows, rows.mean(axis=0), out=block)
+    e = 0.5 * np.abs(diff, out=diff).sum(axis=1)
     # rows by decreasing distance to the pivot: the pairs most likely to be
     # far apart come first, and each row's partners are a leading slice
     order = np.argsort(-e, kind="stable")
     e = e[order]
-    rows = rows[order]
+    rows = np.take(rows, order, axis=0, out=ordered)
     neg_e = -e  # ascending, for searchsorted
     slack = 64 * n * np.finfo(np.float64).eps
     best = 0.0
-    # one block holds every row's differences: a fresh block per row is up to
-    # n*n floats, which the allocator hands back to the OS and faults in again
-    # on each row
-    block = np.empty((n - 1, rows.shape[1]))
     for i in range(n - 1):
         # partners j > i with e[i] + e[j] > best - slack are rows i+1 .. stop-1
         stop = int(np.searchsorted(neg_e, e[i] - (best - slack), side="left"))
@@ -260,24 +274,33 @@ def is_stationary_for(pi: Distribution, P: StochasticMatrix, tol: float = STATIO
     return float(np.abs(pi.weights @ P.rows - pi.weights).max()) <= tol
 
 
+def _powers(P: StochasticMatrix, horizon: int):
+    """Yield ``P^1 .. P^horizon`` from two buffers used in turn: a yielded
+    power is overwritten two steps later, so read it before advancing."""
+    prev = P.rows.copy()
+    nxt = np.empty_like(prev)
+    for k in range(horizon):
+        if k:
+            np.matmul(prev, P.rows, out=nxt)
+            prev, nxt = nxt, prev
+        yield prev
+
+
+def _sup_tv_to_pi(Pk: np.ndarray, pi: Distribution, scratch: np.ndarray) -> float:
+    diff = np.subtract(Pk, pi.weights, out=scratch)
+    return 0.5 * np.abs(diff, out=diff).sum(axis=1).max()
+
+
 def sup_tv_to_pi_curve(P: StochasticMatrix, pi: Distribution, horizon: int) -> np.ndarray:
     """Worst-start convergence curve ``e(k) = max_x d_tv(P^k(x,.), pi)``.
 
-    Returns the values for ``k = 1..horizon``.
+    Returns the values for ``k = 1..horizon``.  Unlike a certificate it
+    needs no power to contract.
     """
     if pi.n != P.n:
         raise DimensionMismatch(f"length mismatch: {pi.n} vs {P.n}")
-    out = np.empty(horizon)
-    Pk = P.rows.copy()
-    for k in range(1, horizon + 1):
-        if k > 1:
-            Pk = Pk @ P.rows
-        out[k - 1] = _sup_tv_to_pi(Pk, pi)
-    return out
-
-
-def _sup_tv_to_pi(Pk: np.ndarray, pi: Distribution) -> float:
-    return 0.5 * np.abs(Pk - pi.weights[None, :]).sum(axis=1).max()
+    scratch = np.empty((P.n, P.n))
+    return np.array([_sup_tv_to_pi(Pk, pi, scratch) for Pk in _powers(P, horizon)])
 
 
 def fit_ergodicity_constants(
@@ -289,9 +312,10 @@ def fit_ergodicity_constants(
     ``m <= horizon`` whose worst contraction coefficient is below one; the
     constant is ``C = max(1, max_{s,k<=horizon} e_s(k) / rho**k)`` where
     ``e_s(k)`` is the worst-start total variation to ``pi`` after ``k``
-    steps.  The certificate is validated over the fitted horizon; beyond it
-    the contraction of the ``m``-th power keeps the decay geometric at the
-    same rate.  This is one valid certificate, not the tightest.
+    steps.  One walk over each member's powers gives both; the certificate
+    keeps the curves and is checked against them when built.  Beyond the
+    horizon the contraction of the ``m``-th power keeps the decay geometric
+    at the same rate.  This is one valid certificate, not the tightest.
 
     Parameters
     ----------
@@ -305,7 +329,8 @@ def fit_ergodicity_constants(
     Raises
     ------
     NotSimultaneouslyErgodic
-        If no power up to ``horizon`` contracts for every family member.
+        If no power up to ``horizon`` contracts for every family member, or
+        the fitted certificate fails its own curves.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -315,56 +340,28 @@ def fit_ergodicity_constants(
         if not is_stationary_for(pi, P):
             raise ValueError(f"kernel {idx} does not leave pi invariant")
 
-    # worst contraction coefficient of each power across the family, and each
-    # member's curve e_s(k) from the same powers sup_tv_to_pi_curve would build
-    beta_m = np.ones(horizon + 1)
+    # one walk over each member's powers gives the contraction coefficient and
+    # the curve value e_s(k) of every power
+    betas = np.empty((len(P_list), horizon))
     curves = np.empty((len(P_list), horizon))
-    powers = [P.rows.copy() for P in P_list]
-    for m in range(1, horizon + 1):
-        if m > 1:
-            powers = [Pk @ P.rows for Pk, P in zip(powers, P_list)]
-        beta_m[m] = max(_dobrushin_raw(Pk) for Pk in powers)
-        for s, Pk in enumerate(powers):
-            curves[s, m - 1] = _sup_tv_to_pi(Pk, pi)
-    beta = beta_m[1]
+    work = np.empty((2, pi.n, pi.n))
+    for s, P in enumerate(P_list):
+        for k, Pk in enumerate(_powers(P, horizon)):
+            betas[s, k] = _dobrushin_raw(Pk, work)
+            curves[s, k] = _sup_tv_to_pi(Pk, pi, work[0])
+    beta_m = betas.max(axis=0)  # worst coefficient of P^m across the family
 
-    candidates = [
-        (beta_m[m] ** (1.0 / m), m) for m in range(1, horizon + 1) if beta_m[m] < 1.0
-    ]
-    if not candidates:
+    rates = [b ** (1.0 / m) for m, b in enumerate(beta_m, start=1) if b < 1.0]
+    if not rates:
         raise NotSimultaneouslyErgodic(
             f"no power m <= {horizon} has contraction coefficient < 1 for the whole family"
         )
-    rho, _ = min(candidates)
+    rho = min(rates)
 
     C = 1.0
     if rho > 0.0:
-        ks = np.arange(1, horizon + 1)
-        for e in curves:
-            C = max(C, float(np.max(e / rho**ks)))
-    return ErgodicityConstants(C=C, rho=float(rho), beta=float(beta), horizon=horizon)
-
-
-def validate_ergodicity_constants(
-    consts: ErgodicityConstants,
-    P_list: Sequence[StochasticMatrix],
-    pi: Distribution,
-    tol: float = BOUND_TOL,
-) -> float:
-    """Check ``e_s(k) <= C rho**k + tol`` over the fitted horizon.
-
-    Returns the worst signed violation ``max(e_s(k) - C rho**k)``; a value
-    below ``tol`` means the certificate is valid.
-    """
-    worst = -np.inf
-    ks = np.arange(1, consts.horizon + 1)
-    bound = consts.C * consts.rho**ks
-    for P in P_list:
-        e = sup_tv_to_pi_curve(P, pi, consts.horizon)
-        worst = max(worst, float(np.max(e - bound)))
-    if worst > tol:
-        raise NotSimultaneouslyErgodic(f"certificate violated by {worst:.3e}")
-    return worst
+        C = max(C, float(np.max(curves / rho ** np.arange(1, horizon + 1))))
+    return ErgodicityConstants(C=C, rho=float(rho), beta=float(beta_m[0]), curves=curves)
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,8 @@ def lln_study(
     """
     if len(seeds) == 0:
         raise ValueError("lln_study needs at least one seed")
+    if len(n_grid) == 0:
+        raise ValueError("lln_study needs a non-empty n_grid")
     n_grid = sorted({int(n) for n in n_grid})
     n_max = n_grid[-1]
     indices = scheme.index_array(n_max)

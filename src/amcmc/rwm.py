@@ -142,8 +142,8 @@ def bimodal_mixture_target(bounds, m: int, centers, sd=0.5, weights=None) -> Com
 class RwmParameter:
     """Proposal covariance with a certified eigenvalue range.
 
-    Symmetric within ``1e-10`` and all eigenvalues within ``[a, b]``
-    (closed interval, with a small roundoff guard).
+    Finite, symmetric within ``1e-10`` and all eigenvalues within the finite
+    ``[a, b]`` (closed interval, with a small roundoff guard).
     """
 
     Sigma: np.ndarray
@@ -154,10 +154,12 @@ class RwmParameter:
         S = np.atleast_2d(np.asarray(self.Sigma, dtype=np.float64))
         if S.shape[0] != S.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {S.shape}")
+        if not np.all(np.isfinite(S)):
+            raise ValueError("covariance must be finite")
         if float(np.abs(S - S.T).max()) > SYMMETRY_TOL:
             raise ValueError("covariance must be symmetric within 1e-10")
-        if not 0.0 < self.a < self.b:
-            raise ValueError("need 0 < a < b")
+        if not 0.0 < self.a < self.b < np.inf:
+            raise ValueError("need 0 < a < b < inf")
         eig = np.linalg.eigvalsh(0.5 * (S + S.T))
         if eig.min() < self.a - EIG_TOL or eig.max() > self.b + EIG_TOL:
             raise ValueError(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import amcmc
+from amcmc import kernels
 from amcmc.cli import RunConfig, build_family, build_scheme, main
 from amcmc.errors import ConfigError
 
@@ -32,6 +33,12 @@ def run_subprocess(argv, **env):
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR), **env),
     )
+
+
+# a small valid rwm-grid family spec, for rows that break one of its fields
+RWM_GRID = {"kind": "rwm-grid", "sigmas": [0.5, 1.0],
+            "target": {"d": 1, "bounds": [[-3.0, 3.0]], "m": 8,
+                       "density": {"kind": "truncated-gaussian"}}}
 
 
 def only_run_dir(out_dir, experiment):
@@ -329,12 +336,16 @@ class TestPinnedArtifacts:
                 "reports.csv": "28d92a41aa89bd59bbbc9ea175e16ec983a9bba08a45ec56f90c9638b63fdc55",
                 "reports.json":
                     "d392af2c14ed4113d234f8c6738bb3f61bc796079f0427b2b80db209b68755b1"}),
+            ("bounds", "bounds_rwm_grid.json", {
+                "reports.csv": "ed5f56d8c1a27503ddbd91f187cee3507d9d74b0813263d934dfb506bba0158f"}),
             ("waning", "waning_rare.json", {
                 "waning.csv": "1dedb2dc77f695f42054b33b726700b373020cde406a1ec17e29b38edf6c5027"}),
             ("waning", "waning_constant_control.json", {
                 "waning.csv": "3ac8018234dc0a84bb4901c7ce2062eb1d05df1511ed7a2ede20227bd2ffe3de"}),
             ("counterexample", None, {
                 "orbit.csv": "6170b229a50c35acf75dc118022f78c0dd6a2276faeba184ea4af742c4c126ac",
+                "ergodicity.csv":
+                    "8d9100a23891bc48e40a174bbf16ddb391b38ed878a9de0f7a04ca6c8fb8fc1e",
                 "kernel_forward.json":
                     "bae11272add0331380e7aa69b86f36e1734f18b2b41e19e159806ff28883b512",
                 "kernel_backward.json":
@@ -444,6 +455,20 @@ class TestConfigHandling:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "NotIrreducible" in lines[0]
 
+    def test_violated_certificate_is_one_line_and_leaves_no_run_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a tolerance below every margin: no fitted certificate can be built
+        monkeypatch.setattr(kernels, "BOUND_TOL", -1.0)
+        out = tmp_path / "runs"
+        code = run(["bounds", "--config", str(CONFIG_DIR / "bounds_mixture.json"),
+                    "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: NotSimultaneouslyErgodic: certificate violated by")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,payload,message",
         [
@@ -500,6 +525,18 @@ class TestConfigHandling:
             ("lln", {"family": {"kind": "iid"}, "seeds": [3, -1]}, "seeds must be >= 0"),
             ("lln", {"family": {"kind": "iid"}, "expect": "fails"},
              "expect must be one of converge|fail"),
+            ("bounds", {"family": {**RWM_GRID, "sigmas": "abc"}},
+             "family.sigmas must be a list of one or more floats, got 'abc'"),
+            ("bounds", {"family": {**RWM_GRID, "sigmas": []}},
+             "family.sigmas must be a list of one or more floats"),
+            ("bounds", {"family": {**RWM_GRID, "sigmas": [0.5, float("nan")]}},
+             "family.sigmas must be > 0 and finite, got nan"),
+            ("bounds", {"family": {**RWM_GRID, "sigmas": [0.5, "x"]}},
+             "family.sigmas must be float, got 'x'"),
+            ("bounds", {"family": {**RWM_GRID, "a": float("nan")}},
+             "family.a must be > 0 and finite, got nan"),
+            ("bounds", {"family": {**RWM_GRID, "b": float("inf")}},
+             "family.b must be > 0 and finite, got inf"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(

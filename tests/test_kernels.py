@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amcmc import kernels
 from amcmc.cli import build_family
 from amcmc.errors import (
     DimensionMismatch,
@@ -25,7 +26,6 @@ from amcmc.kernels import (
     stationary_distribution,
     sup_tv_to_pi_curve,
     tv_distance,
-    validate_ergodicity_constants,
     write_kernel_json,
 )
 
@@ -283,7 +283,13 @@ class TestFitErgodicityConstants:
         assert consts.beta == 1.0  # one-step coefficient does not contract
         assert consts.rho < 1.0
         assert np.isfinite(consts.C)
-        assert validate_ergodicity_constants(consts, list(fam.kernels), fam.pi) <= 1e-10
+        assert consts.horizon == 32
+        # the certificate's curves are the ones a separate pass gives, and it
+        # holds on them
+        for s, P in enumerate(fam.kernels):
+            assert np.array_equal(consts.curves[s], sup_tv_to_pi_curve(P, fam.pi, 32))
+        ks = np.arange(1, 33)
+        assert np.max(consts.curves - consts.C * consts.rho**ks) <= 1e-10
 
     def test_random_family_validated_against_power_oracle(self):
         rng = np.random.Generator(np.random.Philox(23))
@@ -321,7 +327,8 @@ class TestFitErgodicityConstants:
 
 def fit_ergodicity_constants_oracle(P_list, pi, horizon):
     """The certificate fit with an all-pairs coefficient for every power and a
-    separate pass over the powers for the curves ``e_s(k)``."""
+    separate pass over the powers for the curves ``e_s(k)``; returns
+    ``(C, rho, beta)`` and the curves."""
     beta = max(dobrushin_oracle(P.rows) for P in P_list)
     beta_m = np.ones(horizon + 1)
     powers = [P.rows.copy() for P in P_list]
@@ -330,18 +337,19 @@ def fit_ergodicity_constants_oracle(P_list, pi, horizon):
             powers = [Pk @ P.rows for Pk, P in zip(powers, P_list)]
         beta_m[m] = max(dobrushin_oracle(Pk) for Pk in powers)
     rho, _ = min((beta_m[m] ** (1.0 / m), m) for m in range(1, horizon + 1) if beta_m[m] < 1.0)
+    curves = np.empty((len(P_list), horizon))
+    for s, P in enumerate(P_list):
+        Pk = P.rows.copy()
+        for k in range(1, horizon + 1):
+            if k > 1:
+                Pk = Pk @ P.rows
+            curves[s, k - 1] = 0.5 * np.abs(Pk - pi.weights[None, :]).sum(axis=1).max()
     C = 1.0
     if rho > 0.0:
         ks = np.arange(1, horizon + 1)
-        for P in P_list:
-            e = np.empty(horizon)
-            Pk = P.rows.copy()
-            for k in range(1, horizon + 1):
-                if k > 1:
-                    Pk = Pk @ P.rows
-                e[k - 1] = 0.5 * np.abs(Pk - pi.weights[None, :]).sum(axis=1).max()
+        for e in curves:
             C = max(C, float(np.max(e / rho**ks)))
-    return C, float(rho), float(beta)
+    return (C, float(rho), float(beta)), curves
 
 
 class TestFitMatchesOracle:
@@ -361,18 +369,52 @@ class TestFitMatchesOracle:
             cfg["family"]["sigmas"] = sigmas
         fam = build_family(cfg["family"])
         consts = fit_ergodicity_constants(list(fam.kernels), fam.pi, cfg["horizon"])
-        expected = fit_ergodicity_constants_oracle(list(fam.kernels), fam.pi, cfg["horizon"])
+        expected, curves = fit_ergodicity_constants_oracle(
+            list(fam.kernels), fam.pi, cfg["horizon"]
+        )
         assert (consts.C, consts.rho, consts.beta) == expected
+        assert np.array_equal(consts.curves, curves)
 
 
 class TestErgodicityConstantsType:
     def test_rejects_rho_one(self):
         with pytest.raises(ValueError):
-            ErgodicityConstants(C=1.0, rho=1.0, beta=1.0, horizon=4)
+            ErgodicityConstants(C=1.0, rho=1.0, beta=1.0, curves=np.zeros((1, 4)))
 
     def test_rejects_small_C(self):
         with pytest.raises(ValueError):
-            ErgodicityConstants(C=0.5, rho=0.5, beta=0.5, horizon=4)
+            ErgodicityConstants(C=0.5, rho=0.5, beta=0.5, curves=np.zeros((1, 4)))
+
+    def test_rejects_infinite_C(self):
+        with pytest.raises(ValueError):
+            ErgodicityConstants(C=np.inf, rho=0.5, beta=0.5, curves=np.zeros((1, 4)))
+
+    def test_curves_give_horizon_and_are_read_only(self):
+        consts = ErgodicityConstants(C=1.0, rho=0.5, beta=0.5, curves=0.5 ** np.arange(1, 5)[None])
+        assert consts.horizon == 4
+        with pytest.raises(ValueError):
+            consts.curves[0, 0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 0), (0, 4)])
+    def test_rejects_curves_that_are_not_a_table(self, shape):
+        with pytest.raises(DimensionMismatch):
+            ErgodicityConstants(C=1.0, rho=0.5, beta=0.5, curves=np.zeros(shape))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_curve_above_bound_is_rejected(self, k):
+        ks = np.arange(1, 5)
+        curves = np.vstack([np.zeros(4), 2.0 * 0.5**ks])
+        curves[1, k - 1] += 2 * kernels.BOUND_TOL
+        # within BOUND_TOL of the bound is accepted; above it is not
+        ok = curves.copy()
+        ok[1, k - 1] -= 1.5 * kernels.BOUND_TOL
+        assert ErgodicityConstants(C=2.0, rho=0.5, beta=0.5, curves=ok).horizon == 4
+        with pytest.raises(NotSimultaneouslyErgodic, match="certificate violated by"):
+            ErgodicityConstants(C=2.0, rho=0.5, beta=0.5, curves=curves)
+
+    def test_nan_curve_is_rejected(self):
+        with pytest.raises(NotSimultaneouslyErgodic):
+            ErgodicityConstants(C=1.0, rho=0.5, beta=0.5, curves=[[0.1, np.nan]])
 
 
 class TestFileFormats:

@@ -702,6 +702,13 @@ class TestLlnStudy:
         with pytest.raises(ValueError, match="seed"):
             lln_study(fam, scheme, phi, n_grid=[10], seeds=[])
 
+    def test_empty_grid_rejected_before_any_work(self):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        # no scheme: the grid is checked before the scheme is asked for indices
+        with pytest.raises(ValueError, match="non-empty n_grid"):
+            lln_study(fam, None, phi, n_grid=[], seeds=[1, 2])
+
 
 class TestCltStudy:
     def test_constant_phi_degenerates_cleanly(self):

@@ -34,6 +34,19 @@ class TestRwmParameter:
         with pytest.raises(ValueError):
             RwmParameter(Sigma=np.array([[1.0, 0.5], [0.0, 1.0]]), a=0.1, b=10.0)
 
+    @pytest.mark.parametrize(
+        "variance,a,b,message",
+        [
+            (float("nan"), 0.1, 10.0, "covariance must be finite"),
+            (float("inf"), 0.1, 10.0, "covariance must be finite"),
+            (1.0, 0.1, float("inf"), "need 0 < a < b < inf"),
+            (1.0, float("nan"), 10.0, "need 0 < a < b < inf"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, variance, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            RwmParameter.from_scalar(variance, a, b)
+
     def test_scalar_constructor(self):
         p = RwmParameter.from_scalar(1.0, 0.1, 10.0)
         assert p.d == 1
