@@ -19,7 +19,8 @@ class NotIrreducible(AmcmcError, ValueError):
 
 
 class NonUnique(AmcmcError, ArithmeticError):
-    """The stationary-distribution system is rank deficient beyond tolerance."""
+    """The stationary-distribution system is singular or its solution fails the
+    stationarity check."""
 
 
 class NotSimultaneouslyErgodic(AmcmcError, ArithmeticError):
@@ -27,11 +28,8 @@ class NotSimultaneouslyErgodic(AmcmcError, ArithmeticError):
 
 
 class SingularBeyondCentering(AmcmcError, ArithmeticError):
-    """The centered linear system is rank deficient (reducible kernel)."""
-
-
-class NoContraction(AmcmcError, ValueError):
-    """Series summation requires a contraction factor strictly below one."""
+    """The Poisson system is singular (two or more closed classes) or its
+    solution fails the residual or centering check."""
 
 
 class NegativeBeyondTolerance(AmcmcError, ArithmeticError):

@@ -218,46 +218,55 @@ def kernel_apply(P: StochasticMatrix, f) -> np.ndarray:
     return P.rows @ vec
 
 
-def _strongly_connected(rows: np.ndarray) -> bool:
+def _reaches(rows: np.ndarray, target: int) -> bool:
+    """Whether every state has a path of positive transitions to ``target``."""
     n = rows.shape[0]
-    adj = rows > 0.0
+    back = (rows > 0.0).T  # back[y, x]: a step x -> y
+    seen = np.zeros(n, dtype=bool)
+    seen[target] = True
+    frontier = [target]
+    while frontier:
+        nxt = back[frontier].any(axis=0) & ~seen
+        seen |= nxt
+        frontier = list(np.nonzero(nxt)[0])
+    return bool(seen.all())
 
-    def reachable(a: np.ndarray) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = a[frontier].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = list(np.nonzero(nxt)[0])
-        return bool(seen.all())
 
-    return reachable(adj) and reachable(adj.T)
+def _strongly_connected(rows: np.ndarray) -> bool:
+    # every state reaches state 0, and state 0 reaches every state
+    return _reaches(rows, 0) and _reaches(rows.T, 0)
 
 
 def stationary_distribution(P: StochasticMatrix) -> Distribution:
     """Solve ``d P = d`` for the unique stationary distribution.
 
-    Uses a direct least-squares solve of the centered system with an
-    appended normalization row (deterministic and exact to machine
-    precision for irreducible kernels).
+    One LU solve of ``(P^T - I) d = 0`` with its last equation replaced by
+    the normalisation ``1^T d = 1``.  For an irreducible kernel the
+    equations of ``P^T - I`` have rank ``n - 1`` and any one of them is
+    implied by the others, so the replaced system is nonsingular and its
+    solution exact to machine precision.  Rounding below zero is clipped
+    and the weights renormalised; the result must satisfy ``d P = d``
+    within ``1e-12``.
 
     Raises
     ------
     NotIrreducible
         If the transition graph is not strongly connected.
     NonUnique
-        If the linear system is rank deficient beyond tolerance.
+        If the LU factorisation meets an exactly singular pivot or the
+        stationarity residual exceeds tolerance.
     """
     if not _strongly_connected(P.rows):
         raise NotIrreducible("transition graph is not strongly connected")
     n = P.n
-    A = np.vstack([P.rows.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
+    A = P.rows.T - np.eye(n)
+    A[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < n:
-        raise NonUnique(f"stationary system has rank {rank} < {n}")
+    try:
+        sol = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NonUnique(f"stationary system is singular: {exc}") from None
     w = np.clip(sol, 0.0, None)
     w = w / w.sum()
     d = Distribution(w)
@@ -317,6 +326,17 @@ def fit_ergodicity_constants(
     horizon the contraction of the ``m``-th power keeps the decay geometric
     at the same rate.  This is one valid certificate, not the tightest.
 
+    The walk takes the curve value of every power but the contraction
+    coefficient only of ``m = 1`` (for ``beta``) and of ``m > horizon // 2``.
+    The coefficient is submultiplicative, ``beta(PQ) <= beta(P) beta(Q)``
+    (Seneta, *Non-negative Matrices and Markov Chains*), so
+    ``beta_{2m} <= beta_m**2`` and the rate of any ``m <= horizon // 2`` is
+    never below the rate of ``2m``; doubling reaches a power above
+    ``horizon // 2``.  In exact arithmetic the minimum over the kept powers
+    is the minimum over all of them.  In floating point a skipped power's
+    rate can come out smaller where the coefficients reach the rounding
+    floor or all rates tie (two-state kernels); the kept rate is then used.
+
     Parameters
     ----------
     P_list : sequence of StochasticMatrix
@@ -340,18 +360,20 @@ def fit_ergodicity_constants(
         if not is_stationary_for(pi, P):
             raise ValueError(f"kernel {idx} does not leave pi invariant")
 
-    # one walk over each member's powers gives the contraction coefficient and
-    # the curve value e_s(k) of every power
-    betas = np.empty((len(P_list), horizon))
+    # one walk over each member's powers gives the curve value e_s(k) of every
+    # power and the contraction coefficient of the powers that can set rho
+    kept = [1, *range(horizon // 2 + 1, horizon + 1)]
+    betas = np.empty((len(P_list), len(kept)))
     curves = np.empty((len(P_list), horizon))
     work = np.empty((2, pi.n, pi.n))
     for s, P in enumerate(P_list):
-        for k, Pk in enumerate(_powers(P, horizon)):
-            betas[s, k] = _dobrushin_raw(Pk, work)
-            curves[s, k] = _sup_tv_to_pi(Pk, pi, work[0])
+        for m, Pk in enumerate(_powers(P, horizon), start=1):
+            if m in kept:
+                betas[s, kept.index(m)] = _dobrushin_raw(Pk, work)
+            curves[s, m - 1] = _sup_tv_to_pi(Pk, pi, work[0])
     beta_m = betas.max(axis=0)  # worst coefficient of P^m across the family
 
-    rates = [b ** (1.0 / m) for m, b in enumerate(beta_m, start=1) if b < 1.0]
+    rates = [b ** (1.0 / m) for m, b in zip(kept, beta_m) if b < 1.0]
     if not rates:
         raise NotSimultaneouslyErgodic(
             f"no power m <= {horizon} has contraction coefficient < 1 for the whole family"

@@ -667,18 +667,15 @@ def write_ledger_csv(path, traj: Trajectory, ledger: DecompositionLedger) -> Non
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "x", "s_index", "delta", "M", "A", "R", "D", "cond_var"])
-        for k in range(1, traj.n + 1):
-            i = k - 1
-            writer.writerow(
-                [
-                    k,
-                    int(traj.X[k]),
-                    int(traj.S[k]),
-                    repr(float(ledger.Delta[i])),
-                    repr(float(ledger.M[i])),
-                    repr(float(ledger.A[i])),
-                    repr(float(ledger.R[i])),
-                    repr(float(ledger.D[i])),
-                    repr(float(ledger.cond_var[i])),
-                ]
+        columns = (
+            traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A, ledger.R, ledger.D,
+            ledger.cond_var,
+        )
+        # tolist() gives Python ints and floats, and csv writes a float as its
+        # repr; a block of rows at a time keeps those objects few
+        block = 4096
+        for start in range(0, traj.n, block):
+            stop = min(start + block, traj.n)
+            writer.writerows(
+                zip(range(start + 1, stop + 1), *(c[start:stop].tolist() for c in columns))
             )

@@ -17,10 +17,15 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeBeyondTolerance,
-    NoContraction,
     SingularBeyondCentering,
 )
-from .kernels import Distribution, ErgodicityConstants, StochasticMatrix, kernel_apply
+from .kernels import (
+    Distribution,
+    ErgodicityConstants,
+    StochasticMatrix,
+    _reaches,
+    kernel_apply,
+)
 
 RESIDUAL_TOL = 1e-10
 CENTERING_TOL = 1e-10
@@ -86,25 +91,34 @@ def solve_poisson_exact(
 ) -> PoissonSolution:
     """Solve ``(I - P) g = phi - pi(phi)`` subject to ``pi(g) = 0``.
 
-    The singular centered system is augmented with the normalization row
-    ``pi^T g = 0`` and solved by least squares; for ergodic ``P`` the system
-    is consistent and the solution exact to machine precision.
+    One LU solve of the fundamental-matrix system ``(I - P + 1 pi^T) g =
+    phi - pi(phi)`` (Kemeny & Snell, *Finite Markov Chains*).  Multiplying
+    it by ``pi^T`` and using ``pi P = pi`` gives ``pi(g) = 0``, so its
+    solution is the centered Poisson solution.  The matrix is nonsingular
+    exactly when ``P`` has a single closed class; a kernel with a transient
+    state solves as well.
 
     Raises
     ------
     SingularBeyondCentering
-        If the augmented system is rank deficient or the residual exceeds
-        ``1e-10`` (signals a reducible kernel).
+        If some state cannot reach the state of largest ``pi`` weight (two or
+        more closed classes), the LU factorisation meets an exactly singular
+        pivot, or the residual or centering exceeds ``1e-10``.
     """
     n = P.n
     if pi.n != n or phi.values.shape[0] != n:
         raise DimensionMismatch("kernel, distribution and function sizes must agree")
+    # with a second closed class the system is singular, and rounding can hand
+    # LU a tiny pivot instead of a zero one
+    if not _reaches(P.rows, int(np.argmax(pi.weights))):
+        raise SingularBeyondCentering("kernel has more than one closed class")
     phibar = phi.centered
-    A = np.vstack([np.eye(n) - P.rows, pi.weights[None, :]])
-    b = np.concatenate([phibar, [0.0]])
-    g, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < n:
-        raise SingularBeyondCentering(f"centered system has rank {rank} < {n}")
+    A = np.eye(n) - P.rows
+    A += pi.weights  # 1 pi^T: pi added to every row
+    try:
+        g = np.linalg.solve(A, phibar)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBeyondCentering(f"centered system is singular: {exc}") from None
     residual = float(np.abs(g - P.rows @ g - phibar).max())
     pi_mean = float(pi.weights @ g)
     if residual > RESIDUAL_TOL or abs(pi_mean) > CENTERING_TOL:
@@ -121,12 +135,11 @@ def neumann_truncation_index(
     """Smallest ``K`` with certified series tail below ``tol``.
 
     The tail after ``K`` terms is at most
-    ``C * rho**(K+1) * osc / (1 - rho)``.
+    ``C * rho**(K+1) * osc / (1 - rho)``; ``rho < 1`` holds for every
+    :class:`ErgodicityConstants`.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if consts.rho >= 1.0:
-        raise NoContraction("series summation requires rho < 1")
     if osc == 0.0 or consts.rho == 0.0:
         return 0
     target = tol * (1.0 - consts.rho) / (consts.C * osc)

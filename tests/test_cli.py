@@ -331,13 +331,13 @@ class TestPinnedArtifacts:
                     "74478ceb87e14987b76e6fd6233e6083da1571c9cc4d3f3513299da511f5ad67"}),
             ("poisson", "poisson_cyclic.json", {
                 "solution.csv":
-                    "733cc95848016d46054ca66625e8e02f3f09b1d2bfffd1a96a31e3afd19b2758"}),
+                    "ad57c12ccad64b950572a6053dc9f45cd2f5b8252d589a5f0331f509ad723558"}),
             ("bounds", "bounds_mixture.json", {
-                "reports.csv": "28d92a41aa89bd59bbbc9ea175e16ec983a9bba08a45ec56f90c9638b63fdc55",
+                "reports.csv": "48d77ba88f501f150c643706316aeb0098344ccc8161022bfee34e3d2dc509e3",
                 "reports.json":
-                    "d392af2c14ed4113d234f8c6738bb3f61bc796079f0427b2b80db209b68755b1"}),
+                    "a7ee8151c56151e287ac80aba00d305a3181a5c38784c221dede1eec82ced2be"}),
             ("bounds", "bounds_rwm_grid.json", {
-                "reports.csv": "ed5f56d8c1a27503ddbd91f187cee3507d9d74b0813263d934dfb506bba0158f"}),
+                "reports.csv": "ad02ad01afc5a4556fbf16b0750e7624b8c5344c521a128d064bf96baafa270c"}),
             ("waning", "waning_rare.json", {
                 "waning.csv": "1dedb2dc77f695f42054b33b726700b373020cde406a1ec17e29b38edf6c5027"}),
             ("waning", "waning_constant_control.json", {

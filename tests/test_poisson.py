@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcmc.errors import NegativeBeyondTolerance, SingularBeyondCentering
-from amcmc.families import cyclic_pair, iid_family, random_positive_kernel
+from amcmc.families import (
+    cyclic_pair,
+    iid_family,
+    random_metropolis_kernel,
+    random_positive_kernel,
+)
 from amcmc.kernels import (
     Distribution,
+    ErgodicityConstants,
     StochasticMatrix,
+    dobrushin_coefficient,
     fit_ergodicity_constants,
     kernel_apply,
     max_tv_between_kernels,
     stationary_distribution,
+    sup_tv_to_pi_curve,
 )
 from amcmc.poisson import (
     TestFunction,
@@ -33,6 +43,28 @@ def neumann_oracle(P, pi, phi, terms):
         term = P.rows @ term
         total = total + term
     return total
+
+
+def poisson_lstsq_reference(P, pi, phi):
+    """Least squares on the singular system with the centering row appended:
+    ``[I - P; pi^T] g = [phi - pi(phi); 0]``."""
+    n = P.n
+    A = np.vstack([np.eye(n) - P.rows, pi.weights[None, :]])
+    b = np.concatenate([phi.centered, [0.0]])
+    g, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    assert rank == n
+    return g
+
+
+def random_ergodic_kernel(kind: str, n: int, seed: int):
+    """A strictly positive kernel with its stationary distribution: Dirichlet
+    rows (``positive``) or a Metropolis kernel for a Dirichlet ``pi``."""
+    rng = np.random.default_rng(seed)
+    if kind == "positive":
+        P = random_positive_kernel(n, rng)
+        return P, stationary_distribution(P)
+    pi = Distribution(rng.dirichlet(np.ones(n)))
+    return random_metropolis_kernel(pi, rng), pi
 
 
 def spectral_variance_oracle(P, pi, phi):
@@ -116,6 +148,74 @@ class TestSolvePoissonExact:
         phi = TestFunction.from_values([1.0, 0.0], pi)
         with pytest.raises(SingularBeyondCentering):
             solve_poisson_exact(P, pi, phi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["positive", "metropolis"]),
+        n=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lu_matches_lstsq_reference_and_series_oracle(self, kind, n, seed):
+        P, pi = random_ergodic_kernel(kind, n, seed)
+        phi = TestFunction.from_values(np.random.default_rng(seed).normal(size=n), pi)
+        sol = solve_poisson_exact(P, pi, phi)
+        reference = poisson_lstsq_reference(P, pi, phi)
+        assert np.abs(sol.g - reference).max() <= 1e-12 * (1.0 + sol.sup_norm)
+        # a positive kernel contracts in one step: e(k) <= beta**k
+        beta = dobrushin_coefficient(P)
+        consts = ErgodicityConstants(
+            C=1.0, rho=beta, beta=beta, curves=sup_tv_to_pi_curve(P, pi, 8)[None]
+        )
+        tol = 1e-9
+        series = solve_poisson_neumann(P, pi, phi, tol, consts)
+        assert np.abs(sol.g - series.g).max() <= 2 * tol
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_two_closed_classes_raise(self, seed, consistent):
+        # block-diagonal kernel with classes of 1..4 states in shuffled order,
+        # pi a proper mixture of the two class distributions
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=2)
+        n = int(sizes.sum())
+        rows = np.zeros((n, n))
+        pi = np.zeros(n)
+        start = 0
+        for size, share in zip(sizes, (0.3, 0.7)):
+            block = random_positive_kernel(int(size), rng)
+            stop = start + int(size)
+            rows[start:stop, start:stop] = block.rows
+            pi[start:stop] = share * stationary_distribution(block).weights
+            start = stop
+        order = rng.permutation(n)
+        P = StochasticMatrix(rows[np.ix_(order, order)])
+        pi = Distribution(pi[order])
+        if consistent:
+            # phi = (I - P) h lies in the range of I - P, so solutions exist
+            # but are not unique: h plus any class-wise constant with pi-mean 0
+            h = rng.normal(size=n)
+            phi = TestFunction.from_values(h - P.rows @ h, pi)
+        else:
+            # the first class's own stationary mean of phi - pi(phi) is 0.7
+            phi = TestFunction.from_values((order < sizes[0]).astype(float), pi)
+        with pytest.raises(SingularBeyondCentering):
+            solve_poisson_exact(P, pi, phi)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transient_state_still_solves(self, seed):
+        # states 0-2 form the closed class; state 3 stays with probability 1/2
+        rng = np.random.default_rng(seed)
+        block = random_positive_kernel(3, rng)
+        rows = np.zeros((4, 4))
+        rows[:3, :3] = block.rows
+        rows[3] = np.append(0.5 * rng.dirichlet(np.ones(3)), 0.5)
+        P = StochasticMatrix(rows)
+        pi = Distribution(np.append(stationary_distribution(block).weights, 0.0))
+        phi = TestFunction.from_values(rng.normal(size=4), pi)
+        sol = solve_poisson_exact(P, pi, phi)
+        assert sol.residual_inf_norm <= 1e-10 and abs(sol.pi_mean) <= 1e-10
+        reference = poisson_lstsq_reference(P, pi, phi)
+        assert np.abs(sol.g - reference).max() <= 1e-12 * (1.0 + sol.sup_norm)
 
 
 class TestSolvePoissonNeumann:
