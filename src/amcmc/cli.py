@@ -75,10 +75,10 @@ class RunConfig:
             raise ConfigError(f"config field {key!r} is required for {self.experiment}")
         return self.raw[key]
 
-    def scalar(self, name: str, kind: type, default=None, least=None, choices=None):
+    def scalar(self, name: str, kind: type, default=None, least=None, choices=None, below=None):
         """Field ``name`` converted by ``kind`` (``int``, ``float``, ``str``
-        or ``bool``) and checked by :func:`_typed` against ``least`` and
-        ``choices``.
+        or ``bool``) and checked by :func:`_typed` against ``least``,
+        ``choices`` and ``below``.
 
         A dotted name such as ``"d_series.n"`` reads a field of a nested
         object.  A missing field gives ``default``, or is an error when
@@ -95,25 +95,36 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"config field {name!r} is required for {self.experiment}")
             return default
-        return _typed(name, obj[key], kind, least, choices)
+        return _typed(name, obj[key], kind, least, choices, below)
 
 
-def _typed(name: str, value, kind: type, least=None, choices=None):
+def _typed(name: str, value, kind: type, least=None, choices=None, below=None):
     """``kind(value)``, with a failed conversion or a broken range rule
     reported as a ConfigError.
 
-    A ``bool`` must be given as one; ``choices`` lists the allowed values;
-    an ``int`` must be ``>= least``; a ``float`` must be finite, and
-    ``> least`` when one is given.
+    A ``bool`` or ``str`` must be given as one, and a number never as a
+    bool.  An ``int`` must be integral (``7``, ``7.0`` or ``"7"``, never
+    ``2.9`` or ``1e400``), ``>= least`` and, given ``below`` (the bound a
+    family sets on a state or member index), ``< below``.  A ``float`` must
+    be finite, and ``> least`` when one is given.  ``choices`` lists the
+    allowed values.
     """
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if (
+        kind is str and not isinstance(value, str)
+        or kind is not bool and isinstance(value, bool)
+        or kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
     try:
         v = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
     if choices is not None and v not in choices:
         raise ConfigError(f"{name} must be one of {'|'.join(choices)}, got {value!r}")
+    if below is not None and not least <= v < below:
+        raise ConfigError(f"{name}={v} outside [{least}, {below})")
     if kind is int and not (least is None or least <= v):
         raise ConfigError(f"{name} must be >= {least}, got {v}")
     if kind is float and not (math.isfinite(v) and (least is None or least < v)):
@@ -122,52 +133,55 @@ def _typed(name: str, value, kind: type, least=None, choices=None):
     return v
 
 
-def _typed_list(name: str, value, kind: type, least=None) -> list:
+def _typed_list(name: str, value, kind: type, least=None, below=None) -> list:
     """A non-empty list field, each entry checked by :func:`_typed`."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a list of one or more {kind.__name__}s, got {value!r}")
-    return [_typed(name, v, kind, least) for v in value]
+    return [_typed(name, v, kind, least, below=below) for v in value]
+
+
+def _interval(name: str, value) -> tuple:
+    """``[lo, hi]``: two finite numbers with ``lo < hi``, kept as given."""
+    ok = (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(v) in (int, float) and -math.inf < v < math.inf for v in value)
+        and value[0] < value[1]
+    )
+    if not ok:
+        raise ConfigError(f"{name} must be [lo, hi] with finite lo < hi, got {value!r}")
+    return value[0], value[1]
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: line {exc.lineno}: {exc.msg}") from exc
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     return cfg
 
 
-def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
+def _setting(flag, name: str, cfg: dict, default):
+    """``flag`` when given, else ``AMCMC_<NAME>``, else config field ``name``."""
+    value = flag if flag is not None else os.environ.get(ENV_PREFIX + name.upper())
+    return cfg.get(name, default) if value is None else value
 
 
 def build_run_config(args, experiment: str) -> RunConfig:
     cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else _env("SEED")
-    if seed is None:
-        seed = cfg.get("seed", 0)
-    out = args.out if args.out is not None else _env("OUT")
-    if out is None:
-        out = cfg.get("out", "runs")
-    fmt = args.format if args.format is not None else _env("FORMAT")
-    if fmt is None:
-        fmt = cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    seed = _typed("seed", seed, int, least=0)
     return RunConfig(
         experiment=experiment,
         raw=cfg,
-        seed=seed,
-        out=Path(out),
-        fmt=fmt,
+        seed=_typed("seed", _setting(args.seed, "seed", cfg, 0), int, least=0),
+        out=Path(_typed("out", _setting(args.out, "out", cfg, "runs"), str)),
+        fmt=_typed("format", _setting(args.format, "format", cfg, "csv"), str,
+                   choices=("csv", "json")),
     )
 
 
@@ -176,7 +190,8 @@ def build_run_config(args, experiment: str) -> RunConfig:
 
 
 def _spec_errors(what: str):
-    """Report a builder's plain ValueError/KeyError/TypeError as a ConfigError.
+    """Report a builder's plain ValueError/KeyError/TypeError, or an OSError
+    from reading a file it names, as a ConfigError.
 
     Errors from this package keep their own type, so library failures such
     as a reducible kernel file stay distinguishable from malformed specs.
@@ -191,7 +206,7 @@ def _spec_errors(what: str):
                 raise
             except KeyError as exc:
                 raise ConfigError(f"{what} spec is missing field {exc.args[0]!r}") from exc
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OSError) as exc:
                 raise ConfigError(f"{what} spec: {exc}") from exc
 
         return build
@@ -207,27 +222,24 @@ def build_family(spec: dict) -> families.KernelFamily:
     if kind == "cyclic-pair":
         return families.cyclic_pair()
     if kind == "iid":
-        pi = Distribution(spec.get("pi", [0.5, 0.25, 0.25]))
-        return families.iid_family(pi)
+        pi = _typed_list("family.pi", spec.get("pi", [0.5, 0.25, 0.25]), float)
+        return families.iid_family(Distribution(pi))
     if kind == "mixture":
         base = families.cyclic_pair()
-        count = int(spec.get("count", 10))
+        count = _typed("family.count", spec.get("count", 10), int, least=2)
         return families.mixture_family(base.kernels[0], base.kernels[1], base.pi, count)
     if kind == "smoothed-cyclic":
-        eps = float(spec.get("epsilon", 0.2))
+        eps = _typed("family.epsilon", spec.get("epsilon", 0.2), float, least=0)
         return families.smoothed_family(families.cyclic_pair(), eps)
     if kind == "random-metropolis":
-        pi = Distribution(spec.get("pi", [0.4, 0.3, 0.2, 0.1]))
+        pi = _typed_list("family.pi", spec.get("pi", [0.4, 0.3, 0.2, 0.1]), float)
         return families.random_metropolis_family(
-            pi, count=int(spec.get("count", 2)), seed=int(spec.get("seed", 7))
+            Distribution(pi),
+            count=_typed("family.count", spec.get("count", 2), int, least=1),
+            seed=_typed("family.seed", spec.get("seed", 7), int, least=0),
         )
     if kind == "file":
-        paths = spec.get("paths")
-        if not paths:
-            raise ConfigError("family kind 'file' needs a non-empty 'paths' list")
-        missing = [p for p in paths if not Path(p).exists()]
-        if missing:
-            raise ConfigError(f"kernel files not found: {missing}")
+        paths = _typed_list("family.paths", spec.get("paths"), str)
         loaded = [kernels.read_kernel_json(p) for p in paths]
         pi = next((p for _, p in loaded if p is not None), None)
         if pi is None:
@@ -238,11 +250,43 @@ def build_family(spec: dict) -> families.KernelFamily:
         b = _typed("family.b", spec.get("b", 10.0), float, least=0)
         sigmas = _typed_list("family.sigmas", spec.get("sigmas"), float, least=0)
         params = [rwm.RwmParameter.from_scalar(s, a, b) for s in sigmas]
-        target = rwm.load_target(spec["target"])
+        target = build_target(spec["target"])
         mats = tuple(rwm.build_discrete_rwm(target, p) for p in params)
         pi = target.grid_distribution()
         return families.KernelFamily(kernels=mats, pi=pi, params=tuple(sigmas))
     raise ConfigError(f"unknown family kind {kind!r}")
+
+
+@_spec_errors("target")
+def build_target(spec: dict) -> rwm.CompactTarget:
+    """The target of an ``rwm-grid`` family: ``{"d", "bounds": [[lo, hi], ...],
+    "m", "density": {"kind": "uniform" | "truncated-gaussian" | "bimodal-mixture"
+    | "table", ...}}``.  A truncated Gaussian's ``mean`` and ``sd`` are one
+    number or one per axis; a table gives each grid cell's weight, row-major."""
+    d = _typed("target.d", spec["d"], int, least=1)
+    bounds = [_interval("target.bounds", pair) for pair in spec["bounds"]]
+    if len(bounds) != d:
+        raise ConfigError(f"target.bounds must hold d={d} [lo, hi] pairs, got {len(bounds)}")
+    m = _typed("target.m", spec["m"], int, least=2)
+    density = spec["density"]
+    kind = density["kind"]
+    if kind == "uniform":
+        return rwm.uniform_target(bounds, m)
+    if kind == "truncated-gaussian":
+        mean, sd = density.get("mean", 0.0), density.get("sd", 1.0)
+        mean = _typed_list("density.mean", mean if isinstance(mean, list) else [mean], float)
+        sd = _typed_list("density.sd", sd if isinstance(sd, list) else [sd], float, least=0)
+        return rwm.truncated_gaussian_target(bounds, m, mean=mean, sd=sd)
+    if kind == "bimodal-mixture":
+        centers = [_typed_list("density.centers", c, float) for c in density["centers"]]
+        sd = _typed("density.sd", density.get("sd", 0.5), float, least=0)
+        weights = density.get("weights")
+        if weights is not None:
+            weights = _typed_list("density.weights", weights, float, least=0)
+        return rwm.bimodal_mixture_target(bounds, m, centers, sd=sd, weights=weights)
+    if kind == "table":
+        return rwm.table_target(bounds, m, _typed_list("density.values", density["values"], float))
+    raise ConfigError(f"unknown density kind {kind!r}")
 
 
 @_spec_errors("phi")
@@ -251,21 +295,11 @@ def build_phi(spec: dict, family: families.KernelFamily) -> TestFunction:
         raise ConfigError("phi spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "indicator":
-        state = int(spec.get("state", 0))
-        if not 0 <= state < family.n_states:
-            raise ConfigError(f"phi indicator state {state} outside state space")
+        state = _typed("phi.state", spec.get("state", 0), int, least=0, below=family.n_states)
         return TestFunction.indicator(state, family.pi)
     if kind == "table":
-        return TestFunction.from_values(spec["values"], family.pi)
+        return TestFunction.from_values(_typed_list("phi.values", spec["values"], float), family.pi)
     raise ConfigError(f"unknown phi kind {kind!r}")
-
-
-def _scheme_start(spec: dict, family: families.KernelFamily) -> int:
-    """The ``s0`` of a scheme kind that starts from a family index."""
-    s0 = int(spec.get("s0", 0))
-    if not 0 <= s0 < family.size:
-        raise ConfigError(f"scheme s0={s0} outside family indices [0, {family.size})")
-    return s0
 
 
 @_spec_errors("scheme")
@@ -274,20 +308,22 @@ def build_scheme(spec: dict, family: families.KernelFamily, n: int) -> adaptatio
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("scheme spec must be an object with a 'kind' field")
     kind = spec["kind"]
+    if kind in ("constant", "converging"):
+        s0 = _typed("scheme.s0", spec.get("s0", 0), int, least=0, below=family.size)
     if kind == "constant":
-        return adaptation.ScheduleScheme(np.full(n + 1, _scheme_start(spec, family)))
+        return adaptation.ScheduleScheme(np.full(n + 1, s0))
     if kind == "alternating":
         return adaptation.ScheduleScheme(np.arange(n + 1) % family.size)
     if kind == "schedule":
-        indices = np.asarray(spec["indices"], dtype=np.int64)
-        in_family = (indices >= 0) & (indices < family.size)
-        if indices.ndim != 1 or indices.size < n + 1 or not in_family.all():
-            raise ConfigError(f"scheme 'schedule' needs {n + 1} indices in [0, {family.size})")
+        rule = f"scheme 'schedule' needs {n + 1} indices: scheme.indices"
+        indices = _typed_list(rule, spec["indices"], int, least=0, below=family.size)
+        if len(indices) < n + 1:
+            raise ConfigError(f"{rule} has {len(indices)}")
         return adaptation.ScheduleScheme(indices)
     if kind == "converging":
         scheme, _ = adaptation.converging_index_schedule(
             family,
-            s0=_scheme_start(spec, family),
+            s0=s0,
             n=n,
             c=_typed("scheme.c", spec.get("c", 0.5), float),
             exponent=_typed("scheme.exponent", spec.get("exponent", 1.5), float, least=1),
@@ -461,13 +497,6 @@ def cmd_counterexample(cfg: RunConfig) -> tuple:
     return tables, summary, code
 
 
-def _start_state(cfg: RunConfig, family: families.KernelFamily) -> int:
-    x0 = cfg.scalar("x0", int, 0)
-    if not 0 <= x0 < family.n_states:
-        raise ConfigError(f"x0={x0} outside state space [0, {family.n_states})")
-    return x0
-
-
 def cmd_lln(cfg: RunConfig) -> tuple:
     n_grid = _typed_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), int, least=1)
     seeds_spec = cfg.get("seeds", {"count": 16})
@@ -480,7 +509,8 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     scheme = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
-    study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=_start_state(cfg, family))
+    x0 = cfg.scalar("x0", int, 0, least=0, below=family.n_states)
+    study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=x0)
 
     tables = {
         "lln": (["n", "seed", "error"], [(r["n"], r["seed"], r["error"]) for r in study["rows"]]),
@@ -504,26 +534,13 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     return tables, summary, code
 
 
-def _ratio_band(band) -> tuple:
-    """``[lo, hi]``: two finite numbers with ``lo < hi``, kept as given."""
-    ok = (
-        isinstance(band, list)
-        and len(band) == 2
-        and all(type(v) in (int, float) and -math.inf < v < math.inf for v in band)
-        and band[0] < band[1]
-    )
-    if not ok:
-        raise ConfigError(f"ratio_band must be [lo, hi] with finite lo < hi, got {band!r}")
-    return band[0], band[1]
-
-
 def cmd_clt(cfg: RunConfig) -> tuple:
     n = cfg.scalar("n", int, 10000, least=1)
     replications = cfg.scalar("replications", int, 1000, least=2)
-    lo, hi = _ratio_band(cfg.get("ratio_band", [0.85, 1.15]))
+    lo, hi = _interval("ratio_band", cfg.get("ratio_band", [0.85, 1.15]))
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
-    x0 = _start_state(cfg, family)
+    x0 = cfg.scalar("x0", int, 0, least=0, below=family.n_states)
     scheme = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
     study = ledger.clt_study(family, scheme, phi, n, replications, cfg.seed, x0=x0)
     tables = {
@@ -618,10 +635,8 @@ def cmd_waning(cfg: RunConfig) -> tuple:
 def cmd_poisson(cfg: RunConfig) -> tuple:
     tol = cfg.scalar("tol", float, 1e-9, least=0)
     horizon = cfg.scalar("horizon", int, 32, least=2)
-    member = cfg.scalar("member", int, 0)
     family = build_family(cfg.require("family"))
-    if not 0 <= member < family.size:
-        raise ConfigError(f"member={member} outside family indices [0, {family.size})")
+    member = cfg.scalar("member", int, 0, least=0, below=family.size)
     phi = build_phi(cfg.require("phi"), family)
     P = family.kernel(member)
     sol = poisson.solve_poisson_exact(P, family.pi, phi)

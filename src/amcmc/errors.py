@@ -18,6 +18,10 @@ class NotIrreducible(AmcmcError, ValueError):
     """The transition graph is not strongly connected."""
 
 
+class NotInvariant(AmcmcError, ValueError):
+    """A kernel does not leave the given distribution invariant."""
+
+
 class NonUnique(AmcmcError, ArithmeticError):
     """The stationary-distribution system is singular or its solution fails the
     stationarity check."""

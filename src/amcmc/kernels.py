@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonUnique,
+    NotInvariant,
     NotIrreducible,
     NotSimultaneouslyErgodic,
 )
@@ -348,6 +349,8 @@ def fit_ergodicity_constants(
 
     Raises
     ------
+    NotInvariant
+        If a member moves ``pi`` by more than ``STATIONARY_TOL``.
     NotSimultaneouslyErgodic
         If no power up to ``horizon`` contracts for every family member, or
         the fitted certificate fails its own curves.
@@ -358,7 +361,7 @@ def fit_ergodicity_constants(
         raise ValueError("kernel family is empty")
     for idx, P in enumerate(P_list):
         if not is_stationary_for(pi, P):
-            raise ValueError(f"kernel {idx} does not leave pi invariant")
+            raise NotInvariant(f"kernel {idx} does not leave pi invariant within {STATIONARY_TOL}")
 
     # one walk over each member's powers gives the curve value e_s(k) of every
     # power and the contraction coefficient of the powers that can set rho

@@ -138,6 +138,33 @@ def bimodal_mixture_target(bounds, m: int, centers, sd=0.5, weights=None) -> Com
     return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m, name="bimodal-mixture")
 
 
+def table_target(bounds, m: int, values) -> CompactTarget:
+    """Piecewise-constant density with one strictly positive, finite value
+    per grid cell, in row-major order.
+
+    Raises
+    ------
+    NonPositiveDensity
+        If a value is zero, negative or not finite.
+    """
+    bounds = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
+    d = bounds.shape[0]
+    values = np.asarray(values, dtype=np.float64)
+    if values.size != m**d:
+        raise ValueError(f"table needs {m**d} values, got {values.size}")
+    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
+        raise NonPositiveDensity("table values must be strictly positive and finite")
+    logs = np.log(values)
+    lo = bounds[:, 0]
+    h = (bounds[:, 1] - bounds[:, 0]) / m
+
+    def logp(x, logs=logs, lo=lo, h=h, m=m, d=d):
+        idx = np.clip(((x - lo) / h - 0.5).round().astype(int), 0, m - 1)
+        return float(logs[np.ravel_multi_index(tuple(idx), (m,) * d)])
+
+    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m, name="table")
+
+
 @dataclass(frozen=True, eq=False)
 class RwmParameter:
     """Proposal covariance with a certified eigenvalue range.
@@ -214,9 +241,7 @@ def _proposal_weights(target: CompactTarget, param: RwmParameter) -> tuple[np.nd
     return q, weights
 
 
-def build_discrete_rwm(
-    target: CompactTarget, param: RwmParameter, cap: int = DEFAULT_STATE_CAP
-) -> StochasticMatrix:
+def build_discrete_rwm(target: CompactTarget, param: RwmParameter) -> StochasticMatrix:
     """Exactly reversible discretization of the Metropolis kernel.
 
     Off-diagonal entries are ``q(x, y) * min(1, pi(y)/pi(x))`` with a
@@ -227,13 +252,13 @@ def build_discrete_rwm(
     Raises
     ------
     GridTooLarge
-        If ``m**d`` exceeds ``cap``.
+        If ``m**d`` exceeds ``DEFAULT_STATE_CAP``.
     NonPositiveDensity
         If the density is not strictly positive on the grid.
     """
     n = target.n_states
-    if n > cap:
-        raise GridTooLarge(f"{n} states exceed the cap of {cap}")
+    if n > DEFAULT_STATE_CAP:
+        raise GridTooLarge(f"{n} states exceed the cap of {DEFAULT_STATE_CAP}")
     q, w = _proposal_weights(target, param)
     accept = np.minimum(1.0, w[None, :] / w[:, None])
     P = q * accept
@@ -317,51 +342,3 @@ def run_rwm_chain(
         "accepts": accepts,
         "mean_alpha": float(alphas.mean()) if n else 0.0,
     }
-
-
-def load_target(spec: dict) -> CompactTarget:
-    """Build a target from a declarative spec.
-
-    Schema: ``{"d": int, "bounds": [[lo, hi], ...], "m": int, "density":
-    {"kind": "uniform" | "truncated-gaussian" | "bimodal-mixture" |
-    "table", ...}}``.  Table densities give strictly positive values on the
-    grid in row-major order.
-    """
-    d = int(spec["d"])
-    bounds = np.asarray(spec["bounds"], dtype=np.float64).reshape(d, 2)
-    m = int(spec["m"])
-    density = spec["density"]
-    kind = density["kind"]
-    if kind == "uniform":
-        return uniform_target(bounds, m)
-    if kind == "truncated-gaussian":
-        return truncated_gaussian_target(
-            bounds, m, mean=density.get("mean", 0.0), sd=density.get("sd", 1.0)
-        )
-    if kind == "bimodal-mixture":
-        return bimodal_mixture_target(
-            bounds,
-            m,
-            centers=density["centers"],
-            sd=density.get("sd", 0.5),
-            weights=density.get("weights"),
-        )
-    if kind == "table":
-        values = np.asarray(density["values"], dtype=np.float64)
-        if values.size != m**d:
-            raise ValueError(f"table needs {m**d} values, got {values.size}")
-        if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-            raise NonPositiveDensity("table values must be strictly positive and finite")
-        logs = np.log(values)
-        lo = bounds[:, 0]
-        h = (bounds[:, 1] - bounds[:, 0]) / m
-
-        def logp(x, logs=logs, lo=lo, h=h, m=m, d=d):
-            idx = np.clip(((x - lo) / h - 0.5).round().astype(int), 0, m - 1)
-            flat = 0
-            for axis in range(d):
-                flat = flat * m + int(idx[axis])
-            return float(logs[flat])
-
-        return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m, name="table")
-    raise ValueError(f"unknown density kind {kind!r}")

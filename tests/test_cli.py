@@ -1,16 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amcmc
 from amcmc import kernels
-from amcmc.cli import RunConfig, build_family, build_scheme, main
-from amcmc.errors import ConfigError
+from amcmc.cli import RunConfig, build_family, build_scheme, build_target, main
+from amcmc.errors import ConfigError, NonPositiveDensity
+from amcmc.rwm import DEFAULT_STATE_CAP, RwmParameter, build_discrete_rwm, table_target
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(amcmc.__file__).resolve().parent.parent
@@ -378,6 +385,48 @@ class TestPinnedArtifacts:
             assert hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest() == digest
 
 
+class TestTargetSpecFile:
+    def test_builtin_kinds(self):
+        for spec in (
+            {"d": 1, "bounds": [[-1, 1]], "m": 8, "density": {"kind": "uniform"}},
+            {"d": 1, "bounds": [[-2, 2]], "m": 8, "density": {"kind": "truncated-gaussian"}},
+            {
+                "d": 1,
+                "bounds": [[-2, 2]],
+                "m": 8,
+                "density": {"kind": "bimodal-mixture", "centers": [[-1.0], [1.0]]},
+            },
+        ):
+            target = build_target(spec)
+            assert target.n_states == 8
+            build_discrete_rwm(target, RwmParameter.from_scalar(0.5, 0.05, 5.0))
+
+    def test_table_density(self):
+        values = np.linspace(1.0, 2.0, 8)
+        spec = {
+            "d": 1,
+            "bounds": [[0, 1]],
+            "m": 8,
+            "density": {"kind": "table", "values": values.tolist()},
+        }
+        for target in (build_target(spec), table_target([[0, 1]], 8, values)):
+            w = target.grid_distribution().weights
+            assert np.allclose(w, values / values.sum(), atol=1e-12)
+
+    def test_table_rejects_non_positive(self):
+        values = [1.0, 0.0, 1.0, 1.0]
+        spec = {
+            "d": 1,
+            "bounds": [[0, 1]],
+            "m": 4,
+            "density": {"kind": "table", "values": values},
+        }
+        with pytest.raises(NonPositiveDensity):
+            build_target(spec)
+        with pytest.raises(NonPositiveDensity):
+            table_target([[0, 1]], 4, values)
+
+
 class TestRunConfigScalar:
     @staticmethod
     def config(raw):
@@ -428,6 +477,34 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         code = run(["lln", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "where,contents,message",
+        [
+            ("config", None, "Is a directory"),
+            ("config", b"\xff{}", "can't decode byte 0xff"),
+            ("config", b'{"seed": 1,}', "line 1"),
+            ("kernel", None, "family spec: [Errno 21] Is a directory"),
+        ],
+    )
+    def test_unreadable_file_is_one_line_and_leaves_no_run_dir(
+        self, tmp_path, where, contents, message
+    ):
+        path = tmp_path / "unreadable"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        if where == "kernel":
+            path = write_config(tmp_path, {"family": {"kind": "file", "paths": [str(path)]},
+                                           "phi": {"kind": "indicator", "state": 0}})
+        out = tmp_path / "runs"
+        proc = run_subprocess(["bounds", "--config", str(path), "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:") and message in lines[0]
+        assert not out.exists()
 
     def test_missing_required_field(self, tmp_path):
         cfg = write_config(tmp_path, {"phi": {"kind": "indicator", "state": 0}})
@@ -537,6 +614,29 @@ class TestConfigHandling:
              "family.a must be > 0 and finite, got nan"),
             ("bounds", {"family": {**RWM_GRID, "b": float("inf")}},
              "family.b must be > 0 and finite, got inf"),
+            # 1e400 parses as inf: no integer field may overflow into a traceback
+            ("bounds", {"family": {"kind": "mixture", "count": 1e400}},
+             "family.count must be int, got inf"),
+            ("bounds", {"family": {"kind": "cyclic-pair"},
+                        "phi": {"kind": "indicator", "state": 1e400}},
+             "phi.state must be int, got inf"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 10, "replications": 4,
+                     "scheme": {"kind": "constant", "s0": 1e400}},
+             "scheme.s0 must be int, got inf"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 2, "replications": 4,
+                     "scheme": {"kind": "schedule", "indices": [0, 1, 1e400]}},
+             "scheme.indices must be int, got inf"),
+            ("bounds", {"family": {**RWM_GRID, "target": {**RWM_GRID["target"], "m": 1e400}}},
+             "target.m must be int, got inf"),
+            # nor may a non-integral value be truncated into a run
+            ("bounds", {"family": {"kind": "mixture", "count": 2.9}},
+             "family.count must be int, got 2.9"),
+            ("bounds", {"family": {"kind": "cyclic-pair"},
+                        "phi": {"kind": "indicator", "state": 0.7}},
+             "phi.state must be int, got 0.7"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 2, "replications": 4,
+                     "scheme": {"kind": "schedule", "indices": [0.9, 1.9, 2.5]}},
+             "scheme.indices must be int, got 0.9"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(
@@ -549,6 +649,24 @@ class TestConfigHandling:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:") and message in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "poisson"])
+    def test_pi_admitted_by_family_but_not_fit_is_one_line(self, tmp_path, command):
+        # pi is invariant within the family's 1e-10 but not the fit's 1e-12
+        kernel = tmp_path / "near.json"
+        kernel.write_text(json.dumps({
+            "n": 3, "rows": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+            "pi": [0.25 + 3e-11, 0.5 - 3e-11, 0.25]}))
+        cfg = write_config(tmp_path, {"family": {"kind": "file", "paths": [str(kernel)]},
+                                      "phi": {"kind": "indicator", "state": 0}})
+        out = tmp_path / "runs"
+        proc = run_subprocess([command, "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: NotInvariant: kernel 0 does not leave pi invariant")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed,message", [("abc", "seed must be int"), ("-1", "seed must be >= 0")])
@@ -598,3 +716,69 @@ class TestConfigHandling:
         run_dir = only_run_dir(tmp_path, "counterexample")
         orbit = json.loads((run_dir / "orbit.json").read_text())
         assert orbit[0]["state_label"] == 2
+
+
+# the shipped configs at toy size: n <= 1000, replications <= 20, m <= 40
+TOY_CONFIGS = [
+    ("bounds", "bounds_mixture.json", {}),
+    ("bounds", "bounds_rwm_grid.json", {}),
+    ("kernel-info", "bounds_mixture.json", {}),
+    ("clt", "clt_iid.json", {"n": 1000, "replications": 20}),
+    ("lln", "lln_counterexample.json", {"n_grid": [100, 1000]}),
+    ("lln", "lln_iid.json", {"n_grid": [100, 1000], "seeds": {"count": 4}}),
+    ("poisson", "poisson_cyclic.json", {}),
+    ("waning", "waning_rare.json",
+     {"d_series": {"kind": "rare-log", "c": 2.0, "epsilon": 0.1, "n": 1000}}),
+    ("waning", "waning_constant_control.json",
+     {"d_series": {"kind": "constant", "value": 0.05, "n": 1000}}),
+]
+# stands for the JSON number 1e400, which json.dumps cannot write
+OVERFLOW = "<1e400>"
+# a wrong type, a bool, NaN, +-inf, an overflow, a negative or a non-integral number
+BAD_VALUES = ["x", [1], {"a": 1}, None, True, False, float("nan"), float("inf"),
+              float("-inf"), OVERFLOW, -1, -3.5, 2.5, 0.7]
+
+
+def field_paths(obj, prefix=()):
+    """The path of every field and list entry of a parsed JSON object."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, (*prefix, key))
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_field_ends_in_a_run_or_one_line(self, data):
+        """A config with one field set to a bad value either runs, writing
+        its run directory, or fails with exit 1, one stderr line and no
+        directory.  A valid value can still fail a check (exit 1 with its
+        run written); no example may raise out of ``main``."""
+        command, name, toy = data.draw(st.sampled_from(TOY_CONFIGS))
+        cfg = json.loads(json.dumps({**json.loads((CONFIG_DIR / name).read_text()), **toy}))
+        *parents, key = path = data.draw(st.sampled_from(list(field_paths(cfg))))
+        oversized = [DEFAULT_STATE_CAP + 1] if path[-2:] == ("target", "m") else []
+        obj = cfg
+        for part in parents:
+            obj = obj[part]
+        obj[key] = data.draw(st.sampled_from(BAD_VALUES + oversized))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400"))
+            out = Path(tmp) / "runs"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(config), "--out", str(out)])
+            assert code in (0, 1, 2)
+            lines = err.getvalue().strip().splitlines()
+            run_dirs = list(out.iterdir()) if out.exists() else []
+            if lines:
+                assert code == 1 and len(lines) == 1
+                assert lines[0].startswith(("config error:", "error:"))
+                assert "Traceback" not in lines[0]
+                assert not run_dirs
+            else:
+                assert len(run_dirs) == 1
+                record = json.loads((run_dirs[0] / "record.json").read_text())
+                assert record["exit_code"] == code

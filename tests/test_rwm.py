@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from amcmc import rwm
 from amcmc.errors import GridTooLarge, NonPositiveDensity
 from amcmc.kernels import stationary_distribution
 from amcmc.rwm import (
+    DEFAULT_STATE_CAP,
     CompactTarget,
     RwmParameter,
     bimodal_mixture_target,
     build_discrete_rwm,
     discrete_acceptance_expectation,
-    load_target,
     run_rwm_chain,
     rwm_propose_accept,
     truncated_gaussian_target,
@@ -89,10 +90,14 @@ class TestDiscreteLane:
         w = target.grid_distribution().weights
         assert np.abs(w[:, None] * P.rows - w[None, :] * P.rows.T).max() <= 1e-10
 
-    def test_grid_cap(self):
-        target = truncated_gaussian_target([[-1.0, 1.0]], m=200)
-        with pytest.raises(GridTooLarge):
-            build_discrete_rwm(target, RwmParameter.from_scalar(1.0, 0.1, 10.0), cap=100)
+    def test_grid_cap(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the grid was laid out before the cap was checked")
+
+        monkeypatch.setattr(rwm, "_proposal_weights", unreachable)
+        target = truncated_gaussian_target([[-1.0, 1.0]], m=DEFAULT_STATE_CAP + 1)
+        with pytest.raises(GridTooLarge, match=f"exceed the cap of {DEFAULT_STATE_CAP}"):
+            build_discrete_rwm(target, RwmParameter.from_scalar(1.0, 0.1, 10.0))
 
     def test_non_positive_density(self):
         target = CompactTarget(
@@ -141,42 +146,3 @@ class TestContinuousLane:
         a = run_rwm_chain(target, param, [0.0], 200, seed=5)
         b = run_rwm_chain(target, param, [0.0], 200, seed=5)
         assert np.array_equal(a["points"], b["points"])
-
-
-class TestTargetSpecFile:
-    def test_builtin_kinds(self):
-        for spec in (
-            {"d": 1, "bounds": [[-1, 1]], "m": 8, "density": {"kind": "uniform"}},
-            {"d": 1, "bounds": [[-2, 2]], "m": 8, "density": {"kind": "truncated-gaussian"}},
-            {
-                "d": 1,
-                "bounds": [[-2, 2]],
-                "m": 8,
-                "density": {"kind": "bimodal-mixture", "centers": [[-1.0], [1.0]]},
-            },
-        ):
-            target = load_target(spec)
-            assert target.n_states == 8
-            build_discrete_rwm(target, RwmParameter.from_scalar(0.5, 0.05, 5.0))
-
-    def test_table_density(self):
-        values = np.linspace(1.0, 2.0, 8)
-        spec = {
-            "d": 1,
-            "bounds": [[0, 1]],
-            "m": 8,
-            "density": {"kind": "table", "values": values.tolist()},
-        }
-        target = load_target(spec)
-        w = target.grid_distribution().weights
-        assert np.allclose(w, values / values.sum(), atol=1e-12)
-
-    def test_table_rejects_non_positive(self):
-        spec = {
-            "d": 1,
-            "bounds": [[0, 1]],
-            "m": 4,
-            "density": {"kind": "table", "values": [1.0, 0.0, 1.0, 1.0]},
-        }
-        with pytest.raises(NonPositiveDensity):
-            load_target(spec)
