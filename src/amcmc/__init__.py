@@ -64,7 +64,6 @@ from .rwm import (
     build_discrete_rwm,
     discrete_acceptance_expectation,
     run_rwm_chain,
-    rwm_propose_accept,
     truncated_gaussian_target,
     uniform_target,
 )

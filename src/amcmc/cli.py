@@ -140,6 +140,14 @@ def _typed_list(name: str, value, kind: type, least=None, below=None) -> list:
     return [_typed(name, v, kind, least, below=below) for v in value]
 
 
+def _fields(name: str, spec: dict, *fields: str) -> None:
+    """Refuse a key of ``spec`` outside ``fields``, such as a misspelt one."""
+    unknown = [key for key in spec if key not in fields]
+    if unknown:
+        name += f" {spec['kind']!r}" if "kind" in fields else ""
+        raise ConfigError(f"{name} has no field {unknown[0]!r}; it reads {', '.join(fields)}")
+
+
 def _interval(name: str, value) -> tuple:
     """``[lo, hi]``: two finite numbers with ``lo < hi``, kept as given."""
     ok = (
@@ -220,18 +228,23 @@ def build_family(spec: dict) -> families.KernelFamily:
         raise ConfigError("family spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "cyclic-pair":
+        _fields("family", spec, "kind")
         return families.cyclic_pair()
     if kind == "iid":
+        _fields("family", spec, "kind", "pi")
         pi = _typed_list("family.pi", spec.get("pi", [0.5, 0.25, 0.25]), float)
         return families.iid_family(Distribution(pi))
     if kind == "mixture":
+        _fields("family", spec, "kind", "count")
         base = families.cyclic_pair()
         count = _typed("family.count", spec.get("count", 10), int, least=2)
         return families.mixture_family(base.kernels[0], base.kernels[1], base.pi, count)
     if kind == "smoothed-cyclic":
+        _fields("family", spec, "kind", "epsilon")
         eps = _typed("family.epsilon", spec.get("epsilon", 0.2), float, least=0)
         return families.smoothed_family(families.cyclic_pair(), eps)
     if kind == "random-metropolis":
+        _fields("family", spec, "kind", "pi", "count", "seed")
         pi = _typed_list("family.pi", spec.get("pi", [0.4, 0.3, 0.2, 0.1]), float)
         return families.random_metropolis_family(
             Distribution(pi),
@@ -239,6 +252,7 @@ def build_family(spec: dict) -> families.KernelFamily:
             seed=_typed("family.seed", spec.get("seed", 7), int, least=0),
         )
     if kind == "file":
+        _fields("family", spec, "kind", "paths")
         paths = _typed_list("family.paths", spec.get("paths"), str)
         loaded = [kernels.read_kernel_json(p) for p in paths]
         pi = next((p for _, p in loaded if p is not None), None)
@@ -246,6 +260,7 @@ def build_family(spec: dict) -> families.KernelFamily:
             pi = kernels.stationary_distribution(loaded[0][0])
         return families.KernelFamily(kernels=tuple(P for P, _ in loaded), pi=pi)
     if kind == "rwm-grid":
+        _fields("family", spec, "kind", "target", "a", "b", "sigmas")
         a = _typed("family.a", spec.get("a", 0.1), float, least=0)
         b = _typed("family.b", spec.get("b", 10.0), float, least=0)
         sigmas = _typed_list("family.sigmas", spec.get("sigmas"), float, least=0)
@@ -262,8 +277,11 @@ def build_target(spec: dict) -> rwm.CompactTarget:
     """The target of an ``rwm-grid`` family: ``{"d", "bounds": [[lo, hi], ...],
     "m", "density": {"kind": "uniform" | "truncated-gaussian" | "bimodal-mixture"
     | "table", ...}}``.  A truncated Gaussian's ``mean`` and ``sd`` are one
-    number or one per axis; a table gives each grid cell's weight, row-major."""
+    number or one per axis; a bimodal mixture's ``centers`` are points of
+    ``d`` coordinates, with one entry of ``weights`` per center; a table
+    gives each grid cell's weight, row-major."""
     d = _typed("target.d", spec["d"], int, least=1)
+    _fields("target", spec, "d", "bounds", "m", "density")
     bounds = [_interval("target.bounds", pair) for pair in spec["bounds"]]
     if len(bounds) != d:
         raise ConfigError(f"target.bounds must hold d={d} [lo, hi] pairs, got {len(bounds)}")
@@ -271,13 +289,16 @@ def build_target(spec: dict) -> rwm.CompactTarget:
     density = spec["density"]
     kind = density["kind"]
     if kind == "uniform":
+        _fields("density", density, "kind")
         return rwm.uniform_target(bounds, m)
     if kind == "truncated-gaussian":
+        _fields("density", density, "kind", "mean", "sd")
         mean, sd = density.get("mean", 0.0), density.get("sd", 1.0)
         mean = _typed_list("density.mean", mean if isinstance(mean, list) else [mean], float)
         sd = _typed_list("density.sd", sd if isinstance(sd, list) else [sd], float, least=0)
         return rwm.truncated_gaussian_target(bounds, m, mean=mean, sd=sd)
     if kind == "bimodal-mixture":
+        _fields("density", density, "kind", "centers", "sd", "weights")
         centers = [_typed_list("density.centers", c, float) for c in density["centers"]]
         sd = _typed("density.sd", density.get("sd", 0.5), float, least=0)
         weights = density.get("weights")
@@ -285,6 +306,7 @@ def build_target(spec: dict) -> rwm.CompactTarget:
             weights = _typed_list("density.weights", weights, float, least=0)
         return rwm.bimodal_mixture_target(bounds, m, centers, sd=sd, weights=weights)
     if kind == "table":
+        _fields("density", density, "kind", "values")
         return rwm.table_target(bounds, m, _typed_list("density.values", density["values"], float))
     raise ConfigError(f"unknown density kind {kind!r}")
 
@@ -295,9 +317,11 @@ def build_phi(spec: dict, family: families.KernelFamily) -> TestFunction:
         raise ConfigError("phi spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "indicator":
+        _fields("phi", spec, "kind", "state")
         state = _typed("phi.state", spec.get("state", 0), int, least=0, below=family.n_states)
         return TestFunction.indicator(state, family.pi)
     if kind == "table":
+        _fields("phi", spec, "kind", "values")
         return TestFunction.from_values(_typed_list("phi.values", spec["values"], float), family.pi)
     raise ConfigError(f"unknown phi kind {kind!r}")
 
@@ -431,10 +455,8 @@ def cmd_counterexample(cfg: RunConfig) -> tuple:
     phi = TestFunction.indicator(0, pi)
     checks: dict[str, bool] = {}
 
-    residuals = [
-        float(np.abs(pi.weights @ P.rows - pi.weights).max()) for P in family.kernels
-    ]
-    checks["invariance"] = max(residuals) <= 1e-12
+    residuals = [kernels.invariance_residual(pi, P) for P in family.kernels]
+    checks["invariance"] = max(residuals) <= kernels.STATIONARY_TOL
 
     # alternating schedule: the transition producing X_k uses the forward
     # cycle for odd k, which pins the orbit to 2, 3, 2, 3, ... (1-based)
@@ -501,6 +523,7 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     n_grid = _typed_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), int, least=1)
     seeds_spec = cfg.get("seeds", {"count": 16})
     if isinstance(seeds_spec, dict):
+        _fields("seeds", seeds_spec, "count")
         seeds = [cfg.seed + i for i in range(cfg.scalar("seeds.count", int, 16, least=1))]
     else:
         seeds = _typed_list("seeds", seeds_spec, int, least=0)
@@ -602,6 +625,7 @@ def cmd_waning(cfg: RunConfig) -> tuple:
     p = cfg.scalar("p", float, 1.0, least=0)
     expect = cfg.scalar("expect_waning", bool, True)
     if kind in RARE_SCHEDULES:
+        _fields("d_series", cfg.get("d_series"), "kind", "n", "c", "epsilon")
         build, c = RARE_SCHEDULES[kind]
         sched = build(cfg.scalar("d_series.c", float, c, least=0),
                       cfg.scalar("d_series.epsilon", float, 0.1, least=0))
@@ -609,6 +633,7 @@ def cmd_waning(cfg: RunConfig) -> tuple:
         rng = ledger.chain_generator(cfg.seed)
         D = np.array([sched.adapts(k, rng) for k in range(1, n + 1)], dtype=np.float64)
     elif kind == "constant":
+        _fields("d_series", cfg.get("d_series"), "kind", "n", "value")
         D = np.full(n, cfg.scalar("d_series.value", float, 0.05))
     else:
         raise ConfigError(f"unknown d_series kind {kind!r}")

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import Distribution, StochasticMatrix, is_stationary_for
-
-# stationary validation after float mixing/products
-FAMILY_PI_TOL = 1e-10
+from .kernels import Distribution, StochasticMatrix, _metropolis_kernel, _require_invariant
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +26,8 @@ class KernelFamily:
     kernels : tuple of StochasticMatrix
         Family members, indexed 0..size-1.
     pi : Distribution
-        Common stationary distribution; validated for every member.
+        Common stationary distribution: a member that moves it by more than
+        ``kernels.STATIONARY_TOL`` raises :class:`NotInvariant`.
     params : tuple of float, optional
         Scalar parameter value attached to each member (a parameter grid),
         used by grid-based adaptation schemes.
@@ -47,8 +45,7 @@ class KernelFamily:
         for idx, P in enumerate(kernels):
             if P.n != n:
                 raise DimensionMismatch(f"kernel {idx} has {P.n} states, expected {n}")
-            if not is_stationary_for(self.pi, P, tol=FAMILY_PI_TOL):
-                raise ValueError(f"kernel {idx} does not leave pi invariant")
+        _require_invariant(self.pi, kernels)
         object.__setattr__(self, "kernels", kernels)
         if self.params is not None:
             params = tuple(float(v) for v in self.params)
@@ -75,23 +72,6 @@ class KernelFamily:
             raise ValueError("family has no parameter grid")
         gaps = [abs(p - value) for p in self.params]
         return gaps.index(min(gaps))
-
-    @classmethod
-    def from_builder(cls, builder, params, pi: Distribution | None = None) -> "KernelFamily":
-        """Materialize a parametric generator over a grid of parameter values.
-
-        ``builder`` maps a parameter value to a :class:`StochasticMatrix`;
-        ``pi`` defaults to the stationary distribution of the first member.
-        """
-        from .kernels import stationary_distribution
-
-        params = tuple(params)
-        if not params:
-            raise ValueError("parameter grid is empty")
-        kernels = tuple(builder(v) for v in params)
-        if pi is None:
-            pi = stationary_distribution(kernels[0])
-        return cls(kernels=kernels, pi=pi, params=tuple(float(v) for v in params))
 
 
 def cyclic_pair() -> KernelFamily:
@@ -155,22 +135,13 @@ def smoothed_family(family: KernelFamily, epsilon: float) -> KernelFamily:
 
 
 def random_metropolis_kernel(pi: Distribution, rng: np.random.Generator) -> StochasticMatrix:
-    """Random strictly positive kernel leaving ``pi`` invariant.
-
-    Draws a random symmetric positive proposal matrix and applies the usual
-    acceptance ratio, which gives detailed balance with respect to ``pi``
-    and strictly positive off-diagonal entries.
-    """
-    n = pi.n
-    raw = rng.uniform(0.1, 1.0, size=(n, n))
+    """Random kernel in detailed balance with ``pi``: the Metropolis kernel of
+    a random symmetric positive proposal.  Every move into a state of
+    positive weight has positive probability; one of zero weight, none."""
+    raw = rng.uniform(0.1, 1.0, size=(pi.n, pi.n))
     q = raw + raw.T
     q = q / q.sum(axis=1, keepdims=True).max()
-    w = pi.weights
-    accept = np.minimum(1.0, np.where(w[:, None] > 0, w[None, :] / w[:, None], 1.0))
-    P = q * accept
-    np.fill_diagonal(P, 0.0)
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return StochasticMatrix(P)
+    return _metropolis_kernel(q, pi.weights)
 
 
 def random_metropolis_family(pi: Distribution, count: int, seed: int) -> KernelFamily:

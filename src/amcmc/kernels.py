@@ -271,17 +271,48 @@ def stationary_distribution(P: StochasticMatrix) -> Distribution:
     w = np.clip(sol, 0.0, None)
     w = w / w.sum()
     d = Distribution(w)
-    residual = float(np.abs(d.weights @ P.rows - d.weights).max())
+    residual = invariance_residual(d, P)
     if residual > STATIONARY_TOL:
         raise NonUnique(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL}")
     return d
 
 
-def is_stationary_for(pi: Distribution, P: StochasticMatrix, tol: float = STATIONARY_TOL) -> bool:
-    """Check ``pi P = pi`` within an absolute tolerance."""
+def invariance_residual(pi: Distribution, P: StochasticMatrix) -> float:
+    """How far ``P`` moves ``pi``: ``max_y |(pi P)(y) - pi(y)|``."""
     if pi.n != P.n:
         raise DimensionMismatch(f"length mismatch: {pi.n} vs {P.n}")
-    return float(np.abs(pi.weights @ P.rows - pi.weights).max()) <= tol
+    return float(np.abs(pi.weights @ P.rows - pi.weights).max())
+
+
+def is_stationary_for(pi: Distribution, P: StochasticMatrix) -> bool:
+    """Check ``pi P = pi`` within ``STATIONARY_TOL``."""
+    return invariance_residual(pi, P) <= STATIONARY_TOL
+
+
+def _require_invariant(pi: Distribution, P_list: Sequence[StochasticMatrix]) -> None:
+    """The invariance rule of families and certificate fits: raise
+    :class:`NotInvariant` for a kernel that moves ``pi`` by over ``STATIONARY_TOL``."""
+    for idx, P in enumerate(P_list):
+        if not is_stationary_for(pi, P):
+            raise NotInvariant(f"kernel {idx} does not leave pi invariant within {STATIONARY_TOL}")
+
+
+def _metropolis_flux(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The accepted flux ``q(x, y) min(1, w_y / w_x)`` of a symmetric proposal
+    ``q`` under target weights ``w``; a zero-weight state accepts every move."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight rows are reset
+        accept = w[None, :] / w[:, None]
+    accept[w <= 0.0] = 1.0
+    np.minimum(accept, 1.0, out=accept)
+    return np.multiply(accept, q, out=accept)
+
+
+def _metropolis_kernel(q: np.ndarray, w: np.ndarray) -> StochasticMatrix:
+    """The flux of :func:`_metropolis_flux` off the diagonal, the rejected mass on it."""
+    P = _metropolis_flux(q, w)
+    np.fill_diagonal(P, 0.0)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return StochasticMatrix(P)
 
 
 def _powers(P: StochasticMatrix, horizon: int):
@@ -359,9 +390,7 @@ def fit_ergodicity_constants(
         raise ValueError("horizon must be >= 2")
     if not P_list:
         raise ValueError("kernel family is empty")
-    for idx, P in enumerate(P_list):
-        if not is_stationary_for(pi, P):
-            raise NotInvariant(f"kernel {idx} does not leave pi invariant within {STATIONARY_TOL}")
+    _require_invariant(pi, P_list)
 
     # one walk over each member's powers gives the curve value e_s(k) of every
     # power and the contraction coefficient of the powers that can set rho

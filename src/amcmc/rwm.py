@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, NonPositiveDensity
-from .kernels import Distribution, StochasticMatrix
+from .kernels import Distribution, StochasticMatrix, _metropolis_flux, _metropolis_kernel
 from .ledger import chain_generator
 
 SYMMETRY_TOL = 1e-10
@@ -122,10 +122,17 @@ def truncated_gaussian_target(bounds, m: int, mean=0.0, sd=1.0) -> CompactTarget
 
 
 def bimodal_mixture_target(bounds, m: int, centers, sd=0.5, weights=None) -> CompactTarget:
+    """Gaussian mixture with a common ``sd``: ``centers`` lists points of ``d``
+    coordinates, and ``weights`` (equal by default) one entry per center."""
     bounds = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
     d = bounds.shape[0]
-    cs = np.asarray(centers, dtype=np.float64).reshape(-1, d)
-    ws = np.full(cs.shape[0], 1.0 / cs.shape[0]) if weights is None else np.asarray(weights)
+    cs = [np.asarray(c, dtype=np.float64) for c in centers]
+    if not cs or any(c.shape != (d,) for c in cs):
+        raise ValueError(f"each center must be a list of d={d} coordinates, got {centers!r}")
+    cs = np.stack(cs)
+    ws = np.full(len(cs), 1.0 / len(cs)) if weights is None else np.asarray(weights, float)
+    if ws.shape != (len(cs),):
+        raise ValueError(f"weights must give one value per center ({len(cs)}), got {weights!r}")
     ws = ws / ws.sum()
     s = float(sd)
     if s <= 0:
@@ -237,8 +244,7 @@ def _proposal_weights(target: CompactTarget, param: RwmParameter) -> tuple[np.nd
         quad = np.einsum("abj,jk,abk->ab", delta, Sinv, delta)
         q[start : start + chunk] = np.exp(-0.5 * quad)
     q /= lattice_norm
-    weights = target.grid_distribution().weights
-    return q, weights
+    return q, target.grid_distribution().weights
 
 
 def build_discrete_rwm(target: CompactTarget, param: RwmParameter) -> StochasticMatrix:
@@ -259,12 +265,7 @@ def build_discrete_rwm(target: CompactTarget, param: RwmParameter) -> Stochastic
     n = target.n_states
     if n > DEFAULT_STATE_CAP:
         raise GridTooLarge(f"{n} states exceed the cap of {DEFAULT_STATE_CAP}")
-    q, w = _proposal_weights(target, param)
-    accept = np.minimum(1.0, w[None, :] / w[:, None])
-    P = q * accept
-    np.fill_diagonal(P, 0.0)
-    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return StochasticMatrix(P)
+    return _metropolis_kernel(*_proposal_weights(target, param))
 
 
 def discrete_acceptance_expectation(target: CompactTarget, param: RwmParameter) -> float:
@@ -274,34 +275,7 @@ def discrete_acceptance_expectation(target: CompactTarget, param: RwmParameter) 
     continuous lane's zero-extended density.
     """
     q, w = _proposal_weights(target, param)
-    accept = np.minimum(1.0, w[None, :] / w[:, None])
-    per_state = (q * accept).sum(axis=1)
-    return float(w @ per_state)
-
-
-class ProposalResult(NamedTuple):
-    y: np.ndarray
-    alpha: float
-    Z: np.ndarray
-
-
-def rwm_propose_accept(
-    x, param: RwmParameter, target: CompactTarget, rng: np.random.Generator
-) -> ProposalResult:
-    """One proposal ``y = x + chol(Sigma) Z`` with its acceptance probability.
-
-    Returns the realized ``alpha = min(1, pi(y)/pi(x))`` (zero for
-    out-of-box proposals) together with the noise ``Z`` for acceptance-rate
-    adaptation.  The caller draws the accept/reject uniform.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not target.contains(x):
-        raise ValueError("current point must lie in the box")
-    Z = rng.standard_normal(target.d)
-    y = x + param.chol() @ Z
-    log_ratio = target.log_pdf(y) - target.log_pdf(x)
-    alpha = math.exp(min(0.0, log_ratio)) if math.isfinite(log_ratio) else 0.0
-    return ProposalResult(y=y, alpha=alpha, Z=Z)
+    return float(w @ _metropolis_flux(q, w).sum(axis=1))
 
 
 def run_rwm_chain(

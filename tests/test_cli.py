@@ -637,6 +637,37 @@ class TestConfigHandling:
             ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 2, "replications": 4,
                      "scheme": {"kind": "schedule", "indices": [0.9, 1.9, 2.5]}},
              "scheme.indices must be int, got 0.9"),
+            # a bimodal center has d coordinates and weights one entry per center
+            ("bounds", {"family": {**RWM_GRID, "target": {
+                **RWM_GRID["target"],
+                "density": {"kind": "bimodal-mixture", "centers": [[-1.0, 1.0]]}}}},
+             "each center must be a list of d=1 coordinates"),
+            ("bounds", {"family": {**RWM_GRID, "target": {
+                **RWM_GRID["target"], "d": 2, "bounds": [[-3.0, 3.0], [-3.0, 3.0]],
+                "density": {"kind": "bimodal-mixture", "centers": [[-1.0, 0.0, 1.0, 0.0]]}}}},
+             "each center must be a list of d=2 coordinates"),
+            ("bounds", {"family": {**RWM_GRID, "target": {
+                **RWM_GRID["target"],
+                "density": {"kind": "bimodal-mixture", "centers": [[-1.0], [1.0]],
+                            "weights": [1.0]}}}},
+             "weights must give one value per center (2)"),
+            # a key that the object's kind does not read is named, not ignored
+            ("lln", {"family": {"kind": "iid"}, "seeds": {"a": 1}},
+             "seeds has no field 'a'; it reads count"),
+            ("waning", {"d_series": {"kind": "constant", "n": 1000, "valu": 0.5}},
+             "d_series 'constant' has no field 'valu'"),
+            ("waning", {"d_series": {"kind": "rare-log", "n": 1000, "value": 0.5}},
+             "d_series 'rare-log' has no field 'value'"),
+            ("bounds", {"family": {"kind": "mixture", "cout": 3}},
+             "family 'mixture' has no field 'cout'"),
+            ("bounds", {"family": {**RWM_GRID, "target": {**RWM_GRID["target"], "n": 8}}},
+             "target has no field 'n'"),
+            ("bounds", {"family": {**RWM_GRID, "target": {
+                **RWM_GRID["target"], "density": {"kind": "uniform", "sd": 1.0}}}},
+             "density 'uniform' has no field 'sd'"),
+            ("bounds", {"family": {"kind": "cyclic-pair"},
+                        "phi": {"kind": "indicator", "sate": 1}},
+             "phi 'indicator' has no field 'sate'"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(
@@ -653,7 +684,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", ["bounds", "poisson"])
     def test_pi_admitted_by_family_but_not_fit_is_one_line(self, tmp_path, command):
-        # pi is invariant within the family's 1e-10 but not the fit's 1e-12
+        # pi moves by about 1e-11, beyond the 1e-12 that the family, like the
+        # fit, allows: building the family already refuses it
         kernel = tmp_path / "near.json"
         kernel.write_text(json.dumps({
             "n": 3, "rows": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
@@ -668,6 +700,16 @@ class TestConfigHandling:
         assert len(lines) == 1
         assert lines[0].startswith("error: NotInvariant: kernel 0 does not leave pi invariant")
         assert not out.exists()
+
+    def test_zero_weight_random_metropolis_bounds_warns_nothing(self, tmp_path):
+        # the zero-weight state accepts every proposal, with no 0/0 warning
+        cfg = write_config(tmp_path, {"family": {"kind": "random-metropolis",
+                                                 "pi": [0.5, 0.5, 0.0]},
+                                      "phi": {"kind": "indicator", "state": 0}})
+        proc = run_subprocess(["bounds", "--config", cfg, "--out", str(tmp_path / "runs")],
+                              PYTHONWARNINGS="error::RuntimeWarning")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("seed,message", [("abc", "seed must be int"), ("-1", "seed must be >= 0")])
     def test_bad_seed_is_one_line_and_leaves_no_run_dir(self, tmp_path, seed, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from bisect import bisect_right
 from statistics import NormalDist
 
@@ -19,7 +20,7 @@ from amcmc.adaptation import (
     converging_index_schedule,
     log_increment_schedule,
 )
-from amcmc.errors import DobrushinViolation, SchemeEscape
+from amcmc.errors import DobrushinViolation, NotInvariant, SchemeEscape
 from amcmc.families import (
     KernelFamily,
     cyclic_pair,
@@ -29,10 +30,12 @@ from amcmc.families import (
     smoothed_family,
 )
 from amcmc.kernels import (
+    STATIONARY_TOL,
     Distribution,
     StochasticMatrix,
     _strongly_connected,
     fit_ergodicity_constants,
+    invariance_residual,
     max_tv_between_kernels,
 )
 from amcmc.ledger import (
@@ -886,19 +889,26 @@ def test_rate_target_indices_replay_from_the_states():
     assert len(set(traj.S.tolist())) > 1
 
 
-def test_family_from_builder_materializes_grid():
-    from amcmc.families import KernelFamily
-    from amcmc.rwm import RwmParameter, build_discrete_rwm, truncated_gaussian_target
+def test_random_metropolis_family_with_a_zero_weight_warns_nothing():
+    pi = Distribution([0.5, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = random_metropolis_family(pi, 2, seed=7)
+    for P in fam.kernels:
+        assert np.all(P.rows[:, 2][:2] == 0.0)  # the zero-weight state is never entered
+        assert np.all(P.rows[2] > 0.0)  # and every proposal from it is accepted
+        assert invariance_residual(pi, P) <= STATIONARY_TOL
 
-    target = truncated_gaussian_target([[-2.0, 2.0]], m=12)
-    fam = KernelFamily.from_builder(
-        lambda v: build_discrete_rwm(target, RwmParameter.from_scalar(v, 0.05, 5.0)),
-        params=[0.4, 0.7, 1.0],
-        pi=target.grid_distribution(),
-    )
-    assert fam.size == 3
-    assert fam.params == (0.4, 0.7, 1.0)
-    assert fam.nearest_index(0.65) == 1
+
+def test_family_checks_pi_at_the_fit_tolerance():
+    """A family refuses, as the certificate fit does, a pi moved by 1e-11."""
+    P = StochasticMatrix([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+    pi = Distribution([0.25 + 3e-11, 0.5 - 3e-11, 0.25])
+    assert STATIONARY_TOL < invariance_residual(pi, P) < 1e-10
+    with pytest.raises(NotInvariant, match="kernel 0 does not leave pi invariant within 1e-12"):
+        KernelFamily(kernels=(P,), pi=pi)
+    with pytest.raises(NotInvariant, match="kernel 0 does not leave pi invariant within 1e-12"):
+        fit_ergodicity_constants([P], pi, 4)
 
 
 @settings(max_examples=200, deadline=None)

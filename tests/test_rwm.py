@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from amcmc import rwm
 from amcmc.errors import GridTooLarge, NonPositiveDensity
 from amcmc.kernels import stationary_distribution
+from amcmc.ledger import chain_generator
 from amcmc.rwm import (
     DEFAULT_STATE_CAP,
     CompactTarget,
@@ -12,20 +15,9 @@ from amcmc.rwm import (
     build_discrete_rwm,
     discrete_acceptance_expectation,
     run_rwm_chain,
-    rwm_propose_accept,
     truncated_gaussian_target,
     uniform_target,
 )
-
-
-class FixedNoise:
-    """Stub stream returning a preset noise vector."""
-
-    def __init__(self, z):
-        self.z = np.asarray(z, dtype=np.float64)
-
-    def standard_normal(self, d):
-        return self.z[:d]
 
 
 class TestRwmParameter:
@@ -111,27 +103,32 @@ class TestDiscreteLane:
 
 
 class TestContinuousLane:
-    def test_null_move_accepted(self):
-        target = truncated_gaussian_target([[-3.0, 3.0]], m=10)
-        out = rwm_propose_accept(
-            [0.5], RwmParameter.from_scalar(1.0, 0.1, 10.0), target, FixedNoise([0.0])
-        )
-        assert out.y.tolist() == [0.5]
-        assert out.alpha == 1.0
-
-    def test_uphill_move_accepted(self):
-        target = truncated_gaussian_target([[-3.0, 3.0]], m=10)
-        out = rwm_propose_accept(
-            [1.0], RwmParameter.from_scalar(0.25, 0.1, 10.0), target, FixedNoise([-1.0])
-        )
-        assert out.alpha == 1.0
-
-    def test_out_of_box_rejected(self):
-        target = truncated_gaussian_target([[-3.0, 3.0]], m=10)
-        out = rwm_propose_accept(
-            [2.9], RwmParameter.from_scalar(1.0, 0.1, 10.0), target, FixedNoise([5.0])
-        )
-        assert out.alpha == 0.0
+    def test_every_step_replays_from_the_stream(self):
+        """Each step draws ``standard_normal(d)`` then ``random()``; alpha is 0
+        out of the box and ``exp(min(0, log pi(y) - log pi(x)))`` inside it."""
+        target = truncated_gaussian_target([[-3.0, 3.0], [-1.0, 1.0]], m=10)
+        param = RwmParameter(Sigma=[[2.0, 0.3], [0.3, 0.5]], a=0.1, b=4.0)
+        run = run_rwm_chain(target, param, x0=[2.5, 0.0], n=400, seed=17)
+        rng = chain_generator(17)
+        L = param.chol()
+        x = np.array([2.5, 0.0])
+        out_of_box = uphill = 0
+        for k in range(400):
+            Z = rng.standard_normal(2)
+            u = rng.random()
+            y = x + L @ Z
+            if target.contains(y):
+                alpha = math.exp(min(0.0, target.log_pdf(y) - target.log_pdf(x)))
+            else:
+                alpha = 0.0
+                out_of_box += 1
+            uphill += alpha == 1.0
+            assert run["alphas"][k] == alpha
+            assert run["accepts"][k] == (u < alpha)
+            if u < alpha:
+                x = y
+            assert np.array_equal(run["points"][k + 1], x)
+        assert out_of_box > 0 and uphill > 0
 
     def test_acceptance_rate_matches_discrete_expectation(self):
         target = truncated_gaussian_target([[-3.0, 3.0]], m=100)
@@ -146,3 +143,31 @@ class TestContinuousLane:
         a = run_rwm_chain(target, param, [0.0], 200, seed=5)
         b = run_rwm_chain(target, param, [0.0], 200, seed=5)
         assert np.array_equal(a["points"], b["points"])
+
+
+class TestBimodalTarget:
+    @pytest.mark.parametrize(
+        "bounds,centers",
+        [
+            ([[-2.0, 2.0]], [[-1.0, 1.0]]),  # one 2-entry center for d = 1
+            ([[-2.0, 2.0], [-2.0, 2.0]], [[-1.0, 0.0, 1.0, 0.0]]),  # one 4-entry center, d = 2
+            ([[-2.0, 2.0], [-2.0, 2.0]], [[-1.0, 0.0], [1.0]]),
+            ([[-2.0, 2.0]], [-1.0, 1.0]),  # bare numbers are not points
+            ([[-2.0, 2.0]], []),
+        ],
+    )
+    def test_each_center_has_d_coordinates(self, bounds, centers):
+        with pytest.raises(ValueError, match="each center must be a list of d="):
+            bimodal_mixture_target(bounds, m=8, centers=centers)
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_one_weight_per_center(self, weights):
+        with pytest.raises(ValueError, match=r"weights must give one value per center \(2\)"):
+            bimodal_mixture_target([[-2.0, 2.0]], m=8, centers=[[-1.0], [1.0]], weights=weights)
+
+    def test_weights_set_the_mode_masses(self):
+        target = bimodal_mixture_target(
+            [[-3.0, 3.0]], m=60, centers=[[-1.5], [1.5]], sd=0.3, weights=[1.0, 3.0]
+        )
+        w = target.grid_distribution().weights
+        assert w[30:].sum() / w[:30].sum() == pytest.approx(3.0, rel=1e-6)
