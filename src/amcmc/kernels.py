@@ -284,16 +284,11 @@ def invariance_residual(pi: Distribution, P: StochasticMatrix) -> float:
     return float(np.abs(pi.weights @ P.rows - pi.weights).max())
 
 
-def is_stationary_for(pi: Distribution, P: StochasticMatrix) -> bool:
-    """Check ``pi P = pi`` within ``STATIONARY_TOL``."""
-    return invariance_residual(pi, P) <= STATIONARY_TOL
-
-
 def _require_invariant(pi: Distribution, P_list: Sequence[StochasticMatrix]) -> None:
     """The invariance rule of families and certificate fits: raise
     :class:`NotInvariant` for a kernel that moves ``pi`` by over ``STATIONARY_TOL``."""
     for idx, P in enumerate(P_list):
-        if not is_stationary_for(pi, P):
+        if invariance_residual(pi, P) > STATIONARY_TOL:
             raise NotInvariant(f"kernel {idx} does not leave pi invariant within {STATIONARY_TOL}")
 
 

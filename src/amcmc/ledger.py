@@ -22,6 +22,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -321,13 +322,115 @@ def martingale_check(
 # decrease and the pinned last entry 1.0 exceeds every uniform in [0, 1), so
 # ``entry <= u`` holds on a prefix of the row and fails on the rest, even
 # where roundoff lifts earlier cumsums above 1.0.  Any search for that
-# boundary returns the same index.  Rows longer than ``_BISECT_WINDOW`` are
-# first narrowed by a lockstep binary search: all replications share one
-# window length, halved each round, while each moves its own window start.
-# The last window, and any row of at most ``_BISECT_WINDOW`` entries, is
-# scanned by a single compare-argmax.
+# boundary returns the same index, and so does a count of the entries
+# ``<= u``.  The steps run in sub-blocks of ``_SUB_BLOCK``, by one of two
+# paths chosen once per run from ``n_states`` and the replication count R:
+#
+# - Next-state table, when a row fits the scan window (``n_states <=
+#   _BISECT_WINDOW``) and ``R * n_states * (n_states - 1) <=
+#   _TABLE_MAX_COMPARES``.  A sub-block first counts, for each of its
+#   steps, replications and states, the row entries ``<= u``: that many
+#   compares per step, in ``n_states - 1`` passes over the whole sub-block.
+#   Each step is then one gather of R entries.  The table holds
+#   ``_SUB_BLOCK * n_states * R`` entries, no more than a full uniform block.
+# - Lockstep bisection otherwise, a few NumPy calls on R elements per
+#   halving round and per scan, ``O(R log n_states)`` per step.  Rows
+#   longer than ``_BISECT_WINDOW`` are first narrowed by a lockstep binary
+#   search: all replications share one window length, halved each round,
+#   while each moves its own window start.  The last window, and any row of
+#   at most ``_BISECT_WINDOW`` entries, is scanned by a single
+#   compare-argmax.
+#
+# The table's build grows with ``n_states**2`` per replication, while
+# bisection's cost is mostly per step.  In the sweep kept in
+# BENCH_ensemble_table.json the table ran slower only beyond the compare
+# budget; near the budget the two paths tie within the noise.
+#
+# Each path leaves a sub-block's running phi sums in the rows of its spent
+# uniforms, where the recorded prefixes are read.  Bisection adds each
+# step's phi values as it goes, as a per-step ``+=`` would.  The table
+# path, whose steps are single gathers, writes the sub-block's states to
+# one ``(_SUB_BLOCK, R)`` buffer and sums them with one cumsum down the rows,
+# seeded with the running sums: the same additions in the same order, so
+# the sums are bit-identical.  Bisection keeps no such buffer: at 400
+# states and R = 1000, storing each step's states alone slowed it by about
+# 3%.  A_n terms are added at the index-change steps, in step order.
 
 _BISECT_WINDOW = 16
+_SUB_BLOCK = _STREAM_BLOCK // _BISECT_WINDOW
+_TABLE_MAX_COMPARES = 6000
+
+
+def _uses_table(n_states: int, R: int) -> bool:
+    """Whether an ensemble of ``R`` replications on ``n_states`` states
+    advances by next-state table rather than lockstep bisection."""
+    return n_states <= _BISECT_WINDOW and R * n_states * (n_states - 1) <= _TABLE_MAX_COMPARES
+
+
+def _bisection_steps(n_states, flats, windows, halves, phi_vals, g, steps, U, states, sums, a_sums):
+    """Advance ``states`` through a sub-block whose step ``j`` draws ``U[j]``
+    from kernel ``steps[j]``, by lockstep bisection; ``windows[s][i]`` is
+    ``flats[s][i : i + width]``.  The running phi sums, seeded with
+    ``sums``, overwrite the spent uniforms.  Given the solutions ``g``,
+    ``a_sums`` gains the A_n term of each step where ``steps[j + 1]``
+    differs.  Returns the last states."""
+    steps = steps.tolist()
+    for j in range(U.shape[0]):
+        s = steps[j]
+        u = U[j]
+        flat = flats[s]
+        row = states * n_states
+        start = row
+        for half in halves:
+            start = start + half * (flat[start + (half - 1)] <= u)
+        states = start - row + (u[:, None] < windows[s][start]).argmax(axis=1)
+        sums = np.add(sums, phi_vals[states], out=u)
+        if g is not None and steps[j + 1] != s:
+            a_sums += (g[steps[j + 1]] - g[s])[states]
+    return states
+
+
+def _table_steps(by_column, table, visited, phi_vals, g, steps, U, states, sums, a_sums):
+    """Advance ``states`` through a sub-block whose step ``j`` draws ``U[j]``
+    from kernel ``steps[j]``, by next-state table; ``by_column[c][s]`` is
+    column ``c`` of member ``s``'s cumsum table, and ``table`` and
+    ``visited`` are scratch of ``(_SUB_BLOCK, n_states, R)`` and
+    ``(_SUB_BLOCK, R)``.  The sums are those of :func:`_bisection_steps`.
+    Returns the last states."""
+    m, R = U.shape
+    n_states = by_column.shape[0]
+    # counts[j, x, r] = #{c < n_states - 1 : cum_j[x, c] <= U[j, r]}; with
+    # R innermost every compare runs over a contiguous row of uniforms
+    counts = np.zeros((m, n_states, R), dtype=np.int8)
+    below = np.empty((m, n_states, R), dtype=bool)
+    u = U[:, None, :]
+    for column in by_column[:-1]:
+        np.less_equal(column[steps[:m]][:, :, None], u, out=below)
+        counts += below.view(np.int8)
+    # table[j] maps position x * R + r to the next one, count * R + r
+    table = table[:m]
+    np.multiply(counts, R, out=table, dtype=np.int64)
+    table += np.arange(R)
+    table = table.reshape(m, n_states * R)
+    # positions and states are always in range, so clip never acts; it
+    # spares take a buffered copy of out
+    visited = visited[:m]
+    pos = states * R + np.arange(R)
+    for j in range(m):
+        pos = table[j].take(pos, out=visited[j], mode="clip")
+    visited //= R
+    # seeded with the running sums, one cumsum down the rows makes the
+    # additions of a per-step += in the same order
+    phi_vals.take(visited, out=U, mode="clip")
+    U[0] += sums
+    np.cumsum(U, axis=0, out=U)
+    if g is not None:
+        changed = np.flatnonzero(steps[1 : m + 1] != steps[:m])
+        if changed.size:
+            x = visited[changed]
+            terms = g[steps[changed + 1, None], x] - g[steps[changed, None], x]
+            a_sums[:] = np.cumsum(np.concatenate([a_sums[None], terms]), axis=0)[-1]
+    return visited[-1].copy()
 
 
 def ensemble_schedule_run(
@@ -345,11 +448,15 @@ def ensemble_schedule_run(
     Returns per-replication sums ``sum_{k<=n} phi(X_k)``, optionally the
     running sums recorded at ``record_prefixes`` (an array of shape
     ``(len(prefixes), R)``), the per-replication adaptation sums ``A_n``
-    when ``solutions`` is given (else None), and the final states.  Each
-    step costs ``O(R log n_states)``.  A scheduled index outside the family
-    raises SchemeEscape; an ``x0`` outside the state space,
-    ``record_prefixes`` not strictly increasing within ``[1, n]``, or
-    ``solutions`` lacking a scheduled index raises ValueError.
+    when ``solutions`` is given (else None), and the final states.  Small
+    state spaces with few replications advance one gather per step through
+    a next-state table, the rest by lockstep bisection at ``O(R log
+    n_states)`` per step; both give the same states and sums.  A scheduled
+    index outside the family raises SchemeEscape; an ``x0`` outside the
+    state space, ``indices`` without an entry per step (and one more when
+    ``solutions`` is given), ``record_prefixes`` not strictly increasing
+    within ``[1, n]``, or ``solutions`` lacking a scheduled index raises
+    ValueError.
     """
     if not 0 <= x0 < family.n_states:
         raise ValueError(f"x0={x0} outside state space")
@@ -357,6 +464,10 @@ def ensemble_schedule_run(
     prefixes = [] if record_prefixes is None else [int(k) for k in record_prefixes]
     if not all(a < b for a, b in zip([0, *prefixes], [*prefixes, n + 1])):
         raise ValueError(f"record_prefixes must increase strictly within [1, {n}]")
+    schedule = np.asarray(indices, dtype=np.int64)
+    last = n if solutions is not None else n - 1
+    if schedule.shape[0] <= last:
+        raise ValueError(f"indices must cover steps 0..{last}, got {schedule.shape[0]} entries")
     if solutions is not None:
         used = np.unique(indices)
         unsolved = used[np.isnan(solutions.g[used]).any(axis=1)]
@@ -366,42 +477,39 @@ def ensemble_schedule_run(
     streams = [chain_generator(ss) for ss in seed_seqs]
     U = np.empty((min(n, _STREAM_BLOCK), R))
     n_states = family.n_states
-    halves = []
-    width = n_states
-    while width > _BISECT_WINDOW:
-        halves.append(width // 2)
-        width -= width // 2
-    # windows[s][i] is flats[s][i : i + width]
     flats = _cum_tables(family)
-    windows = [sliding_window_view(flat, width) for flat in flats]
-    schedule = np.asarray(indices).tolist()
+    g = None if solutions is None else solutions.g
+    if _uses_table(n_states, R):
+        by_column = np.stack(flats).reshape(-1, n_states, n_states).transpose(2, 0, 1)
+        table = np.empty((min(n, _SUB_BLOCK), n_states, R), dtype=np.int64)
+        visited = np.empty((min(n, _SUB_BLOCK), R), dtype=np.int64)
+        advance = partial(_table_steps, by_column, table, visited, phi.values, g)
+    else:
+        halves = []
+        width = n_states
+        while width > _BISECT_WINDOW:
+            halves.append(width // 2)
+            width -= width // 2
+        windows = [sliding_window_view(flat, width) for flat in flats]
+        advance = partial(_bisection_steps, n_states, flats, windows, halves, phi.values, g)
     states = np.full(R, x0, dtype=np.int64)
-    phi_vals = phi.values
     phi_sums = np.zeros(R)
     a_sums = np.zeros(R) if solutions is not None else None
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
-    for k in range(1, n + 1):
+    for k in range(1, n + 1, _SUB_BLOCK):
         j = (k - 1) % _STREAM_BLOCK
         if j == 0:
             block = min(_STREAM_BLOCK, n - k + 1)
             for i, rng in enumerate(streams):
                 U[:block, i] = rng.random(block)
-        s_prev = schedule[k - 1]
-        u = U[j]
-        flat = flats[s_prev]
-        row = states * n_states
-        start = row
-        for half in halves:
-            start = start + half * (flat[start + (half - 1)] <= u)
-        states = start - row + (u[:, None] < windows[s_prev][start]).argmax(axis=1)
-        phi_sums += phi_vals[states]
-        if solutions is not None:
-            s_new = schedule[k]
-            if s_new != s_prev:
-                a_sums += (solutions.g[s_new] - solutions.g[s_prev])[states]
-        if next_record < len(prefixes) and k == prefixes[next_record]:
-            recorded[next_record] = phi_sums
+        m = min(_SUB_BLOCK, n - k + 1)
+        # row i of the spent uniforms comes back as the sums after step k + i
+        spent = U[j : j + m]
+        states = advance(schedule[k - 1 : k + m], spent, states, phi_sums, a_sums)
+        phi_sums = spent[-1].copy()
+        while next_record < len(prefixes) and prefixes[next_record] < k + m:
+            recorded[next_record] = spent[prefixes[next_record] - k]
             next_record += 1
     return phi_sums, recorded, a_sums, states
 

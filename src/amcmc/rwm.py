@@ -133,10 +133,12 @@ def bimodal_mixture_target(bounds, m: int, centers, sd=0.5, weights=None) -> Com
     ws = np.full(len(cs), 1.0 / len(cs)) if weights is None else np.asarray(weights, float)
     if ws.shape != (len(cs),):
         raise ValueError(f"weights must give one value per center ({len(cs)}), got {weights!r}")
+    if not np.all(np.isfinite(ws) & (ws > 0)):
+        raise ValueError(f"weights must be positive and finite, got {weights!r}")
     ws = ws / ws.sum()
     s = float(sd)
-    if s <= 0:
-        raise ValueError("sd must be positive")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"sd must be positive and finite, got {sd!r}")
 
     def logp(x, cs=cs.copy(), ws=ws.copy(), s=s):
         sq = ((x[None, :] - cs) ** 2).sum(axis=1)

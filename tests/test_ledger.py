@@ -41,10 +41,12 @@ from amcmc.kernels import (
 from amcmc.ledger import (
     _KS_TAIL_FROM,
     _STREAM_BLOCK,
+    _SUB_BLOCK,
     PoissonTable,
     Trajectory,
     _kolmogorov_cdf,
     _smirnov_tail,
+    _uses_table,
     an_bound_check,
     chain_generator,
     clt_study,
@@ -332,7 +334,9 @@ class TestEnsembleContract:
         n_states=st.integers(min_value=1, max_value=90),
         size=st.integers(min_value=1, max_value=4),
         n=st.integers(min_value=0, max_value=300),
-        reps=st.integers(min_value=1, max_value=6),
+        # up to 40 replications puts 13 to 16 states on both sides of the
+        # table path's compare budget, and more states always bisect
+        reps=st.integers(min_value=1, max_value=40),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_lockstep_matches_chain_on_random_families(
@@ -370,10 +374,13 @@ ROUNDOFF_WEIGHTS = (0.33, 0.56, 0.11)
 
 class TestLockstepBisect:
     """Rows longer than the scan window go through the lockstep binary search;
-    the sizes straddle the window (16) and the halving boundaries."""
+    the sizes straddle the window (16) and the halving boundaries.  Seven
+    replications take the next-state table up to 16 states, forty take it
+    only up to 12."""
 
+    @pytest.mark.parametrize("reps", [7, 40])
     @pytest.mark.parametrize("n_states", [1, 2, 15, 16, 17, 31, 32, 33, 64, 65, 257])
-    def test_matches_single_chains_bitwise(self, n_states):
+    def test_matches_single_chains_bitwise(self, n_states, reps):
         rng = np.random.default_rng(n_states)
         roundoff = circulant_kernel(n_states, ROUNDOFF_WEIGHTS, (0, 1, 2))
         lazy = circulant_kernel(n_states, (0.25, 0.75), (0, 1))
@@ -389,7 +396,7 @@ class TestLockstepBisect:
         prefixes = [1, 37, n]
         x0 = n_states - 1
         table = poisson_table(fam, phi, range(fam.size))
-        seed_seqs = [np.random.SeedSequence(entropy=n_states, spawn_key=(r,)) for r in range(7)]
+        seed_seqs = [np.random.SeedSequence(entropy=n_states, spawn_key=(r,)) for r in range(reps)]
         sums, recorded, a_sums, last = ensemble_schedule_run(
             fam, indices, phi, n, seed_seqs, x0,
             record_prefixes=prefixes, solutions=table,
@@ -407,12 +414,27 @@ class TestLockstepBisect:
             assert a_n == a_sums[r]
             assert X[-1] == last[r]
 
+    @pytest.mark.parametrize("n_states,reps,table", [(3, 32, True), (400, 1000, False)])
+    def test_benchmark_shapes_take_their_paths(self, n_states, reps, table):
+        # lln's 32 chains on 3 states gather from a table; the clt ensemble
+        # of 1000 replications on 400 states bisects
+        assert _uses_table(n_states, reps) is table
+
     def test_start_outside_state_space_rejected(self):
         fam = iid_family(PI3)
         phi = TestFunction.indicator(0, fam.pi)
         with pytest.raises(ValueError, match="x0"):
             ensemble_schedule_run(fam, np.zeros(3, dtype=np.int64), phi, 2,
                                   [np.random.SeedSequence(1)], x0=3)
+
+    @pytest.mark.parametrize("length,with_solutions", [(5, False), (9, False), (10, True)])
+    def test_schedule_shorter_than_the_run_rejected(self, length, with_solutions):
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        table = poisson_table(fam, phi, [0]) if with_solutions else None
+        with pytest.raises(ValueError, match="indices must cover steps 0.."):
+            ensemble_schedule_run(fam, np.zeros(length, dtype=np.int64), phi, 10,
+                                  [np.random.SeedSequence(1)], x0=0, solutions=table)
 
     @pytest.mark.parametrize("prefixes", [[0, 5], [2, 2], [3, 2], [11], [-1]])
     def test_record_prefixes_must_increase_within_1_to_n(self, prefixes):
@@ -553,7 +575,8 @@ class TestEnsembleOracle:
         phi = TestFunction.from_values(np.random.default_rng(n).normal(size=6), fam.pi)
         indices = (np.arange(n + 1) // 3) % fam.size
         table = poisson_table(fam, phi, range(fam.size))
-        edges = {1, _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK, n}
+        edges = {1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1,
+                 _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK, n}
         prefixes = sorted(k for k in edges if k <= n)
         seed_seqs = [np.random.SeedSequence(entropy=n, spawn_key=(r,)) for r in range(3)]
         check_against_reference_ensemble(fam, indices, phi, n, seed_seqs, 5, prefixes, table)

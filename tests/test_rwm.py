@@ -165,6 +165,18 @@ class TestBimodalTarget:
         with pytest.raises(ValueError, match=r"weights must give one value per center \(2\)"):
             bimodal_mixture_target([[-2.0, 2.0]], m=8, centers=[[-1.0], [1.0]], weights=weights)
 
+    @pytest.mark.parametrize(
+        "weights", [[1.0, -1.0], [0.0, 0.0], [1.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0]]
+    )
+    def test_weights_positive_and_finite(self, weights):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            bimodal_mixture_target([[-2.0, 2.0]], m=8, centers=[[-1.0], [1.0]], weights=weights)
+
+    @pytest.mark.parametrize("sd", [0.0, -0.5, float("nan"), float("inf")])
+    def test_sd_positive_and_finite(self, sd):
+        with pytest.raises(ValueError, match="sd must be positive and finite"):
+            bimodal_mixture_target([[-2.0, 2.0]], m=8, centers=[[-1.0], [1.0]], sd=sd)
+
     def test_weights_set_the_mode_masses(self):
         target = bimodal_mixture_target(
             [[-3.0, 3.0]], m=60, centers=[[-1.5], [1.5]], sd=0.3, weights=[1.0, 3.0]
