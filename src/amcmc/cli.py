@@ -36,6 +36,15 @@ EXIT_PASS = 0
 EXIT_UNEXPECTED = 1
 EXIT_EXPECTED_FAILURE = 2
 
+# Upper bounds on size fields: (largest value, the budget it keeps a run
+# within), measured on one core of a 2.0 GHz Xeon.
+# A certificate walks one matrix power per unit of horizon and member;
+# ``fit_ergodicity_constants`` spends about 7.5 ms a power at 200 states.
+HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
+# ``waning`` holds about 40 bytes per step and draws up to 1.7 us a step
+# (bernoulli-log).
+D_SERIES_CAP = (10_000_000, "about 0.4 GB and 17 s of steps")
+
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
@@ -75,10 +84,11 @@ class RunConfig:
             raise ConfigError(f"config field {key!r} is required for {self.experiment}")
         return self.raw[key]
 
-    def scalar(self, name: str, kind: type, default=None, least=None, choices=None, below=None):
+    def scalar(self, name: str, kind: type, default=None, least=None, choices=None, below=None,
+               cap=None):
         """Field ``name`` converted by ``kind`` (``int``, ``float``, ``str``
         or ``bool``) and checked by :func:`_typed` against ``least``,
-        ``choices`` and ``below``.
+        ``choices``, ``below`` and ``cap``.
 
         A dotted name such as ``"d_series.n"`` reads a field of a nested
         object.  A missing field gives ``default``, or is an error when
@@ -95,19 +105,20 @@ class RunConfig:
             if default is None:
                 raise ConfigError(f"config field {name!r} is required for {self.experiment}")
             return default
-        return _typed(name, obj[key], kind, least, choices, below)
+        return _typed(name, obj[key], kind, least, choices, below, cap)
 
 
-def _typed(name: str, value, kind: type, least=None, choices=None, below=None):
+def _typed(name: str, value, kind: type, least=None, choices=None, below=None, cap=None):
     """``kind(value)``, with a failed conversion or a broken range rule
     reported as a ConfigError.
 
     A ``bool`` or ``str`` must be given as one, and a number never as a
     bool.  An ``int`` must be integral (``7``, ``7.0`` or ``"7"``, never
     ``2.9`` or ``1e400``), ``>= least`` and, given ``below`` (the bound a
-    family sets on a state or member index), ``< below``.  A ``float`` must
-    be finite, and ``> least`` when one is given.  ``choices`` lists the
-    allowed values.
+    family sets on a state or member index), ``< below``, and given ``cap``
+    (a size's largest value and the budget it stands for), ``<= cap[0]``.
+    A ``float`` must be finite, and ``> least`` when one is given.
+    ``choices`` lists the allowed values.
     """
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -127,6 +138,8 @@ def _typed(name: str, value, kind: type, least=None, choices=None, below=None):
         raise ConfigError(f"{name}={v} outside [{least}, {below})")
     if kind is int and not (least is None or least <= v):
         raise ConfigError(f"{name} must be >= {least}, got {v}")
+    if cap is not None and v > cap[0]:
+        raise ConfigError(f"{name}={v} exceeds {cap[0]}, the budget of {cap[1]}")
     if kind is float and not (math.isfinite(v) and (least is None or least < v)):
         rule = "finite" if least is None else f"> {least} and finite"
         raise ConfigError(f"{name} must be {rule}, got {v}")
@@ -588,7 +601,7 @@ def cmd_clt(cfg: RunConfig) -> tuple:
 
 
 def cmd_bounds(cfg: RunConfig) -> tuple:
-    horizon = cfg.scalar("horizon", int, 32, least=2)
+    horizon = cfg.scalar("horizon", int, 32, least=2, cap=HORIZON_CAP)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     consts = kernels.fit_ergodicity_constants(list(family.kernels), family.pi, horizon)
@@ -621,7 +634,7 @@ RARE_SCHEDULES = {
 
 def cmd_waning(cfg: RunConfig) -> tuple:
     kind = cfg.scalar("d_series.kind", str)
-    n = cfg.scalar("d_series.n", int, 100_000, least=1)
+    n = cfg.scalar("d_series.n", int, 100_000, least=1, cap=D_SERIES_CAP)
     p = cfg.scalar("p", float, 1.0, least=0)
     expect = cfg.scalar("expect_waning", bool, True)
     if kind in RARE_SCHEDULES:
@@ -659,7 +672,7 @@ def cmd_waning(cfg: RunConfig) -> tuple:
 
 def cmd_poisson(cfg: RunConfig) -> tuple:
     tol = cfg.scalar("tol", float, 1e-9, least=0)
-    horizon = cfg.scalar("horizon", int, 32, least=2)
+    horizon = cfg.scalar("horizon", int, 32, least=2, cap=HORIZON_CAP)
     family = build_family(cfg.require("family"))
     member = cfg.scalar("member", int, 0, least=0, below=family.size)
     phi = build_phi(cfg.require("phi"), family)
@@ -686,7 +699,7 @@ def cmd_poisson(cfg: RunConfig) -> tuple:
 
 
 def cmd_kernel_info(cfg: RunConfig) -> tuple:
-    horizon = cfg.scalar("horizon", int, 16, least=1)
+    horizon = cfg.scalar("horizon", int, 16, least=1, cap=HORIZON_CAP)
     family = build_family(cfg.require("family"))
     info = []
     curves = {}

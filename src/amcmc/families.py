@@ -9,6 +9,7 @@ optionally tagged with scalar parameter values (a parameter grid).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,14 @@ class KernelFamily:
             if not all(math.isfinite(v) for v in params):
                 raise ValueError(f"params must be finite, got {params}")
             object.__setattr__(self, "params", params)
+            # the distinct values in ascending order, each with the first
+            # member that carries it (-0.0 and 0.0 are one value)
+            first = {}
+            for idx, v in enumerate(params):
+                first.setdefault(v, idx)
+            grid = sorted(first)
+            object.__setattr__(self, "_grid", grid)
+            object.__setattr__(self, "_grid_first", [first[v] for v in grid])
 
     @property
     def size(self) -> int:
@@ -67,11 +76,31 @@ class KernelFamily:
         return self.kernels[s]
 
     def nearest_index(self, value: float) -> int:
-        """Index of the grid parameter closest to ``value``."""
+        """Index of the first member whose parameter is closest to ``value``
+        (``0`` for a NaN ``value``), as ``argmin`` over ``|p - value|``.
+
+        The rounded distance ``|p - value|`` falls towards ``value`` and
+        rises past it, so the members at the least distance are one run of
+        the sorted grid around the bisection point.  Rounding can make that
+        run longer than one value (``[0.0, 1e-17, 1.0]`` at 0.5, any grid at
+        ``inf``), so it is widened over every equal distance.
+        """
         if self.params is None:
             raise ValueError("family has no parameter grid")
-        gaps = [abs(p - value) for p in self.params]
-        return gaps.index(min(gaps))
+        if value != value:
+            return 0
+        grid = self._grid
+        i = bisect_left(grid, value)
+        if i == len(grid) or i > 0 and value - grid[i - 1] <= grid[i] - value:
+            i -= 1
+        gap = abs(grid[i] - value)
+        lo = hi = i
+        while lo > 0 and abs(grid[lo - 1] - value) == gap:
+            lo -= 1
+        while hi + 1 < len(grid) and abs(grid[hi + 1] - value) == gap:
+            hi += 1
+        first = self._grid_first
+        return first[i] if lo == hi else min(first[lo : hi + 1])
 
 
 def cyclic_pair() -> KernelFamily:

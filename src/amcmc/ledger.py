@@ -17,7 +17,6 @@ estimated.  The Poisson solutions are one table per trajectory or schedule
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from bisect import bisect_right
@@ -769,21 +768,39 @@ def an_bound_check(
 # file formats
 
 
+# The ledger CSV is written ``_CSV_BLOCK`` rows at a time.  Within a block
+# each column's distinct bit patterns (so -0.0 apart from 0.0, and each NaN
+# payload apart) are ``repr``-ed once and the texts gathered back by row;
+# most columns repeat a few values.  A block holds its rows as text, so its
+# size sets the writer's peak memory: on a 50k-row ledger, 0.3 MB traced at
+# 512 rows and 0.55 MB at 1024, at about the same speed.
+_CSV_BLOCK = 512
+
+
+def _column_texts(col: np.ndarray) -> list:
+    """``repr`` of each entry of ``col`` as a Python int or float, taken once
+    per distinct bit pattern."""
+    keys, at = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    texts = list(map(repr, keys.view(col.dtype).tolist()))
+    return list(map(texts.__getitem__, at.tolist()))
+
+
 def write_ledger_csv(path, traj: Trajectory, ledger: DecompositionLedger) -> None:
     """Export the per-step ledger as CSV with header
-    ``k,x,s_index,delta,M,A,R,D,cond_var``."""
+    ``k,x,s_index,delta,M,A,R,D,cond_var``.
+
+    Rows end in CRLF, an integer is written in decimal and a float as its
+    shortest round-trip ``repr`` (``nan``, ``inf`` and ``-inf`` included):
+    the bytes of ``csv.writer`` over the columns' ``tolist()``.
+    """
+    columns = (
+        traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A, ledger.R, ledger.D,
+        ledger.cond_var,
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x", "s_index", "delta", "M", "A", "R", "D", "cond_var"])
-        columns = (
-            traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A, ledger.R, ledger.D,
-            ledger.cond_var,
-        )
-        # tolist() gives Python ints and floats, and csv writes a float as its
-        # repr; a block of rows at a time keeps those objects few
-        block = 4096
-        for start in range(0, traj.n, block):
-            stop = min(start + block, traj.n)
-            writer.writerows(
-                zip(range(start + 1, stop + 1), *(c[start:stop].tolist() for c in columns))
-            )
+        fh.write("k,x,s_index,delta,M,A,R,D,cond_var\r\n")
+        for start in range(0, traj.n, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, traj.n)
+            rows = zip(map(str, range(start + 1, stop + 1)),
+                       *(_column_texts(c[start:stop]) for c in columns))
+            fh.write("".join([",".join(row) + "\r\n" for row in rows]))

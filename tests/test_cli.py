@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import amcmc
 from amcmc import kernels
-from amcmc.cli import RunConfig, build_family, build_scheme, build_target, main
+from amcmc.cli import (
+    D_SERIES_CAP,
+    HORIZON_CAP,
+    RunConfig,
+    build_family,
+    build_scheme,
+    build_target,
+    main,
+)
 from amcmc.errors import ConfigError, NonPositiveDensity
 from amcmc.rwm import DEFAULT_STATE_CAP, RwmParameter, build_discrete_rwm, table_target
 
@@ -452,6 +460,12 @@ class TestRunConfigScalar:
         with pytest.raises(ConfigError, match="d_series.n must be int, got 'abc'"):
             self.config({"d_series": {"n": "abc"}}).scalar("d_series.n", int)
 
+    def test_cap_admits_its_bound_and_names_its_budget(self):
+        cfg = self.config({"d_series": {"n": 10}, "horizon": "11"})
+        assert cfg.scalar("d_series.n", int, cap=(10, "ten steps")) == 10
+        with pytest.raises(ConfigError, match="^horizon=11 exceeds 10, the budget of ten powers$"):
+            cfg.scalar("horizon", int, cap=(10, "ten powers"))
+
     def test_non_object_parent_names_it(self):
         with pytest.raises(ConfigError, match="'seeds' must be an object"):
             self.config({"seeds": [1, 2]}).scalar("seeds.count", int, 16)
@@ -628,6 +642,19 @@ class TestConfigHandling:
              "scheme.indices must be int, got inf"),
             ("bounds", {"family": {**RWM_GRID, "target": {**RWM_GRID["target"], "m": 1e400}}},
              "target.m must be int, got inf"),
+            # a size beyond its cap is refused, naming the budget the cap keeps
+            ("bounds", {"family": {"kind": "cyclic-pair"}, "horizon": 10**30},
+             f"horizon={10**30} exceeds {HORIZON_CAP[0]}, the budget of {HORIZON_CAP[1]}"),
+            ("bounds", {"family": {"kind": "cyclic-pair"}, "horizon": 1e30},
+             f"exceeds {HORIZON_CAP[0]}, the budget of {HORIZON_CAP[1]}"),
+            ("poisson", {"family": {"kind": "cyclic-pair"}, "horizon": HORIZON_CAP[0] + 1},
+             f"horizon={HORIZON_CAP[0] + 1} exceeds {HORIZON_CAP[0]}"),
+            ("kernel-info", {"family": {"kind": "cyclic-pair"}, "horizon": 10**30},
+             f"exceeds {HORIZON_CAP[0]}, the budget of {HORIZON_CAP[1]}"),
+            ("waning", {"d_series": {"kind": "rare-log", "n": 10**30}},
+             f"d_series.n={10**30} exceeds {D_SERIES_CAP[0]}, the budget of {D_SERIES_CAP[1]}"),
+            ("waning", {"d_series": {"kind": "constant", "n": D_SERIES_CAP[0] + 1, "value": 0.5}},
+             f"d_series.n={D_SERIES_CAP[0] + 1} exceeds {D_SERIES_CAP[0]}"),
             # nor may a non-integral value be truncated into a run
             ("bounds", {"family": {"kind": "mixture", "count": 2.9}},
              "family.count must be int, got 2.9"),

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 import tracemalloc
 import warnings
@@ -39,9 +41,11 @@ from amcmc.kernels import (
     max_tv_between_kernels,
 )
 from amcmc.ledger import (
+    _CSV_BLOCK,
     _KS_TAIL_FROM,
     _STREAM_BLOCK,
     _SUB_BLOCK,
+    DecompositionLedger,
     PoissonTable,
     Trajectory,
     _kolmogorov_cdf,
@@ -865,6 +869,36 @@ class TestAnBoundCheck:
             an_bound_check(np.arange(101) % 2, fam, phi, 100, 10, seed=19)
 
 
+def oracle_ledger_csv(traj, ledger) -> bytes:
+    """The ledger file as ``csv.writer`` writes the columns' ``tolist()``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["k", "x", "s_index", "delta", "M", "A", "R", "D", "cond_var"])
+    columns = (traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A, ledger.R, ledger.D,
+               ledger.cond_var)
+    writer.writerows(zip(range(1, traj.n + 1), *(c.tolist() for c in columns)))
+    return buf.getvalue().encode("ascii")
+
+
+# -0.0 beside 0.0, subnormals, repr's switches to exponent form below 1e-4
+# and from 1e16, and NaNs with other payloads and signs
+CSV_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e-4, 9.999999999999999e-05, 1e-5, 1e16, 9999999999999998.0, -1e16, 0.1, 1.0,
+    math.nan, math.inf, -math.inf,
+    *np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+              dtype=np.uint64).view(np.float64).tolist(),
+]
+
+
+def runs_of(pool, n: int, seed: int, dtype) -> np.ndarray:
+    """``n`` entries drawn from ``pool`` in runs of 1 to 300 repeats."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 301, size=n + 1)
+    picks = rng.integers(0, len(pool), size=n + 1)
+    return np.repeat(np.asarray(pool, dtype=dtype)[picks], lengths)[:n]
+
+
 class TestLedgerCsv:
     def test_header_and_rows(self, tmp_path):
         fam = grid_family()
@@ -876,6 +910,42 @@ class TestLedgerCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,x,s_index,delta,M,A,R,D,cond_var"
         assert len(lines) == 51
+        assert path.read_bytes() == oracle_ledger_csv(traj, ledger)
+
+    def test_peak_is_one_block_not_the_file(self, tmp_path):
+        """The writer holds one block of rows as text, so its peak memory
+        does not grow with the ledger."""
+
+        def peak(blocks):
+            n = blocks * _CSV_BLOCK
+            rng = np.random.default_rng(5)
+            traj = Trajectory(X=rng.integers(0, 300, n + 1), S=rng.integers(0, 12, n + 1), n=n)
+            ledger = DecompositionLedger(*rng.standard_normal((6, n)), centered_sums=np.zeros(n),
+                                         solutions=None)
+            return traced_peak(lambda: write_ledger_csv(tmp_path / "ledger.csv", traj, ledger))
+
+        assert peak(16) < 1.25 * peak(2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+        pools=st.lists(
+            st.lists(st.one_of(st.sampled_from(CSV_FLOATS), st.floats()), min_size=1, max_size=6),
+            min_size=6, max_size=6,
+        ),
+        ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_csv_writer(self, tmp_path_factory, n, pools, ints, seed):
+        X, S = (np.concatenate([[0], runs_of(ints, n, seed + i, np.int64)]) for i in (0, 1))
+        # every example has one column that draws from all of CSV_FLOATS
+        pools[seed % 6] = pools[seed % 6] + CSV_FLOATS
+        floats = [runs_of(pool, n, seed + i, np.float64) for i, pool in enumerate(pools, 2)]
+        traj = Trajectory(X=X, S=S, n=n)
+        ledger = DecompositionLedger(*floats, centered_sums=np.zeros(n), solutions=None)
+        path = tmp_path_factory.mktemp("csv") / "ledger.csv"
+        write_ledger_csv(path, traj, ledger)
+        assert path.read_bytes() == oracle_ledger_csv(traj, ledger)
 
 
 def test_chain_generator_accepts_int_and_seedsequence():
@@ -938,7 +1008,7 @@ def test_family_checks_pi_at_the_fit_tolerance():
 @given(
     params=st.lists(
         st.floats(min_value=-10, max_value=10, allow_nan=False).map(lambda v: round(v, 1)),
-        min_size=1, max_size=8,
+        min_size=1, max_size=32,
     ),
     value=st.floats(allow_nan=True, allow_infinity=True),
 )
@@ -949,6 +1019,42 @@ def test_nearest_index_is_first_closest(params, value):
                        pi=pi, params=tuple(params))
     expected = int(np.argmin(np.abs(np.asarray(params, dtype=np.float64) - value)))
     assert fam.nearest_index(value) == expected
+
+
+@pytest.mark.parametrize(
+    "params, value, expected",
+    [
+        # rounding makes every member equally near: the first one wins
+        ([0.0, 1e-17, 1.0], 0.5, 0),
+        ([1.0, 1e-17, 0.0], 0.5, 0),
+        ([0.5, 2.5, 1.0], 1e17, 0),
+        ([0.5, 2.5, 1.0], -1e17, 0),
+        ([0.5, 2.5, 1.0], math.inf, 0),
+        ([0.5, 2.5, 1.0], -math.inf, 0),
+        ([0.5, 2.5, 1.0], math.nan, 0),
+        # a tie between the neighbours of the bisection point
+        ([1.0, 0.0], 0.5, 0),
+        ([0.0, 1.0], 0.5, 0),
+        ([2.0, 1.0, 2.0, 1.0], 1.5, 0),
+        # duplicates and unsorted grids
+        ([2.0, 1.0, 2.0, 1.0], 1.1, 1),
+        ([2.0, 1.0, 2.0, 1.0], 9.0, 0),
+        ([3.0, -1.0, 0.5, 2.0], 0.4, 2),
+        ([3.0, -1.0, 0.5, 2.0], 2.6, 0),
+        ([3.0, -1.0, 0.5, 2.0], -5.0, 1),
+        # -0.0 and 0.0 are one parameter value
+        ([-0.0, 0.0, 1.0], 0.0, 0),
+        ([1.0, 0.0, -0.0], -0.0, 1),
+        ([1.0, -0.0, 0.0], -1e-300, 1),
+        ([1.0, -0.0, 0.0], 0.25, 1),
+    ],
+)
+def test_nearest_index_explicit_rows(params, value, expected):
+    pi = Distribution([0.5, 0.5])
+    fam = KernelFamily(kernels=(StochasticMatrix(np.full((2, 2), 0.5)),) * len(params),
+                       pi=pi, params=tuple(params))
+    assert fam.nearest_index(value) == expected
+    assert expected == int(np.argmin(np.abs(np.asarray(params, dtype=np.float64) - value)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
