@@ -34,7 +34,6 @@ from .kernels import (
     stationary_distribution,
     sup_tv_to_pi_curve,
     tv_distance,
-    write_kernel_json,
 )
 from .ledger import (
     DecompositionLedger,

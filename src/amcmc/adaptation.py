@@ -275,8 +275,6 @@ class WaningReport:
     of the series, a numerical convergence measure for the weighted series.
     """
 
-    D_series: np.ndarray
-    partial_sums: np.ndarray
     p: float
     checkpoints: np.ndarray
     statistic: np.ndarray
@@ -330,8 +328,6 @@ def waning_diagnostic(
     decreasing = bool(np.all(drops)) if stat.size > 1 else False
     waning = bool(stat[-1] == 0.0 or (decreasing and stat[-1] < stat[0]))
     return WaningReport(
-        D_series=D,
-        partial_sums=partial,
         p=float(p),
         checkpoints=cps,
         statistic=stat,

@@ -44,6 +44,9 @@ HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
 # ``waning`` holds about 40 bytes per step and draws up to 1.7 us a step
 # (bernoulli-log).
 D_SERIES_CAP = (10_000_000, "about 0.4 GB and 17 s of steps")
+# An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds
+# min(n, 4096) uniforms per replication; ``clt`` peaks at 372 MB RSS here.
+ENSEMBLE_CAP = (10_000, "about 0.37 GB and 1.5 ms a step on 400 states")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +540,8 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     seeds_spec = cfg.get("seeds", {"count": 16})
     if isinstance(seeds_spec, dict):
         _fields("seeds", seeds_spec, "count")
-        seeds = [cfg.seed + i for i in range(cfg.scalar("seeds.count", int, 16, least=1))]
+        count = cfg.scalar("seeds.count", int, 16, least=1, cap=ENSEMBLE_CAP)
+        seeds = [cfg.seed + i for i in range(count)]
     else:
         seeds = _typed_list("seeds", seeds_spec, int, least=0)
     expect = cfg.scalar("expect", str, "converge", choices=("converge", "fail"))
@@ -572,7 +576,7 @@ def cmd_lln(cfg: RunConfig) -> tuple:
 
 def cmd_clt(cfg: RunConfig) -> tuple:
     n = cfg.scalar("n", int, 10000, least=1)
-    replications = cfg.scalar("replications", int, 1000, least=2)
+    replications = cfg.scalar("replications", int, 1000, least=2, cap=ENSEMBLE_CAP)
     lo, hi = _interval("ratio_band", cfg.get("ratio_band", [0.85, 1.15]))
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)

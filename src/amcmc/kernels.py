@@ -425,13 +425,8 @@ def kernel_json_text(P: StochasticMatrix, pi: Distribution | None = None) -> str
     return json.dumps(d, indent=2) + "\n"
 
 
-def write_kernel_json(path, P: StochasticMatrix, pi: Distribution | None = None) -> None:
-    """Write the kernel file :func:`kernel_json_text` makes."""
-    Path(path).write_text(kernel_json_text(P, pi))
-
-
 def read_kernel_json(path) -> tuple[StochasticMatrix, Distribution | None]:
-    """Read a kernel file written by :func:`write_kernel_json`."""
+    """Read a kernel file in the format :func:`kernel_json_text` makes."""
     d = json.loads(Path(path).read_text())
     rows = np.asarray(d["rows"], dtype=np.float64)
     if rows.shape != (d["n"], d["n"]):

@@ -39,9 +39,9 @@ from .poisson import TestFunction, clt_variance, solve_poisson_exact
 # Reproducibility contract: the chain with seed material ``s`` draws from
 # Generator(Philox(SeedSequence(s))), one counter-based stream per chain.
 # Per step the transition uniform is drawn first, then any draws the
-# adaptation scheme requires, in that order.  Replication r of a CLT or
-# A_n study with root seed ``s`` uses SeedSequence(entropy=s, spawn_key=(r,));
-# an LLN study runs one chain per seed it is given.
+# adaptation scheme requires, in that order.  Replication r of a CLT study
+# with root seed ``s`` uses SeedSequence(entropy=s, spawn_key=(r,)); an LLN
+# study runs one chain per seed it is given.
 #
 # Both drivers read a stream ``_STREAM_BLOCK`` doubles at a time.  Philox's
 # bulk fill yields the doubles of that many scalar ``random()`` calls in the
@@ -55,12 +55,6 @@ def chain_generator(seed) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))
-
-
-def replication_seed_sequences(seed: int, count: int) -> list:
-    """Seed material of replications ``0..count-1`` under root ``seed``:
-    ``SeedSequence(entropy=seed, spawn_key=(r,))`` for replication ``r``."""
-    return [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(count)]
 
 
 class _BlockStream:
@@ -353,7 +347,7 @@ def martingale_check(
 # seeded with the running sums: the same additions in the same order, so
 # the sums are bit-identical.  Bisection keeps no such buffer: at 400
 # states and R = 1000, storing each step's states alone slowed it by about
-# 3%.  A_n terms are added at the index-change steps, in step order.
+# 3%.
 
 _BISECT_WINDOW = 16
 _SUB_BLOCK = _STREAM_BLOCK // _BISECT_WINDOW
@@ -366,13 +360,11 @@ def _uses_table(n_states: int, R: int) -> bool:
     return n_states <= _BISECT_WINDOW and R * n_states * (n_states - 1) <= _TABLE_MAX_COMPARES
 
 
-def _bisection_steps(n_states, flats, windows, halves, phi_vals, g, steps, U, states, sums, a_sums):
+def _bisection_steps(n_states, flats, windows, halves, phi_vals, steps, U, states, sums):
     """Advance ``states`` through a sub-block whose step ``j`` draws ``U[j]``
     from kernel ``steps[j]``, by lockstep bisection; ``windows[s][i]`` is
     ``flats[s][i : i + width]``.  The running phi sums, seeded with
-    ``sums``, overwrite the spent uniforms.  Given the solutions ``g``,
-    ``a_sums`` gains the A_n term of each step where ``steps[j + 1]``
-    differs.  Returns the last states."""
+    ``sums``, overwrite the spent uniforms.  Returns the last states."""
     steps = steps.tolist()
     for j in range(U.shape[0]):
         s = steps[j]
@@ -384,12 +376,10 @@ def _bisection_steps(n_states, flats, windows, halves, phi_vals, g, steps, U, st
             start = start + half * (flat[start + (half - 1)] <= u)
         states = start - row + (u[:, None] < windows[s][start]).argmax(axis=1)
         sums = np.add(sums, phi_vals[states], out=u)
-        if g is not None and steps[j + 1] != s:
-            a_sums += (g[steps[j + 1]] - g[s])[states]
     return states
 
 
-def _table_steps(by_column, table, visited, phi_vals, g, steps, U, states, sums, a_sums):
+def _table_steps(by_column, table, visited, phi_vals, steps, U, states, sums):
     """Advance ``states`` through a sub-block whose step ``j`` draws ``U[j]``
     from kernel ``steps[j]``, by next-state table; ``by_column[c][s]`` is
     column ``c`` of member ``s``'s cumsum table, and ``table`` and
@@ -404,7 +394,7 @@ def _table_steps(by_column, table, visited, phi_vals, g, steps, U, states, sums,
     below = np.empty((m, n_states, R), dtype=bool)
     u = U[:, None, :]
     for column in by_column[:-1]:
-        np.less_equal(column[steps[:m]][:, :, None], u, out=below)
+        np.less_equal(column[steps][:, :, None], u, out=below)
         counts += below.view(np.int8)
     # table[j] maps position x * R + r to the next one, count * R + r
     table = table[:m]
@@ -423,12 +413,6 @@ def _table_steps(by_column, table, visited, phi_vals, g, steps, U, states, sums,
     phi_vals.take(visited, out=U, mode="clip")
     U[0] += sums
     np.cumsum(U, axis=0, out=U)
-    if g is not None:
-        changed = np.flatnonzero(steps[1 : m + 1] != steps[:m])
-        if changed.size:
-            x = visited[changed]
-            terms = g[steps[changed + 1, None], x] - g[steps[changed, None], x]
-            a_sums[:] = np.cumsum(np.concatenate([a_sums[None], terms]), axis=0)[-1]
     return visited[-1].copy()
 
 
@@ -440,22 +424,18 @@ def ensemble_schedule_run(
     seed_seqs: Sequence,
     x0: int,
     record_prefixes: Sequence[int] | None = None,
-    solutions: PoissonTable | None = None,
 ):
     """Advance many replications in lockstep under one index schedule.
 
     Returns per-replication sums ``sum_{k<=n} phi(X_k)``, optionally the
     running sums recorded at ``record_prefixes`` (an array of shape
-    ``(len(prefixes), R)``), the per-replication adaptation sums ``A_n``
-    when ``solutions`` is given (else None), and the final states.  Small
-    state spaces with few replications advance one gather per step through
-    a next-state table, the rest by lockstep bisection at ``O(R log
-    n_states)`` per step; both give the same states and sums.  A scheduled
-    index outside the family raises SchemeEscape; an ``x0`` outside the
-    state space, ``indices`` without an entry per step (and one more when
-    ``solutions`` is given), ``record_prefixes`` not strictly increasing
-    within ``[1, n]``, or ``solutions`` lacking a scheduled index raises
-    ValueError.
+    ``(len(prefixes), R)``), and the final states.  Small state spaces with
+    few replications advance one gather per step through a next-state
+    table, the rest by lockstep bisection at ``O(R log n_states)`` per
+    step; both give the same states and sums.  A scheduled index outside
+    the family raises SchemeEscape; an ``x0`` outside the state space,
+    ``indices`` without an entry per step, or ``record_prefixes`` not
+    strictly increasing within ``[1, n]`` raises ValueError.
     """
     if not 0 <= x0 < family.n_states:
         raise ValueError(f"x0={x0} outside state space")
@@ -464,25 +444,18 @@ def ensemble_schedule_run(
     if not all(a < b for a, b in zip([0, *prefixes], [*prefixes, n + 1])):
         raise ValueError(f"record_prefixes must increase strictly within [1, {n}]")
     schedule = np.asarray(indices, dtype=np.int64)
-    last = n if solutions is not None else n - 1
-    if schedule.shape[0] <= last:
-        raise ValueError(f"indices must cover steps 0..{last}, got {schedule.shape[0]} entries")
-    if solutions is not None:
-        used = np.unique(indices)
-        unsolved = used[np.isnan(solutions.g[used]).any(axis=1)]
-        if unsolved.size:
-            raise ValueError(f"solutions lack scheduled index {unsolved[0]}")
+    if schedule.shape[0] < n:
+        raise ValueError(f"indices must cover steps 0..{n - 1}, got {schedule.shape[0]} entries")
     R = len(seed_seqs)
     streams = [chain_generator(ss) for ss in seed_seqs]
     U = np.empty((min(n, _STREAM_BLOCK), R))
     n_states = family.n_states
     flats = _cum_tables(family)
-    g = None if solutions is None else solutions.g
     if _uses_table(n_states, R):
         by_column = np.stack(flats).reshape(-1, n_states, n_states).transpose(2, 0, 1)
         table = np.empty((min(n, _SUB_BLOCK), n_states, R), dtype=np.int64)
         visited = np.empty((min(n, _SUB_BLOCK), R), dtype=np.int64)
-        advance = partial(_table_steps, by_column, table, visited, phi.values, g)
+        advance = partial(_table_steps, by_column, table, visited, phi.values)
     else:
         halves = []
         width = n_states
@@ -490,10 +463,9 @@ def ensemble_schedule_run(
             halves.append(width // 2)
             width -= width // 2
         windows = [sliding_window_view(flat, width) for flat in flats]
-        advance = partial(_bisection_steps, n_states, flats, windows, halves, phi.values, g)
+        advance = partial(_bisection_steps, n_states, flats, windows, halves, phi.values)
     states = np.full(R, x0, dtype=np.int64)
     phi_sums = np.zeros(R)
-    a_sums = np.zeros(R) if solutions is not None else None
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
     for k in range(1, n + 1, _SUB_BLOCK):
@@ -505,12 +477,12 @@ def ensemble_schedule_run(
         m = min(_SUB_BLOCK, n - k + 1)
         # row i of the spent uniforms comes back as the sums after step k + i
         spent = U[j : j + m]
-        states = advance(schedule[k - 1 : k + m], spent, states, phi_sums, a_sums)
+        states = advance(schedule[k - 1 : k - 1 + m], spent, states, phi_sums)
         phi_sums = spent[-1].copy()
         while next_record < len(prefixes) and prefixes[next_record] < k + m:
             recorded[next_record] = spent[prefixes[next_record] - k]
             next_record += 1
-    return phi_sums, recorded, a_sums, states
+    return phi_sums, recorded, states
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +513,7 @@ def lln_study(
     indices = scheme.index_array(n_max)
     pi_phi = phi.mean_under_pi
     seed_seqs = [np.random.SeedSequence(s) for s in seeds]
-    _, recorded, _, _ = ensemble_schedule_run(
+    _, recorded, _ = ensemble_schedule_run(
         family, indices, phi, n_max, seed_seqs, x0, record_prefixes=n_grid
     )
     rows = []
@@ -679,8 +651,8 @@ def clt_study(
     _check_in_family(indices, family)
     limit_index = int(indices[-1])
     sigma2 = clt_variance(family.kernel(limit_index), family.pi, phi)
-    seed_seqs = replication_seed_sequences(seed, replications)
-    phi_sums, _, _, _ = ensemble_schedule_run(family, indices, phi, n, seed_seqs, x0)
+    seed_seqs = [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(replications)]
+    phi_sums, _, _ = ensemble_schedule_run(family, indices, phi, n, seed_seqs, x0)
     scaled = np.sqrt(n) * (phi_sums / n - phi.mean_under_pi)
     empirical = float(scaled.var(ddof=1))
     if sigma2 == 0.0:
@@ -709,33 +681,38 @@ def an_bound_check(
     family: KernelFamily,
     phi: TestFunction,
     n: int,
-    replications: int,
-    seed: int,
     x0: int = 0,
 ) -> dict:
-    """Monte Carlo check of the adaptation-term bound under one-step
-    contraction.
+    """Exact check of the adaptation-term bound under one-step contraction.
 
     For a fixed index sequence over kernels whose contraction coefficient
     ``beta`` is below one, the scaled second moment ``E[A_n^2] / n`` is at
     most ``(C')^2 [1 + 2 beta / (1 - beta)]`` with
-    ``C' = 2 (1-beta)^{-1} osc(phi)``.  The estimate must not exceed the
-    bound by more than one standard error.
+    ``C' = 2 (1-beta)^{-1} osc(phi)``.
+
+    Under a fixed schedule ``(X_k)`` is a time-inhomogeneous chain, so the
+    moments are exact: rows ``mu_k(x) = P(X_k = x)``, ``E[A_k; X_k = x]``
+    and ``E[A_k^2; X_k = x]`` advance by one product with ``P_{s_{k-1}}``
+    per step, and where ``s_k != s_{k-1}`` take the term
+    ``f = g_{s_k} - g_{s_{k-1}}``: ``A_k = A_{k-1} + f(X_k)``.
 
     Raises
     ------
     ValueError
-        If ``replications < 2``: one replicate has no standard error.
+        If ``n < 1``, ``schedule`` has other than ``n + 1`` entries or
+        ``x0`` lies outside the state space.
     SchemeEscape
         If a scheduled index lies outside the family.
     DobrushinViolation
         If any kernel in the schedule has contraction coefficient 1.
     """
-    if replications < 2:
-        raise ValueError(f"replications={replications} must be >= 2")
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     indices = np.asarray(schedule, dtype=np.int64)
     if indices.shape[0] != n + 1:
         raise ValueError("schedule must provide indices for steps 0..n")
+    if not 0 <= x0 < family.n_states:
+        raise ValueError(f"x0={x0} outside state space")
     _check_in_family(indices, family)
     used = np.unique(indices)
     beta = max(dobrushin_coefficient(family.kernel(int(s))) for s in used)
@@ -744,23 +721,28 @@ def an_bound_check(
     c_prime = 2.0 / (1.0 - beta) * phi.osc
     bound = c_prime**2 * (1.0 + 2.0 * beta / (1.0 - beta))
 
-    table = poisson_table(family, phi, used)
-    seed_seqs = replication_seed_sequences(seed, replications)
-    _, _, a_sums, _ = ensemble_schedule_run(
-        family, indices, phi, n, seed_seqs, x0, solutions=table
-    )
-    sq = a_sums**2 / n
-    estimate = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(replications))
+    g = poisson_table(family, phi, used).g
+    moments = np.zeros((3, family.n_states))
+    moments[0, x0] = 1.0
+    steps = indices.tolist()
+    for prev, s in zip(steps, steps[1:]):
+        moments = moments @ family.kernel(prev).rows
+        if s != prev:
+            f = g[s] - g[prev]
+            mu, v, w = moments
+            w += 2.0 * f * v + f * f * mu
+            v += f * mu
+    mean, second = moments[1:].sum(axis=1).tolist()
+    second_moment = second / n
     return {
-        "estimate": estimate,
-        "se": se,
+        "second_moment": second_moment,
+        "mean": mean / n,
         "bound": float(bound),
+        "margin": float(bound - second_moment),
         "beta": float(beta),
         "c_prime": float(c_prime),
-        "passed": bool(estimate <= bound + se),
         "n": int(n),
-        "replications": int(replications),
+        "passed": bool(second_moment <= bound),
     }
 
 

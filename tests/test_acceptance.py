@@ -197,20 +197,22 @@ def test_criterion_5_clt_study():
 
 
 def test_criterion_6_adaptation_term_bound():
-    with criterion(6, "adaptation-term second-moment bound (n=1e3, R=200)", 30.0):
+    with criterion(6, "adaptation-term second-moment bound (n=1e3, exact)", 30.0):
         pi = Distribution([0.4, 0.3, 0.2, 0.1])
         fam = random_metropolis_family(pi, 2, seed=13)
         phi = TestFunction.indicator(0, pi)
         schedule = np.arange(1_001) % 2
-        report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=6)
+        report = an_bound_check(schedule, fam, phi, 1_000)
         assert report["beta"] < 1.0
-        assert report["estimate"] <= report["bound"] + report["se"]
+        assert report["second_moment"] == pytest.approx(0.0377695, rel=1e-6)
+        assert report["second_moment"] <= report["bound"]
 
         smoothed = smoothed_family(cyclic_pair(), 0.2)
         phi_s = TestFunction.indicator(0, smoothed.pi)
-        report2 = an_bound_check(schedule, smoothed, phi_s, 1_000, 200, seed=7)
+        report2 = an_bound_check(schedule, smoothed, phi_s, 1_000)
         assert report2["beta"] < 1.0
-        assert report2["estimate"] <= report2["bound"] + report2["se"]
+        assert report2["second_moment"] == pytest.approx(0.659940, rel=1e-6)
+        assert report2["second_moment"] <= report2["bound"]
 
 
 def test_criterion_7_waning_diagnostics():

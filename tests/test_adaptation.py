@@ -157,7 +157,7 @@ class TestWaningDiagnostic:
     def test_partial_sums_nondecreasing(self):
         rng = np.random.Generator(np.random.Philox(9))
         report = waning_diagnostic(rng.uniform(size=1000), p=0.5)
-        assert np.all(np.diff(report.partial_sums) >= 0.0)
+        assert np.all(np.diff(report.weighted_sums) >= 0.0)
 
 
 class TestGridSchemes:

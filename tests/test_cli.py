@@ -17,6 +17,7 @@ import amcmc
 from amcmc import kernels
 from amcmc.cli import (
     D_SERIES_CAP,
+    ENSEMBLE_CAP,
     HORIZON_CAP,
     RunConfig,
     build_family,
@@ -655,6 +656,11 @@ class TestConfigHandling:
              f"d_series.n={10**30} exceeds {D_SERIES_CAP[0]}, the budget of {D_SERIES_CAP[1]}"),
             ("waning", {"d_series": {"kind": "constant", "n": D_SERIES_CAP[0] + 1, "value": 0.5}},
              f"d_series.n={D_SERIES_CAP[0] + 1} exceeds {D_SERIES_CAP[0]}"),
+            ("clt", {"family": {"kind": "iid"}, "replications": ENSEMBLE_CAP[0] + 1},
+             f"replications={ENSEMBLE_CAP[0] + 1} exceeds {ENSEMBLE_CAP[0]}, "
+             f"the budget of {ENSEMBLE_CAP[1]}"),
+            ("lln", {"family": {"kind": "iid"}, "seeds": {"count": 10**30}},
+             f"seeds.count={10**30} exceeds {ENSEMBLE_CAP[0]}, the budget of {ENSEMBLE_CAP[1]}"),
             # nor may a non-integral value be truncated into a run
             ("bounds", {"family": {"kind": "mixture", "count": 2.9}},
              "family.count must be int, got 2.9"),

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -46,7 +47,6 @@ from amcmc.ledger import (
     _STREAM_BLOCK,
     _SUB_BLOCK,
     DecompositionLedger,
-    PoissonTable,
     Trajectory,
     _kolmogorov_cdf,
     _smirnov_tail,
@@ -325,7 +325,7 @@ class TestEnsembleContract:
         indices = (np.arange(n + 1) // 7) % fam.size
         seeds = [101, 202, 303]
         seed_seqs = [np.random.SeedSequence(s) for s in seeds]
-        sums, _, _, last = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, x0=2)
+        sums, _, last = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, x0=2)
         for i, s in enumerate(seeds):
             traj = run_adaptive_chain(fam, ScheduleScheme(indices), 2, int(indices[0]), n, s)
             assert phi.values[traj.X[1:]].sum() == sums[i]
@@ -352,17 +352,13 @@ class TestEnsembleContract:
         phi = TestFunction.from_values(rng.normal(size=n_states), fam.pi)
         x0 = int(rng.integers(n_states))
         seed_seqs = [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(reps)]
-        sums, _, _, last = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, x0)
+        sums, _, last = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, x0)
         for r, ss in enumerate(seed_seqs):
             traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
             assert sequential_sum(phi.values[traj.X[1:]]) == sums[r]
             assert traj.X[-1] == last[r]
-        # the ensemble reads only g, so any finite rows stand in for solutions
-        g = rng.normal(size=(size, n_states))
         prefixes = sorted(set(rng.integers(1, n + 1, size=3).tolist())) if n else []
-        check_against_reference_ensemble(
-            fam, indices, phi, n, seed_seqs, x0, prefixes, PoissonTable(g=g, Pg=g, Pg2=g)
-        )
+        check_against_reference_ensemble(fam, indices, phi, n, seed_seqs, x0, prefixes)
 
 
 def circulant_kernel(n_states: int, weights, shifts) -> StochasticMatrix:
@@ -399,23 +395,15 @@ class TestLockstepBisect:
         indices = (np.arange(n + 1) // 5) % fam.size
         prefixes = [1, 37, n]
         x0 = n_states - 1
-        table = poisson_table(fam, phi, range(fam.size))
         seed_seqs = [np.random.SeedSequence(entropy=n_states, spawn_key=(r,)) for r in range(reps)]
-        sums, recorded, a_sums, last = ensemble_schedule_run(
-            fam, indices, phi, n, seed_seqs, x0,
-            record_prefixes=prefixes, solutions=table,
+        sums, recorded, last = ensemble_schedule_run(
+            fam, indices, phi, n, seed_seqs, x0, record_prefixes=prefixes
         )
         for r, ss in enumerate(seed_seqs):
-            traj = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
-            X, S = traj.X, traj.S
+            X = run_adaptive_chain(fam, ScheduleScheme(indices), x0, int(indices[0]), n, ss).X
             assert sequential_sum(phi.values[X[1:]]) == sums[r]
             for i, k in enumerate(prefixes):
                 assert sequential_sum(phi.values[X[1 : k + 1]]) == recorded[i, r]
-            a_n = 0.0
-            for k in range(1, n + 1):
-                if S[k] != S[k - 1]:
-                    a_n += float((table.g[S[k]] - table.g[S[k - 1]])[X[k]])
-            assert a_n == a_sums[r]
             assert X[-1] == last[r]
 
     @pytest.mark.parametrize("n_states,reps,table", [(3, 32, True), (400, 1000, False)])
@@ -431,14 +419,13 @@ class TestLockstepBisect:
             ensemble_schedule_run(fam, np.zeros(3, dtype=np.int64), phi, 2,
                                   [np.random.SeedSequence(1)], x0=3)
 
-    @pytest.mark.parametrize("length,with_solutions", [(5, False), (9, False), (10, True)])
-    def test_schedule_shorter_than_the_run_rejected(self, length, with_solutions):
+    @pytest.mark.parametrize("length", [5, 9])
+    def test_schedule_shorter_than_the_run_rejected(self, length):
         fam = iid_family(PI3)
         phi = TestFunction.indicator(0, fam.pi)
-        table = poisson_table(fam, phi, [0]) if with_solutions else None
         with pytest.raises(ValueError, match="indices must cover steps 0.."):
             ensemble_schedule_run(fam, np.zeros(length, dtype=np.int64), phi, 10,
-                                  [np.random.SeedSequence(1)], x0=0, solutions=table)
+                                  [np.random.SeedSequence(1)], x0=0)
 
     @pytest.mark.parametrize("prefixes", [[0, 5], [2, 2], [3, 2], [11], [-1]])
     def test_record_prefixes_must_increase_within_1_to_n(self, prefixes):
@@ -536,37 +523,32 @@ class TestChainOracle:
         self.check(fam, name, 6, 1, n, np.random.SeedSequence(entropy=n, spawn_key=(2,)))
 
 
-def reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes, g):
+def reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes):
     """Per replication, the reference chain summed left to right: ``phi``
-    sums, the sums at ``prefixes``, ``A_n`` from the solutions ``g`` (rows
-    by member), and the last state."""
-    sums, recorded, a_sums, last = [], [], [], []
+    sums, the sums at ``prefixes``, and the last state."""
+    sums, recorded, last = [], [], []
     for ss in seed_seqs:
-        X, S = reference_chain(family, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
-        total = a_n = 0.0
+        X, _ = reference_chain(family, ScheduleScheme(indices), x0, int(indices[0]), n, ss)
+        total = 0.0
         at = []
         for k in range(1, n + 1):
             total += phi.values[X[k]]
-            if S[k] != S[k - 1]:
-                a_n += g[S[k], X[k]] - g[S[k - 1], X[k]]
             if k in prefixes:
                 at.append(total)
         sums.append(total)
         recorded.append(at)
-        a_sums.append(a_n)
         last.append(int(X[-1]))
-    return sums, np.array(recorded).T.tolist(), a_sums, last
+    return sums, np.array(recorded).T.tolist(), last
 
 
-def check_against_reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes, table):
-    sums, recorded, a_sums, last = ensemble_schedule_run(
-        family, indices, phi, n, seed_seqs, x0, record_prefixes=prefixes, solutions=table
+def check_against_reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes):
+    sums, recorded, last = ensemble_schedule_run(
+        family, indices, phi, n, seed_seqs, x0, record_prefixes=prefixes
     )
-    expected = reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes, table.g)
+    expected = reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes)
     assert sums.tolist() == expected[0]
     assert (recorded.tolist() if prefixes else []) == expected[1]
-    assert a_sums.tolist() == expected[2]
-    assert last.tolist() == expected[3]
+    assert last.tolist() == expected[2]
 
 
 class TestEnsembleOracle:
@@ -578,20 +560,11 @@ class TestEnsembleOracle:
         fam = grid_family(states=6, members=3)
         phi = TestFunction.from_values(np.random.default_rng(n).normal(size=6), fam.pi)
         indices = (np.arange(n + 1) // 3) % fam.size
-        table = poisson_table(fam, phi, range(fam.size))
         edges = {1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1,
                  _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK, n}
         prefixes = sorted(k for k in edges if k <= n)
         seed_seqs = [np.random.SeedSequence(entropy=n, spawn_key=(r,)) for r in range(3)]
-        check_against_reference_ensemble(fam, indices, phi, n, seed_seqs, 5, prefixes, table)
-
-    def test_solutions_missing_a_scheduled_index_rejected(self):
-        fam = smoothed_family(cyclic_pair(), 0.2)
-        phi = TestFunction.indicator(0, fam.pi)
-        table = poisson_table(fam, phi, [0])
-        with pytest.raises(ValueError, match="index 1"):
-            ensemble_schedule_run(fam, np.arange(11) % 2, phi, 10,
-                                  [np.random.SeedSequence(1)], x0=0, solutions=table)
+        check_against_reference_ensemble(fam, indices, phi, n, seed_seqs, 5, prefixes)
 
 
 def traced_peak(run) -> int:
@@ -660,7 +633,7 @@ class TestIndexOutsideFamily:
     def test_an_bound_check(self, bad):
         fam, phi, indices = self.setup(bad)
         with pytest.raises(SchemeEscape, match="outside family"):
-            an_bound_check(indices, fam, phi, 20, 4, seed=1)
+            an_bound_check(indices, fam, phi, 20)
 
     def test_table_solves_only_the_given_indices(self):
         fam = grid_family()
@@ -831,12 +804,34 @@ class TestKsNormal:
         assert (stat, pvalue) == (0.5, 1.0)
 
 
+def enumerated_an_moments(family, phi, schedule, x0) -> tuple:
+    """``E[A_n]`` and ``E[A_n^2]`` under a fixed schedule, summed over every
+    path ``x_1..x_n`` of the chain started at ``x0``."""
+    n = len(schedule) - 1
+    rows = [P.rows.tolist() for P in family.kernels]
+    g = [solve_poisson_exact(P, family.pi, phi).g.tolist() for P in family.kernels]
+    first, second = [], []
+    for path in itertools.product(range(family.n_states), repeat=n):
+        prob, a, x = 1.0, 0.0, x0
+        for k, y in enumerate(path, start=1):
+            prev, s = schedule[k - 1], schedule[k]
+            prob *= rows[prev][x][y]
+            if s != prev:
+                a += g[s][y] - g[prev][y]
+            x = y
+        first.append(prob * a)
+        second.append(prob * a * a)
+    return math.fsum(first), math.fsum(second)
+
+
 class TestAnBoundCheck:
     def test_constant_schedule_zero_term(self):
         fam = smoothed_family(cyclic_pair(), 0.2)
         phi = TestFunction.indicator(0, fam.pi)
-        report = an_bound_check(np.zeros(501, dtype=int), fam, phi, 500, 50, seed=11)
-        assert report["estimate"] == 0.0
+        report = an_bound_check(np.zeros(501, dtype=int), fam, phi, 500)
+        assert report["second_moment"] == 0.0
+        assert report["mean"] == 0.0
+        assert report["margin"] == report["bound"]
         assert report["passed"]
 
     def test_alternating_positive_kernels(self):
@@ -844,29 +839,90 @@ class TestAnBoundCheck:
         fam = random_metropolis_family(pi, 2, seed=13)
         phi = TestFunction.indicator(0, fam.pi)
         schedule = np.arange(1_001) % 2
-        report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=13)
+        report = an_bound_check(schedule, fam, phi, 1_000)
         assert report["beta"] < 1.0
+        assert report["second_moment"] <= report["bound"]
+        assert report["margin"] == report["bound"] - report["second_moment"]
         assert report["passed"]
 
     def test_smoothed_cyclic_restores_contraction(self):
         fam = smoothed_family(cyclic_pair(), 0.2)
         phi = TestFunction.indicator(0, fam.pi)
         schedule = np.arange(1_001) % 2
-        report = an_bound_check(schedule, fam, phi, 1_000, 200, seed=17)
+        report = an_bound_check(schedule, fam, phi, 1_000)
         assert report["beta"] < 1.0
+        assert report["second_moment"] <= report["bound"]
         assert report["passed"]
 
-    def test_one_replication_rejected(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["positive", "metropolis"]),
+        n_states=st.integers(min_value=2, max_value=4),
+        size=st.integers(min_value=2, max_value=3),
+        n=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_enumeration_of_every_path(self, kind, n_states, size, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "metropolis":
+            pi = Distribution(rng.dirichlet(np.ones(n_states)))
+            fam = random_metropolis_family(pi, size, seed=seed)
+        else:
+            # circulants with weight on every shift: positive, uniform pi
+            kernels = tuple(circulant_kernel(n_states, rng.dirichlet(np.ones(n_states)),
+                                             range(n_states)) for _ in range(size))
+            fam = KernelFamily(kernels=kernels, pi=Distribution(np.full(n_states, 1 / n_states)))
+        phi = TestFunction.from_values(rng.normal(size=n_states), fam.pi)
+        schedule = rng.integers(0, size, size=n + 1).tolist()
+        x0 = int(rng.integers(n_states))
+        report = an_bound_check(schedule, fam, phi, n, x0)
+        first, second = enumerated_an_moments(fam, phi, schedule, x0)
+        assert abs(report["mean"] * n - first) <= 1e-12 * (1.0 + abs(first))
+        assert abs(report["second_moment"] * n - second) <= 1e-12 * (1.0 + abs(second))
+
+    def test_agrees_with_decomposed_chains(self):
+        # criterion 6's smoothed pair.  A_n^2 is the square of a sum with a
+        # roughly normal law, so its sample mean has a right-skewed tail;
+        # the allowance of 4 standard errors is set for that skew before
+        # any comparison
         fam = smoothed_family(cyclic_pair(), 0.2)
         phi = TestFunction.indicator(0, fam.pi)
-        with pytest.raises(ValueError, match="replications=1 must be >= 2"):
-            an_bound_check(np.zeros(101, dtype=int), fam, phi, 100, 1, seed=11)
+        n, chains = 1_000, 400
+        schedule = np.arange(n + 1) % 2
+        exact = an_bound_check(schedule, fam, phi, n)["second_moment"]
+        scheme = ScheduleScheme(schedule)
+        sq = np.array([
+            decompose(run_adaptive_chain(fam, scheme, 0, 0, n, ss), fam, phi).A[-1] ** 2 / n
+            for ss in np.random.SeedSequence(61).spawn(chains)
+        ])
+        se = sq.std(ddof=1) / math.sqrt(chains)
+        assert abs(sq.mean() - exact) <= 4.0 * se
 
     def test_raw_cyclic_pair_rejected(self):
         fam = cyclic_pair()
         phi = TestFunction.indicator(0, fam.pi)
         with pytest.raises(DobrushinViolation):
-            an_bound_check(np.arange(101) % 2, fam, phi, 100, 10, seed=19)
+            an_bound_check(np.arange(101) % 2, fam, phi, 100)
+
+    @pytest.mark.parametrize("length", [100, 102])
+    def test_schedule_of_other_than_n_plus_one_entries_rejected(self, length):
+        fam = smoothed_family(cyclic_pair(), 0.2)
+        phi = TestFunction.indicator(0, fam.pi)
+        with pytest.raises(ValueError, match="steps 0..n"):
+            an_bound_check(np.zeros(length, dtype=int), fam, phi, 100)
+
+    def test_empty_run_rejected(self):
+        fam = smoothed_family(cyclic_pair(), 0.2)
+        phi = TestFunction.indicator(0, fam.pi)
+        with pytest.raises(ValueError, match="n=0 must be >= 1"):
+            an_bound_check(np.zeros(1, dtype=int), fam, phi, 0)
+
+    @pytest.mark.parametrize("x0", [-1, 3])
+    def test_start_outside_state_space_rejected(self, x0):
+        fam = smoothed_family(cyclic_pair(), 0.2)
+        phi = TestFunction.indicator(0, fam.pi)
+        with pytest.raises(ValueError, match="x0"):
+            an_bound_check(np.zeros(101, dtype=int), fam, phi, 100, x0)
 
 
 def oracle_ledger_csv(traj, ledger) -> bytes:
