@@ -31,6 +31,10 @@ class NotSimultaneouslyErgodic(AmcmcError, ArithmeticError):
     """No power of the kernels contracts uniformly, or a certificate fails its curves."""
 
 
+class CertificateOverflow(AmcmcError, ArithmeticError):
+    """A certificate constant, or a bound built on it, exceeds the float range."""
+
+
 class SingularBeyondCentering(AmcmcError, ArithmeticError):
     """The Poisson system is singular (two or more closed classes) or its
     solution fails the residual or centering check."""

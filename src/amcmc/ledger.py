@@ -116,7 +116,8 @@ def run_adaptive_chain(
     """
     if not 0 <= x0 < family.n_states:
         raise ValueError(f"x0={x0} outside state space")
-    if not 0 <= s0 < family.size:
+    size = family.size
+    if not 0 <= s0 < size:
         raise ValueError(f"s0={s0} outside family")
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
@@ -124,20 +125,21 @@ def run_adaptive_chain(
     draw = stream.random
     x = int(x0)
     s = int(scheme.start(s0, stream))
-    if not 0 <= s < family.size:
+    if not 0 <= s < size:
         raise SchemeEscape(f"scheme start index {s} outside family")
     # bisect reads a row of the flat table in place: its probes over
-    # [lo, lo + n_states) are those over the row alone, shifted by lo
+    # [lo, lo + n_states) are those over the row alone, shifted by lo.
+    # ``entry <= u`` holds on a prefix of the row, and the pinned last
+    # entry 1.0 exceeds every uniform, so the index stays below n_states.
     cums = [memoryview(flat) for flat in _cum_tables(family)]
     n_states = family.n_states
-    last = n_states - 1
     X = [x]
     S = [s]
     for k in range(1, n + 1):
         lo = x * n_states
-        x_new = min(bisect_right(cums[s], draw(), lo, lo + n_states) - lo, last)
+        x_new = bisect_right(cums[s], draw(), lo, lo + n_states) - lo
         s_new = int(scheme.step(k, x, x_new, s, stream))
-        if not 0 <= s_new < family.size:
+        if not 0 <= s_new < size:
             raise SchemeEscape(f"scheme produced index {s_new} outside family at step {k}")
         X.append(x_new)
         S.append(s_new)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CertificateOverflow,
     DimensionMismatch,
     NegativeBeyondTolerance,
     SingularBeyondCentering,
@@ -194,11 +195,22 @@ def _make_report(quantity: str, value: float, bound: float, tol: float = 1e-10) 
     )
 
 
+def _require_finite(bound: float, formula: str, consts: ErgodicityConstants) -> None:
+    """Raise :class:`CertificateOverflow` for a bound past the float range."""
+    if not math.isfinite(bound):
+        raise CertificateOverflow(
+            f"bound {formula} overflows: C={consts.C:.3e}, rho={consts.rho:.6g} "
+            f"at horizon={consts.horizon}"
+        )
+
+
 def check_poisson_bound(
     sol: PoissonSolution, consts: ErgodicityConstants, phi: TestFunction
 ) -> BoundReport:
-    """Check ``||g||_inf <= C * osc(phi) / (1 - rho)``."""
+    """Check ``||g||_inf <= C * osc(phi) / (1 - rho)``; raise
+    :class:`CertificateOverflow` if the bound exceeds the float range."""
     bound = consts.C * phi.osc / (1.0 - consts.rho)
+    _require_finite(bound, "C osc / (1 - rho)", consts)
     return _make_report("poisson_sup_norm", sol.sup_norm, bound)
 
 
@@ -212,10 +224,15 @@ def check_lipschitz_bound(
     """Check ``||g_s - g_s'||_inf <= 4 C^2 (1-rho)^-2 osc(phi) * D``.
 
     ``D`` must be the worst-case row total variation between the two
-    kernels that produced the solutions.
+    kernels that produced the solutions.  Raises :class:`CertificateOverflow`
+    if the bound exceeds the float range.
     """
     value = float(np.abs(sol_s.g - sol_sp.g).max())
-    bound = 4.0 * consts.C**2 / (1.0 - consts.rho) ** 2 * phi.osc * D
+    try:
+        bound = 4.0 * consts.C**2 / (1.0 - consts.rho) ** 2 * phi.osc * D
+    except OverflowError:
+        bound = math.inf
+    _require_finite(bound, "4 C**2 osc D / (1 - rho)**2", consts)
     return _make_report("poisson_solution_gap", value, bound)
 
 

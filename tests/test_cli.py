@@ -57,6 +57,11 @@ RWM_GRID = {"kind": "rwm-grid", "sigmas": [0.5, 1.0],
                        "density": {"kind": "truncated-gaussian"}}}
 
 
+# mixes at rate 0.1, so a long horizon takes the curve's rounding floor
+# over rho**k
+FAST_MIXING = {"kind": "smoothed-cyclic", "epsilon": 0.9}
+
+
 def only_run_dir(out_dir, experiment):
     dirs = [p for p in Path(out_dir).iterdir() if p.name.startswith(experiment)]
     assert len(dirs) == 1
@@ -546,6 +551,33 @@ class TestConfigHandling:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "NotIrreducible" in lines[0]
+
+    @pytest.mark.parametrize(
+        "family, horizon, message",
+        [
+            # rho = 0.1: C = e(k) / rho**k is finite, but C**2 is not
+            (FAST_MIXING, 200, "bound 4 C**2 osc D / (1 - rho)**2 overflows: C=2.220e+184, "
+                               "rho=0.1 at horizon=200"),
+            # rho**k underflows to 0 before the horizon
+            (FAST_MIXING, 1024, "C = max e(k) / rho**k overflows: rho=0.1 at horizon=1024"),
+            ({"kind": "random-metropolis", "count": 2}, 1024,
+             "bound 4 C**2 osc D / (1 - rho)**2 overflows"),
+        ],
+    )
+    def test_certificate_overflow_is_one_line_and_leaves_no_run_dir(
+        self, tmp_path, family, horizon, message
+    ):
+        cfg = write_config(tmp_path, {"family": family, "horizon": horizon,
+                                      "phi": {"kind": "indicator", "state": 0}})
+        out = tmp_path / "runs"
+        proc = run_subprocess(["bounds", "--config", cfg, "--out", str(out)],
+                              PYTHONWARNINGS="error::RuntimeWarning")
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: CertificateOverflow: ") and message in lines[0]
+        assert f"horizon={horizon}" in lines[0]
+        assert not out.exists()
 
     def test_violated_certificate_is_one_line_and_leaves_no_run_dir(
         self, tmp_path, monkeypatch, capsys

@@ -33,6 +33,7 @@ from amcmc.kernels import (
     sup_tv_to_pi_curve,
     tv_distance,
 )
+from amcmc.rwm import RwmParameter, build_discrete_rwm, truncated_gaussian_target
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -66,7 +67,8 @@ def ergodic_family(kind: str, n: int, size: int, seed: int):
     """Kernels sharing a stationary ``pi``, and ``pi``.
 
     ``positive`` is one kernel with Dirichlet rows; ``metropolis`` is ``size``
-    Metropolis kernels for a Dirichlet ``pi``; ``lazy-iid`` is ``size``
+    Metropolis kernels for a Dirichlet ``pi``; ``banded`` is ``size`` such
+    kernels with Gaussian-band proposals; ``lazy-iid`` is ``size``
     kernels ``lam I + (1 - lam) 1 pi^T`` with ``lam`` in [0.3, 0.95], whose
     coefficients ``beta(P^m) = lam^m`` make the rates of all powers tie.
     """
@@ -77,6 +79,11 @@ def ergodic_family(kind: str, n: int, size: int, seed: int):
     pi = Distribution(rng.dirichlet(np.ones(n)))
     if kind == "metropolis":
         return list(random_metropolis_family(pi, size, seed=seed).kernels), pi
+    if kind == "banded":
+        # Metropolis kernels with Gaussian-band proposals of random widths
+        bands = [gaussian_band(n, w) for w in rng.uniform(0.03, 0.3, size=size) * n + 0.5]
+        return [kernels._metropolis_kernel(q / q.sum(axis=1).max(), pi.weights)
+                for q in bands], pi
     lams = rng.uniform(0.3, 0.95, size=size)
     return [StochasticMatrix(lam * np.eye(n) + (1.0 - lam) * pi.weights) for lam in lams], pi
 
@@ -222,7 +229,15 @@ def dobrushin_oracle(rows: np.ndarray) -> float:
     return min(best, 1.0)
 
 
-KERNEL_KINDS = ("dense", "sparse", "lazy-cycle", "permutation", "equal-row", "near-equal-row")
+KERNEL_KINDS = (
+    "dense", "sparse", "lazy-cycle", "permutation", "equal-row", "near-equal-row", "banded"
+)
+
+
+def gaussian_band(n: int, width: float) -> np.ndarray:
+    """Unnormalised rows ``exp(-(x - y)**2 / (2 width**2))``, like an RWM proposal."""
+    offsets = np.arange(n)[:, None] - np.arange(n)[None, :]
+    return np.exp(-0.5 * (offsets / width) ** 2)
 
 
 def make_kernel(kind: str, n: int, seed: int) -> StochasticMatrix:
@@ -240,12 +255,29 @@ def make_kernel(kind: str, n: int, seed: int) -> StochasticMatrix:
         rows = np.eye(n)[rng.permutation(n)]
     elif kind == "equal-row":
         rows = np.tile(rng.dirichlet(np.ones(n)), (n, 1))
+    elif kind == "banded":
+        # every row far from the mean row: the mean-row bound prunes little
+        rows = gaussian_band(n, rng.uniform(0.03, 0.3) * n + 0.5)
+        rows /= rows.sum(axis=1, keepdims=True)
     else:
         # rows a few ulps apart: every pair sits inside the pruning slack
         rows = np.tile(rng.dirichlet(np.ones(n)), (n, 1))
         rows *= 1.0 + 1e-15 * rng.standard_normal((n, n))
         rows /= rows.sum(axis=1, keepdims=True)
     return StochasticMatrix(rows)
+
+
+def spy_hellinger(monkeypatch) -> list:
+    """The state count of every Hellinger search from here on."""
+    calls = []
+    real = kernels._hellinger_search
+
+    def spy(rows, *args):
+        calls.append(rows.shape[0])
+        return real(rows, *args)
+
+    monkeypatch.setattr(kernels, "_hellinger_search", spy)
+    return calls
 
 
 class TestDobrushinCoefficient:
@@ -260,6 +292,36 @@ class TestDobrushinCoefficient:
         P = make_kernel(kind, n, seed)
         rows = np.linalg.matrix_power(P.rows, power)
         assert dobrushin_coefficient(StochasticMatrix(rows)) == dobrushin_oracle(rows)
+
+    @pytest.mark.parametrize("m, variance, power", [(60, 0.5, 1), (150, 0.5, 1), (150, 2.0, 1),
+                                                   (150, 0.5, 2), (150, 2.0, 12)])
+    def test_rwm_kernel_matches_all_pairs_oracle_exactly(self, m, variance, power):
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=m)
+        P = build_discrete_rwm(target, RwmParameter.from_scalar(variance, 0.01, 10.0))
+        rows = np.linalg.matrix_power(P.rows, power)
+        assert kernels._dobrushin_raw(rows) == dobrushin_oracle(rows)
+
+    def test_hellinger_bound_only_where_the_mean_row_prunes_little(self, monkeypatch):
+        calls = spy_hellinger(monkeypatch)
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=200)
+        P = build_discrete_rwm(target, RwmParameter.from_scalar(1.0, 0.01, 10.0))
+        beta = dobrushin_coefficient(P)
+        assert calls == [200]
+        beta_12 = kernels._dobrushin_raw(np.linalg.matrix_power(P.rows, 12))
+        assert calls == [200]
+        assert 0.0 < beta_12 < beta < 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entry_just_below_zero_is_clamped_before_the_root(self, monkeypatch):
+        calls = spy_hellinger(monkeypatch)
+        rows = gaussian_band(40, 3.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[5, 30] -= 5e-13 + rows[5, 30]  # admitted: within ROW_SUM_TOL of 0
+        rows[5, 5] += 5e-13
+        P = StochasticMatrix(rows)
+        assert -kernels.ROW_SUM_TOL <= P.rows.min() < 0.0
+        assert dobrushin_coefficient(P) == dobrushin_oracle(P.rows)
+        assert calls == [40]
 
     def test_equal_rows(self):
         pi = Distribution([0.5, 0.3, 0.2])
@@ -430,7 +492,7 @@ class TestFitMatchesOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from(["positive", "metropolis", "lazy-iid"]),
+        kind=st.sampled_from(["positive", "metropolis", "lazy-iid", "banded"]),
         n=st.integers(min_value=2, max_value=30),
         size=st.integers(min_value=1, max_value=3),
         horizon=st.integers(min_value=2, max_value=16),

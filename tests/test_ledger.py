@@ -23,6 +23,7 @@ from amcmc.adaptation import (
     converging_index_schedule,
     log_increment_schedule,
 )
+from amcmc import ledger
 from amcmc.errors import DobrushinViolation, NotInvariant, SchemeEscape
 from amcmc.families import (
     KernelFamily,
@@ -130,6 +131,30 @@ class TestRunAdaptiveChain:
 
         with pytest.raises(SchemeEscape):
             run_adaptive_chain(fam, Escaper(), x0=0, s0=0, n=3, seed=1)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 0.95, 1.0 - 2.0**-53])
+    def test_cumsum_past_one_before_the_last_entry(self, monkeypatch, u):
+        # row x puts 0.33, 0.56, 0.11 on x, x + 1, x + 2 mod 4: row 0's cumsum
+        # is 1.0000000000000002 from column 2 on, until the pinned 1.0
+        P = circulant_kernel(4, ROUNDOFF_WEIGHTS, (0, 1, 2))
+        cums = np.cumsum(P.rows, axis=1)
+        assert cums[0, 2] > 1.0
+        fam = KernelFamily(kernels=(P,), pi=Distribution(np.full(4, 0.25)))
+
+        class FixedStream:
+            def __init__(self, rng):
+                self.random = lambda: u
+
+        monkeypatch.setattr(ledger, "_BlockStream", FixedStream)
+        traj = run_adaptive_chain(fam, ConstantScheme(), x0=0, s0=0, n=12, seed=1)
+        # each step lands on the first column whose pinned cumsum exceeds u
+        cums[:, -1] = 1.0
+        expected = [0]
+        for _ in range(12):
+            expected.append(int(np.argmax(cums[expected[-1]] > u)))
+        assert traj.X.tolist() == expected
+        if u >= cums[0, 1]:
+            assert expected[1] == 2  # never column 3, which row 0 cannot reach
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="n=-5"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcmc.errors import NegativeBeyondTolerance, SingularBeyondCentering
+from amcmc.errors import CertificateOverflow, NegativeBeyondTolerance, SingularBeyondCentering
 from amcmc.families import (
     cyclic_pair,
     iid_family,
@@ -292,6 +292,22 @@ class TestBoundChecks:
         assert report.passed
         assert report.value == 0.0
         assert report.bound == 0.0
+
+    @pytest.mark.parametrize("C, scale, check", [
+        (1e200, 1.0, "lipschitz"),  # C**2 overflows
+        (1e300, 1e10, "poisson"),  # C osc / (1 - rho) overflows
+        (1e150, 1e10, "lipschitz"),  # C**2 is finite, the whole bound is not
+    ])
+    def test_bound_past_the_float_range_is_refused(self, C, scale, check):
+        fam = cyclic_pair()
+        consts = ErgodicityConstants(C=C, rho=0.5, beta=1.0, curves=np.zeros((1, 12)))
+        phi = TestFunction.from_values([scale, 0.0, 0.0], fam.pi)
+        sol = solve_poisson_exact(fam.kernels[0], fam.pi, phi)
+        with pytest.raises(CertificateOverflow, match="rho=0.5 at horizon=12"):
+            if check == "poisson":
+                check_poisson_bound(sol, consts, phi)
+            else:
+                check_lipschitz_bound(sol, sol, 1.0, consts, phi)
 
     def test_mixture_family_wide_margin(self):
         from amcmc.families import mixture_family
