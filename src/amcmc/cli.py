@@ -47,6 +47,9 @@ D_SERIES_CAP = (10_000_000, "about 0.4 GB and 17 s of steps")
 # An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds
 # min(n, 4096) uniforms per replication; ``clt`` peaks at 372 MB RSS here.
 ENSEMBLE_CAP = (10_000, "about 0.37 GB and 1.5 ms a step on 400 states")
+# A run length (``clt``'s n, an ``lln`` n_grid entry) sets a schedule of 8 bytes a step.
+RUN_LENGTH_CAP = (10_000_000, "about 80 MB of schedule and 3 us a step for 32 chains on 3 "
+                              "states, 0.15 ms for 1000 on 400")
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +152,11 @@ def _typed(name: str, value, kind: type, least=None, choices=None, below=None, c
     return v
 
 
-def _typed_list(name: str, value, kind: type, least=None, below=None) -> list:
+def _typed_list(name: str, value, kind: type, least=None, below=None, cap=None) -> list:
     """A non-empty list field, each entry checked by :func:`_typed`."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a list of one or more {kind.__name__}s, got {value!r}")
-    return [_typed(name, v, kind, least, below=below) for v in value]
+    return [_typed(name, v, kind, least, below=below, cap=cap) for v in value]
 
 
 def _fields(name: str, spec: dict, *fields: str) -> None:
@@ -351,16 +354,20 @@ def build_scheme(spec: dict, family: families.KernelFamily, n: int) -> adaptatio
     if kind in ("constant", "converging"):
         s0 = _typed("scheme.s0", spec.get("s0", 0), int, least=0, below=family.size)
     if kind == "constant":
+        _fields("scheme", spec, "kind", "s0")
         return adaptation.ScheduleScheme(np.full(n + 1, s0))
     if kind == "alternating":
+        _fields("scheme", spec, "kind", "s0")
         return adaptation.ScheduleScheme(np.arange(n + 1) % family.size)
     if kind == "schedule":
+        _fields("scheme", spec, "kind", "s0", "indices")
         rule = f"scheme 'schedule' needs {n + 1} indices: scheme.indices"
         indices = _typed_list(rule, spec["indices"], int, least=0, below=family.size)
         if len(indices) < n + 1:
             raise ConfigError(f"{rule} has {len(indices)}")
         return adaptation.ScheduleScheme(indices)
     if kind == "converging":
+        _fields("scheme", spec, "kind", "s0", "c", "exponent")
         scheme, _ = adaptation.converging_index_schedule(
             family,
             s0=s0,
@@ -376,17 +383,8 @@ def build_scheme(spec: dict, family: families.KernelFamily, n: int) -> adaptatio
 # artifact writers
 
 
-def _csv_cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return repr(float(v))
-
-
-def _json_cell(v):
+def _cell(v):
+    """A table cell as the str, bool, int or float that ``csv`` and ``json`` write alike."""
     if isinstance(v, str):
         return v
     if isinstance(v, (bool, np.bool_)):
@@ -408,12 +406,12 @@ def _write_table(path: Path, table) -> None:
         return
     header, rows = table
     if path.suffix == ".json":
-        _write_json(path, [dict(zip(header, map(_json_cell, row))) for row in rows])
+        _write_json(path, [dict(zip(header, map(_cell, row))) for row in rows])
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        writer.writerows(map(_cell, row) for row in rows)
 
 
 def _ergodicity_table(curves: dict) -> tuple:
@@ -536,7 +534,8 @@ def cmd_counterexample(cfg: RunConfig) -> tuple:
 
 
 def cmd_lln(cfg: RunConfig) -> tuple:
-    n_grid = _typed_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), int, least=1)
+    n_grid = _typed_list("n_grid", cfg.get("n_grid", [1000, 10000, 100000]), int, least=1,
+                         cap=RUN_LENGTH_CAP)
     seeds_spec = cfg.get("seeds", {"count": 16})
     if isinstance(seeds_spec, dict):
         _fields("seeds", seeds_spec, "count")
@@ -544,11 +543,12 @@ def cmd_lln(cfg: RunConfig) -> tuple:
         seeds = [cfg.seed + i for i in range(count)]
     else:
         seeds = _typed_list("seeds", seeds_spec, int, least=0)
+        _typed("len(seeds)", len(seeds), int, cap=ENSEMBLE_CAP)
     expect = cfg.scalar("expect", str, "converge", choices=("converge", "fail"))
     fail_threshold = cfg.scalar("fail_threshold", float, 0.1)
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
-    scheme = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, max(n_grid))
+    scheme = build_scheme(cfg.get("scheme", {"kind": "constant"}), family, max(n_grid))
     x0 = cfg.scalar("x0", int, 0, least=0, below=family.n_states)
     study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=x0)
 
@@ -575,13 +575,13 @@ def cmd_lln(cfg: RunConfig) -> tuple:
 
 
 def cmd_clt(cfg: RunConfig) -> tuple:
-    n = cfg.scalar("n", int, 10000, least=1)
+    n = cfg.scalar("n", int, 10000, least=1, cap=RUN_LENGTH_CAP)
     replications = cfg.scalar("replications", int, 1000, least=2, cap=ENSEMBLE_CAP)
     lo, hi = _interval("ratio_band", cfg.get("ratio_band", [0.85, 1.15]))
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)
     x0 = cfg.scalar("x0", int, 0, least=0, below=family.n_states)
-    scheme = build_scheme(cfg.get("scheme", {"kind": "constant", "s0": 0}), family, n)
+    scheme = build_scheme(cfg.get("scheme", {"kind": "constant"}), family, n)
     study = ledger.clt_study(family, scheme, phi, n, replications, cfg.seed, x0=x0)
     tables = {
         "clt_replicates": (
@@ -686,8 +686,8 @@ def cmd_poisson(cfg: RunConfig) -> tuple:
     series = poisson.solve_poisson_neumann(P, family.pi, phi, tol, consts)
     gap = float(np.abs(sol.g - series.g).max())
     checks = {
-        "residual": sol.residual_inf_norm <= 1e-10,
-        "centering": abs(sol.pi_mean) <= 1e-10,
+        "residual": sol.residual_inf_norm <= poisson.RESIDUAL_TOL,
+        "centering": abs(sol.pi_mean) <= poisson.CENTERING_TOL,
         "series_agreement": gap <= 2 * tol,
     }
     summary = {

@@ -139,6 +139,14 @@ def _dists(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(-1)
 
 
+def _row_tv(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """``d_tv`` between matching rows of ``a`` and ``b`` (last axis), worked
+    out in ``out``: the one subtract, abs, contiguous sum and halving that
+    every distance in this module takes, so equal rows give equal bits."""
+    diff = np.subtract(a, b, out=out)
+    return 0.5 * np.abs(diff, out=diff).sum(axis=-1)
+
+
 def tv_distance(mu, nu) -> float:
     """Total variation distance between two probability vectors.
 
@@ -148,7 +156,7 @@ def tv_distance(mu, nu) -> float:
     a, b = _dists(mu), _dists(nu)
     if a.shape != b.shape:
         raise DimensionMismatch(f"length mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.abs(a - b).sum())
+    return float(_row_tv(a, b))
 
 
 def max_tv_between_kernels(P: StochasticMatrix, Q: StochasticMatrix) -> float:
@@ -159,7 +167,7 @@ def max_tv_between_kernels(P: StochasticMatrix, Q: StochasticMatrix) -> float:
     """
     if P.n != Q.n:
         raise DimensionMismatch(f"state counts differ: {P.n} vs {Q.n}")
-    return 0.5 * float(np.abs(P.rows - Q.rows).sum(axis=1).max())
+    return float(_row_tv(P.rows, Q.rows).max())
 
 
 def dobrushin_coefficient(P: StochasticMatrix) -> float:
@@ -224,8 +232,7 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None) -> float:
     if n == 1:
         return 0.0
     block, ordered = np.empty((2, n, n)) if work is None else work
-    diff = np.subtract(rows, rows.mean(axis=0), out=block)
-    e = 0.5 * np.abs(diff, out=diff).sum(axis=1)
+    e = _row_tv(rows, rows.mean(axis=0), out=block)
     # rows by decreasing distance to the pivot: the pairs most likely to be
     # far apart come first, and each row's partners are a leading slice
     order = np.argsort(-e, kind="stable")
@@ -233,7 +240,7 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None) -> float:
     rows = np.take(rows, order, axis=0, out=ordered)
     neg_e = -e  # ascending, for searchsorted
     slack = 64 * n * _EPS
-    best = _row_distance_max(rows, 0, n, block)
+    best = float(_row_tv(rows[0], rows[1:], out=block[: n - 1]).max())
     if best >= 1.0:
         return 1.0
     # partners j > i with e[i] + e[j] > best - slack are rows i+1 .. stops[i]-1
@@ -244,30 +251,23 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None) -> float:
         stop = int(np.searchsorted(neg_e, e[i] - (best - slack), side="left"))
         if stop <= i + 1:
             break  # later rows have smaller e and even fewer partners
-        best = max(best, _row_distance_max(rows, i, stop, block))
+        tv = _row_tv(rows[i], rows[i + 1 : stop], out=block[: stop - i - 1])
+        best = max(best, float(tv.max()))
         if best >= 1.0:
             return 1.0
     return best
 
 
-def _row_distance_max(rows: np.ndarray, i: int, stop: int, scratch: np.ndarray) -> float:
-    """Largest distance from row ``i`` to rows ``i+1 .. stop-1``, by the same
-    subtract, abs, contiguous sum and halving as the all-pairs form."""
-    diff = np.subtract(rows[i], rows[i + 1 : stop], out=scratch[: stop - i - 1])
-    return float((0.5 * np.abs(diff, out=diff).sum(axis=1)).max())
-
-
 def _pair_distance_max(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, scratch) -> float:
-    """Largest distance between rows ``ii[k]`` and ``jj[k]``, worked out the same
-    way in the two halves of ``scratch``, an ``(m, n)`` block with ``m >= 2``."""
+    """Largest distance between rows ``ii[k]`` and ``jj[k]``, worked out in the
+    two halves of ``scratch``, an ``(m, n)`` block with ``m >= 2``."""
     m = scratch.shape[0] // 2
     best = 0.0
     for a in range(0, ii.size, m):
         pairs = min(m, ii.size - a)
         left = np.take(rows, ii[a : a + m], axis=0, out=scratch[:pairs])
         right = np.take(rows, jj[a : a + m], axis=0, out=scratch[m : m + pairs])
-        diff = np.subtract(left, right, out=left)
-        best = max(best, float((0.5 * np.abs(diff, out=diff).sum(axis=1)).max()))
+        best = max(best, float(_row_tv(left, right, out=left).max()))
     return best
 
 
@@ -434,11 +434,6 @@ def _powers(P: StochasticMatrix, horizon: int):
         yield prev
 
 
-def _sup_tv_to_pi(Pk: np.ndarray, pi: Distribution, scratch: np.ndarray) -> float:
-    diff = np.subtract(Pk, pi.weights, out=scratch)
-    return 0.5 * np.abs(diff, out=diff).sum(axis=1).max()
-
-
 def sup_tv_to_pi_curve(P: StochasticMatrix, pi: Distribution, horizon: int) -> np.ndarray:
     """Worst-start convergence curve ``e(k) = max_x d_tv(P^k(x,.), pi)``.
 
@@ -448,7 +443,7 @@ def sup_tv_to_pi_curve(P: StochasticMatrix, pi: Distribution, horizon: int) -> n
     if pi.n != P.n:
         raise DimensionMismatch(f"length mismatch: {pi.n} vs {P.n}")
     scratch = np.empty((P.n, P.n))
-    return np.array([_sup_tv_to_pi(Pk, pi, scratch) for Pk in _powers(P, horizon)])
+    return np.array([_row_tv(Pk, pi.weights, out=scratch).max() for Pk in _powers(P, horizon)])
 
 
 def fit_ergodicity_constants(
@@ -512,7 +507,7 @@ def fit_ergodicity_constants(
         for m, Pk in enumerate(_powers(P, horizon), start=1):
             if m in kept:
                 betas[s, kept.index(m)] = _dobrushin_raw(Pk, work)
-            curves[s, m - 1] = _sup_tv_to_pi(Pk, pi, work[0])
+            curves[s, m - 1] = _row_tv(Pk, pi.weights, out=work[0]).max()
     beta_m = betas.max(axis=0)  # worst coefficient of P^m across the family
 
     rates = [b ** (1.0 / m) for m, b in zip(kept, beta_m) if b < 1.0]

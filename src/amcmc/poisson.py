@@ -82,6 +82,12 @@ class PoissonSolution:
     residual_inf_norm: float
     pi_mean: float
 
+    @classmethod
+    def from_g(cls, g, P: StochasticMatrix, pi: Distribution, phibar: np.ndarray):
+        residual = float(np.abs(g - P.rows @ g - phibar).max())
+        g.setflags(write=False)
+        return cls(g=g, residual_inf_norm=residual, pi_mean=float(pi.weights @ g))
+
     @property
     def sup_norm(self) -> float:
         return float(np.abs(self.g).max())
@@ -120,14 +126,11 @@ def solve_poisson_exact(
         g = np.linalg.solve(A, phibar)
     except np.linalg.LinAlgError as exc:
         raise SingularBeyondCentering(f"centered system is singular: {exc}") from None
-    residual = float(np.abs(g - P.rows @ g - phibar).max())
-    pi_mean = float(pi.weights @ g)
-    if residual > RESIDUAL_TOL or abs(pi_mean) > CENTERING_TOL:
-        raise SingularBeyondCentering(
-            f"solve left residual {residual:.3e}, centering {pi_mean:.3e}"
-        )
-    g.setflags(write=False)
-    return PoissonSolution(g=g, residual_inf_norm=residual, pi_mean=pi_mean)
+    sol = PoissonSolution.from_g(g, P, pi, phibar)
+    if sol.residual_inf_norm > RESIDUAL_TOL or abs(sol.pi_mean) > CENTERING_TOL:
+        raise SingularBeyondCentering(f"solve left residual {sol.residual_inf_norm:.3e}, "
+                                      f"centering {sol.pi_mean:.3e}")
+    return sol
 
 
 def neumann_truncation_index(
@@ -162,16 +165,12 @@ def solve_poisson_neumann(
     ``tol``; agrees with :func:`solve_poisson_exact` within ``2 * tol``.
     """
     K = neumann_truncation_index(tol, consts, phi.osc)
-    phibar = phi.centered
-    term = phibar.copy()
+    term = phibar = phi.centered
     g = phibar.copy()
     for _ in range(K):
         term = P.rows @ term
         g += term
-    residual = float(np.abs(g - P.rows @ g - phibar).max())
-    pi_mean = float(pi.weights @ g)
-    g.setflags(write=False)
-    return PoissonSolution(g=g, residual_inf_norm=residual, pi_mean=pi_mean)
+    return PoissonSolution.from_g(g, P, pi, phibar)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -19,7 +20,9 @@ from amcmc.cli import (
     D_SERIES_CAP,
     ENSEMBLE_CAP,
     HORIZON_CAP,
+    RUN_LENGTH_CAP,
     RunConfig,
+    _write_table,
     build_family,
     build_scheme,
     build_target,
@@ -27,6 +30,7 @@ from amcmc.cli import (
 )
 from amcmc.errors import ConfigError, NonPositiveDensity
 from amcmc.rwm import DEFAULT_STATE_CAP, RwmParameter, build_discrete_rwm, table_target
+from test_ledger import CSV_FLOATS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(amcmc.__file__).resolve().parent.parent
@@ -477,6 +481,55 @@ class TestRunConfigScalar:
             self.config({"seeds": [1, 2]}).scalar("seeds.count", int, 16)
 
 
+def native_cell(v):
+    """A cell as the Python str, bool, int or float that JSON tables hold."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return float(v)
+
+
+def rendered_cell(v) -> str:
+    """A cell as CSV tables spell it: a float by ``repr``, an int in decimal,
+    a bool as ``True``/``False``, a str as is."""
+    v = native_cell(v)
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+FLOAT_CELLS = st.one_of(st.sampled_from(CSV_FLOATS), st.floats())
+INT_CELLS = st.integers(-(2**63), 2**63 - 1)
+TABLE_CELLS = st.one_of(
+    FLOAT_CELLS, FLOAT_CELLS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.booleans(), st.booleans().map(np.bool_), INT_CELLS, INT_CELLS.map(np.int64),
+    st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True),
+)
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 6),
+        cells=st.lists(TABLE_CELLS, min_size=0, max_size=60),
+    )
+    def test_bytes_are_the_writers_over_rendered_cells(self, tmp_path_factory, width, cells):
+        header = [f"c{i}" for i in range(width)]
+        rows = [cells[i : i + width] for i in range(0, len(cells) - width + 1, width)]
+        out = tmp_path_factory.mktemp("table")
+        _write_table(out / "table.csv", (header, rows))
+        _write_table(out / "table.json", (header, rows))
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([rendered_cell(v) for v in row] for row in rows)
+        assert (out / "table.csv").read_bytes() == buf.getvalue().encode("ascii")
+        records = [dict(zip(header, map(native_cell, row))) for row in rows]
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert (out / "table.json").read_text() == text
+
+
 class TestDependencies:
     def test_cli_import_leaves_scipy_unloaded(self):
         probe = (
@@ -693,6 +746,15 @@ class TestConfigHandling:
              f"the budget of {ENSEMBLE_CAP[1]}"),
             ("lln", {"family": {"kind": "iid"}, "seeds": {"count": 10**30}},
              f"seeds.count={10**30} exceeds {ENSEMBLE_CAP[0]}, the budget of {ENSEMBLE_CAP[1]}"),
+            ("lln", {"family": {"kind": "iid"}, "n_grid": [10],
+                     "seeds": list(range(ENSEMBLE_CAP[0] + 1))},
+             f"len(seeds)={ENSEMBLE_CAP[0] + 1} exceeds {ENSEMBLE_CAP[0]}, "
+             f"the budget of {ENSEMBLE_CAP[1]}"),
+            # a run length sets the schedule's size before any step runs
+            ("clt", {"family": {"kind": "iid"}, "n": 1e12},
+             f"n={10**12} exceeds {RUN_LENGTH_CAP[0]}, the budget of {RUN_LENGTH_CAP[1]}"),
+            ("lln", {"family": {"kind": "iid"}, "n_grid": [1000, 1e12]},
+             f"n_grid={10**12} exceeds {RUN_LENGTH_CAP[0]}, the budget of {RUN_LENGTH_CAP[1]}"),
             # nor may a non-integral value be truncated into a run
             ("bounds", {"family": {"kind": "mixture", "count": 2.9}},
              "family.count must be int, got 2.9"),
@@ -733,6 +795,12 @@ class TestConfigHandling:
             ("bounds", {"family": {"kind": "cyclic-pair"},
                         "phi": {"kind": "indicator", "sate": 1}},
              "phi 'indicator' has no field 'sate'"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 10, "replications": 4,
+                     "scheme": {"kind": "converging", "expnent": 3.0}},
+             "scheme 'converging' has no field 'expnent'; it reads kind, s0, c, exponent"),
+            ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 10, "replications": 4,
+                     "scheme": {"kind": "constant", "s00": 3}},
+             "scheme 'constant' has no field 's00'; it reads kind, s0"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(

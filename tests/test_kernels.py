@@ -362,6 +362,28 @@ class TestDobrushinCoefficient:
             assert np.abs(sums - 1.0).max() <= 1e-10
 
 
+class TestOneTvForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kinds=st.tuples(st.sampled_from(KERNEL_KINDS), st.sampled_from(KERNEL_KINDS)),
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        horizon=st.integers(min_value=1, max_value=6),
+    )
+    def test_distances_are_the_explicit_form_bit_for_bit(self, kinds, n, seed, horizon):
+        P, Q = (make_kernel(kind, n, seed + i) for i, kind in enumerate(kinds))
+        pi = Distribution(Q.rows[0])
+        for p, q in zip(P.rows, Q.rows):
+            assert tv_distance(p, q) == 0.5 * float(np.abs(p - q).sum())
+        gap = 0.5 * float(np.abs(P.rows - Q.rows).sum(axis=1).max())
+        assert max_tv_between_kernels(P, Q) == gap
+        Pk, curve = P.rows, []
+        for _ in range(horizon):
+            curve.append(0.5 * np.abs(Pk - pi.weights).sum(axis=1).max())
+            Pk = Pk @ P.rows
+        assert np.array_equal(sup_tv_to_pi_curve(P, pi, horizon), curve)
+
+
 class TestKernelApply:
     def test_constant_function(self):
         P = cyclic_pair().kernels[0]
