@@ -231,6 +231,26 @@ class RareCycleScheme:
         return (s_prev + 1) % self.family.size if self._sched.adapts(k, rng) else s_prev
 
 
+# steps of a schedule or a change series taken in one vectorized pass
+_CHUNK = 2**16
+
+
+def _nearest_members(family: KernelFamily, values: np.ndarray) -> np.ndarray:
+    """``family.nearest_index`` of each of ``values`` (no NaN): one bisection
+    for all, and the scalar method where a neighbour lies as near."""
+    grid, first = np.unique(family.params, return_index=True)  # first member of each value
+    top = grid.size - 1
+    i = np.searchsorted(grid, values)
+    below, above = np.maximum(i - 1, 0), np.minimum(i, top)
+    i = np.where((i > top) | (i > 0) & (values - grid[below] <= grid[above] - values), below, i)
+    gap = np.abs(grid[i] - values)
+    tied = (i > 0) & (np.abs(grid[np.maximum(i - 1, 0)] - values) == gap)
+    tied |= (i < top) & (np.abs(grid[np.minimum(i + 1, top)] - values) == gap)
+    out = first[i]
+    out[tied] = [family.nearest_index(v) for v in values[tied].tolist()]
+    return out
+
+
 def converging_index_schedule(
     family: KernelFamily,
     s0: int,
@@ -251,13 +271,19 @@ def converging_index_schedule(
         raise ValueError(f"exponent={exponent} must be finite and exceed 1 to be summable")
     if not math.isfinite(c):
         raise ValueError(f"c={c} must be finite")
-    lo, hi = min(family.params), max(family.params)
+    # The increments share a sign, so clipping the monotone partial sums
+    # once is clipping after each step.  numpy's power can round otherwise.
+    t0, lo, hi = float(family.params[s0]), min(family.params), max(family.params)
     idx = np.empty(n + 1, dtype=np.int64)
+    for a in range(0, n + 1, _CHUNK):
+        ks = range(a, min(a + _CHUNK, n + 1))
+        t = np.fromiter((c * float(k) ** -exponent if k else t0 for k in ks), float, len(ks))
+        if a:  # seeded with the running sum: a whole-schedule cumsum's additions
+            t[0] += total
+        with np.errstate(over="ignore"):
+            total = np.cumsum(t, out=t)[-1]
+        idx[a : a + _CHUNK] = _nearest_members(family, t.clip(lo, hi, out=t))
     idx[0] = s0
-    t = float(family.params[s0])
-    for k in range(1, n + 1):
-        t = min(max(t + c * float(k) ** (-exponent), lo), hi)
-        idx[k] = family.nearest_index(t)
     return ScheduleScheme(idx), int(idx[-1])
 
 
@@ -305,22 +331,30 @@ def waning_diagnostic(
     D = np.asarray(D_series, dtype=np.float64).reshape(-1)
     if D.size == 0:
         raise ValueError("empty series")
-    if not ((D >= 0) & (D <= 1)).all():
+    if not (D.min() >= 0 and D.max() <= 1):  # a NaN fails both
         raise OutOfRangeD("change magnitudes must lie in [0, 1]")
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     n = D.size
-    partial = np.cumsum(D)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    weighted = np.cumsum(D / ks**p)
     cps = default_checkpoints(n) if checkpoints is None else np.asarray(sorted(checkpoints))
     if cps[0] < 1 or cps[-1] > n:
         raise ValueError("checkpoints must lie in [1, len(D)]")
-    stat = partial[cps - 1] / cps.astype(np.float64) ** p
-    w_at = weighted[cps - 1]
     window = max(1, n // 10)
-    start = n - window
-    tail = (weighted[-1] - (weighted[start - 1] if start >= 1 else 0.0)) / window
+    # running sums of D_k and D_k / k**p, kept only at the checkpoints and the tail's ends
+    ends = np.append(cps, [n - window, n])
+    sums = np.zeros((2, ends.size))
+    for a in range(0, n, _CHUNK):
+        d = D[a : a + _CHUNK]
+        chunk = np.stack([d, d / np.arange(a + 1, a + 1 + d.size, dtype=np.float64) ** p])
+        if a:  # seeded with the running sums: a whole-series cumsum's additions
+            chunk[:, 0] += chunk_end
+        np.cumsum(chunk, axis=1, out=chunk)
+        chunk_end = chunk[:, -1].copy()
+        inside = (ends > a) & (ends <= a + d.size)
+        sums[:, inside] = chunk[:, ends[inside] - a - 1]
+    stat = sums[0, :-2] / cps.astype(np.float64) ** p
+    w_at = sums[1, :-2]
+    tail = (sums[1, -1] - sums[1, -2]) / window
     # a cumulative sum of k nonnegative terms is off by at most about
     # k * eps of itself, so a smaller drop of the statistic is roundoff
     slack = np.finfo(np.float64).eps * cps * stat

@@ -41,12 +41,12 @@ EXIT_EXPECTED_FAILURE = 2
 # A certificate walks one matrix power per unit of horizon and member;
 # ``fit_ergodicity_constants`` spends about 7.5 ms a power at 200 states.
 HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
-# ``waning`` holds about 40 bytes per step and draws up to 1.7 us a step
-# (bernoulli-log).
-D_SERIES_CAP = (10_000_000, "about 0.4 GB and 17 s of steps")
-# An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds
-# min(n, 4096) uniforms per replication; ``clt`` peaks at 372 MB RSS here.
-ENSEMBLE_CAP = (10_000, "about 0.37 GB and 1.5 ms a step on 400 states")
+# ``waning`` holds its series, 8 bytes a step, and draws up to 1.5 us a step
+# (bernoulli-log); it peaks at 116 MB RSS here (145 MB for rare-log).
+D_SERIES_CAP = (10_000_000, "about 0.15 GB and 15 s of steps")
+# An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds 256 rows
+# of uniforms at 10**4 replications, 20 MB; ``clt`` peaks at 79 MB RSS here.
+ENSEMBLE_CAP = (10_000, "about 80 MB and 1.1 ms a step on 400 states")
 # A run length (``clt``'s n, an ``lln`` n_grid entry) sets a schedule of 8 bytes a step.
 RUN_LENGTH_CAP = (10_000_000, "about 80 MB of schedule and 3 us a step for 32 chains on 3 "
                               "states, 0.15 ms for 1000 on 400")
@@ -648,7 +648,7 @@ def cmd_waning(cfg: RunConfig) -> tuple:
                       cfg.scalar("d_series.epsilon", float, 0.1, least=0))
         # D_k is 1 exactly at the steps where the schedule adapts
         rng = ledger.chain_generator(cfg.seed)
-        D = np.array([sched.adapts(k, rng) for k in range(1, n + 1)], dtype=np.float64)
+        D = np.fromiter((sched.adapts(k, rng) for k in range(1, n + 1)), np.float64, n)
     elif kind == "constant":
         _fields("d_series", cfg.get("d_series"), "kind", "n", "value")
         D = np.full(n, cfg.scalar("d_series.value", float, 0.05))

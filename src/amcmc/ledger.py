@@ -21,7 +21,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,8 @@ from .poisson import TestFunction, clt_variance, solve_poisson_exact
 # with root seed ``s`` uses SeedSequence(entropy=s, spawn_key=(r,)); an LLN
 # study runs one chain per seed it is given.
 #
-# Both drivers read a stream ``_STREAM_BLOCK`` doubles at a time.  Philox's
+# The chain driver reads a stream ``_STREAM_BLOCK`` doubles at a time, the
+# lockstep ensemble in blocks sized from its replication count.  Philox's
 # bulk fill yields the doubles of that many scalar ``random()`` calls in the
 # same order, so a trajectory does not depend on the block length.
 
@@ -87,15 +88,12 @@ class Trajectory:
             raise ValueError("X and S must have n + 1 entries")
 
 
-def _cum_tables(family: KernelFamily) -> list:
-    """Inverse-CDF table per kernel, flat: entry ``x * n_states + j`` is the
-    cumsum of row ``x`` up to column ``j``, each row's last entry pinned to 1."""
-    tables = []
-    for P in family.kernels:
-        cum = np.cumsum(P.rows, axis=1)
-        cum[:, -1] = 1.0  # pin against roundoff so inverse CDF always lands
-        tables.append(cum.reshape(-1))
-    return tables
+def _cum_table(P) -> np.ndarray:
+    """Inverse-CDF table of kernel ``P``, flat: entry ``x * n_states + j`` is
+    the cumsum of row ``x`` up to column ``j``, the last pinned to 1."""
+    cum = np.cumsum(P.rows, axis=1)
+    cum[:, -1] = 1.0  # pin against roundoff so inverse CDF always lands
+    return cum.reshape(-1)
 
 
 def run_adaptive_chain(
@@ -131,16 +129,20 @@ def run_adaptive_chain(
     # [lo, lo + n_states) are those over the row alone, shifted by lo.
     # ``entry <= u`` holds on a prefix of the row, and the pinned last
     # entry 1.0 exceeds every uniform, so the index stays below n_states.
-    cums = [memoryview(flat) for flat in _cum_tables(family)]
+    # A member's table is built when the chain first enters it.
+    member_table = cache(lambda i: memoryview(_cum_table(family.kernel(i))))
+    cum = member_table(s)
     n_states = family.n_states
     X = [x]
     S = [s]
     for k in range(1, n + 1):
         lo = x * n_states
-        x_new = bisect_right(cums[s], draw(), lo, lo + n_states) - lo
+        x_new = bisect_right(cum, draw(), lo, lo + n_states) - lo
         s_new = int(scheme.step(k, x, x_new, s, stream))
-        if not 0 <= s_new < size:
-            raise SchemeEscape(f"scheme produced index {s_new} outside family at step {k}")
+        if s_new != s:
+            if not 0 <= s_new < size:
+                raise SchemeEscape(f"scheme produced index {s_new} outside family at step {k}")
+            cum = member_table(s_new)
         X.append(x_new)
         S.append(s_new)
         x, s = x_new, s_new
@@ -309,8 +311,10 @@ def martingale_check(
 # vectorized ensemble over deterministic index schedules
 #
 # Column r of the uniform block holds the next draws of the stream for
-# seed material r, refilled every ``_STREAM_BLOCK`` steps, so a single chain
-# run with the same seed and schedule visits exactly the same states.
+# seed material r, so a single chain run with the same seed and schedule
+# visits exactly the same states.  Its rows are as many whole sub-blocks as
+# fit ``_U_BUDGET`` doubles, at least one and at most ``_STREAM_BLOCK``:
+# at most 2 MB up to R = 1024, and 20 MB at R = 10**4.
 #
 # Each step finds, for every replication, the first entry of its row's
 # cumsum that exceeds its uniform: ``bisect_right``'s index.  Cumsums never
@@ -327,7 +331,8 @@ def martingale_check(
 #   steps, replications and states, the row entries ``<= u``: that many
 #   compares per step, in ``n_states - 1`` passes over the whole sub-block.
 #   Each step is then one gather of R entries.  The table holds
-#   ``_SUB_BLOCK * n_states * R`` entries, no more than a full uniform block.
+#   ``_SUB_BLOCK * n_states * R`` int64 entries, at most 12 MB when a row has
+#   two or more states.
 # - Lockstep bisection otherwise, a few NumPy calls on R elements per
 #   halving round and per scan, ``O(R log n_states)`` per step.  Rows
 #   longer than ``_BISECT_WINDOW`` are first narrowed by a lockstep binary
@@ -353,6 +358,7 @@ def martingale_check(
 
 _BISECT_WINDOW = 16
 _SUB_BLOCK = _STREAM_BLOCK // _BISECT_WINDOW
+_U_BUDGET = 2**18
 _TABLE_MAX_COMPARES = 6000
 
 
@@ -450,9 +456,10 @@ def ensemble_schedule_run(
         raise ValueError(f"indices must cover steps 0..{n - 1}, got {schedule.shape[0]} entries")
     R = len(seed_seqs)
     streams = [chain_generator(ss) for ss in seed_seqs]
-    U = np.empty((min(n, _STREAM_BLOCK), R))
+    rows = min(max(_U_BUDGET // max(R, 1) // _SUB_BLOCK * _SUB_BLOCK, _SUB_BLOCK), _STREAM_BLOCK)
+    U = np.empty((min(n, rows), R))
     n_states = family.n_states
-    flats = _cum_tables(family)
+    flats = [_cum_table(P) for P in family.kernels]
     if _uses_table(n_states, R):
         by_column = np.stack(flats).reshape(-1, n_states, n_states).transpose(2, 0, 1)
         table = np.empty((min(n, _SUB_BLOCK), n_states, R), dtype=np.int64)
@@ -471,9 +478,9 @@ def ensemble_schedule_run(
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
     for k in range(1, n + 1, _SUB_BLOCK):
-        j = (k - 1) % _STREAM_BLOCK
+        j = (k - 1) % rows
         if j == 0:
-            block = min(_STREAM_BLOCK, n - k + 1)
+            block = min(rows, n - k + 1)
             for i, rng in enumerate(streams):
                 U[:block, i] = rng.random(block)
         m = min(_SUB_BLOCK, n - k + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,12 +17,15 @@ from amcmc.adaptation import (
     bernoulli_log_schedule,
     converging_index_schedule,
     log_increment_schedule,
+    _CHUNK,
+    default_checkpoints,
     waning_diagnostic,
 )
 from amcmc.errors import OutOfRangeD
 from amcmc.families import cyclic_pair, mixture_family, random_metropolis_family
 from amcmc.kernels import Distribution
 from amcmc.ledger import chain_generator, run_adaptive_chain
+from conftest import traced_peak
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -114,7 +118,85 @@ def test_converging_schedule_rejects_non_finite_c_or_exponent(bad):
         converging_index_schedule(family, s0=0, n=10, exponent=bad)
 
 
+def reference_converging(family, s0, n, c, exponent):
+    """The indices of ``t_k = clip(t_{k-1} + c k**-exponent)``, clipped and
+    matched to the grid after every step."""
+    lo, hi = min(family.params), max(family.params)
+    t = float(family.params[s0])
+    indices = [s0]
+    for k in range(1, n + 1):
+        t = min(max(t + c * float(k) ** (-exponent), lo), hi)
+        indices.append(family.nearest_index(t))
+    return indices
+
+
+class TestConvergingSchedule:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_the_stepwise_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        members = int(rng.integers(1, 9))
+        # unsorted grids, half of them with repeated values and midpoint ties
+        values = [-1.0, -0.25, 0.0, 1e-17, 0.5, 1.0, 2.0]
+        params = rng.choice(values, members) if seed % 2 else rng.normal(size=members)
+        family = dataclasses.replace(grid_family(members), params=tuple(params.tolist()))
+        s0 = int(rng.integers(members))
+        # the long runs span the chunks the grid search takes
+        n = {0: 10_000, 1: _CHUNK - 1, 2: _CHUNK + 1}.get(seed, int(rng.integers(0, 3000)))
+        c = float(rng.normal(scale=2.0))  # negative for about half the seeds
+        exponent = 1.0 + float(rng.exponential())
+        scheme, limit = converging_index_schedule(family, s0, n, c, exponent)
+        expected = reference_converging(family, s0, n, c, exponent)
+        assert scheme.index_array(n).tolist() == expected
+        assert limit == expected[-1]
+
+    @pytest.mark.parametrize(
+        "params,s0,c",
+        [
+            ((0.0, 1e-17, 1.0), 0, 0.5),  # t_1 = 0.5 ties all three values
+            ((1.0, 0.0, 1e-17, 0.0), 1, 0.5),
+            ((0.0, 1.0, 2.0), 0, 1e308),  # the partial sums overflow to inf
+            ((0.0, 1.0, 2.0), 2, -1e308),
+        ],
+    )
+    def test_ties_and_overflow_match_the_loop(self, params, s0, c):
+        family = dataclasses.replace(grid_family(len(params)), params=params)
+        for n in (0, 1, 2, 100):
+            scheme, _ = converging_index_schedule(family, s0, n, c)
+            assert scheme.index_array(n).tolist() == reference_converging(family, s0, n, c, 1.5)
+
+
+def whole_series_waning(D, p, checkpoints):
+    """The statistic, weighted sums and tail increment from whole-series
+    cumulative sums."""
+    n = D.size
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    partial, weighted = np.cumsum(D), np.cumsum(D / ks**p)
+    cps = np.asarray(sorted(checkpoints))
+    start = n - max(1, n // 10)
+    tail = (weighted[-1] - (weighted[start - 1] if start >= 1 else 0.0)) / max(1, n // 10)
+    return partial[cps - 1] / cps.astype(np.float64) ** p, weighted[cps - 1], tail
+
+
 class TestWaningDiagnostic:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 11, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 9]
+    )
+    def test_chunks_match_the_whole_series(self, n, p):
+        rng = np.random.default_rng(n)
+        D = rng.uniform(size=n) * (rng.uniform(size=n) < 0.3)
+        edges = {1, max(1, n // 2), n, *default_checkpoints(n).tolist()}
+        edges |= {k for k in (_CHUNK - 1, _CHUNK, _CHUNK + 1) if k <= n}
+        report = waning_diagnostic(D, p, sorted(edges))
+        statistic, weighted, tail = whole_series_waning(D, p, sorted(edges))
+        assert report.statistic.tobytes() == statistic.tobytes()
+        assert report.weighted_sums.tobytes() == weighted.tobytes()
+        assert report.tail_increment == tail
+
+    def test_peak_memory_below_the_series(self):
+        D = np.full(10**6, 0.05)
+        assert traced_peak(lambda: waning_diagnostic(D, p=1.0)) < D.nbytes // 2
+
     def test_zero_series_statistic_zero_everywhere(self):
         report = waning_diagnostic(np.zeros(10_000), p=1.0)
         assert np.all(report.statistic == 0.0)

@@ -3,7 +3,6 @@ import dataclasses
 import io
 import itertools
 import math
-import tracemalloc
 import warnings
 from bisect import bisect_right
 from statistics import NormalDist
@@ -65,6 +64,7 @@ from amcmc.ledger import (
     write_ledger_csv,
 )
 from amcmc.poisson import TestFunction, clt_variance, solve_poisson_exact
+from conftest import traced_peak
 
 PI3 = Distribution([0.5, 0.25, 0.25])
 
@@ -580,27 +580,27 @@ class TestEnsembleOracle:
     """The lockstep ensemble against the reference chain across the stream's
     block edges; the random-family property is in TestEnsembleContract."""
 
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_block_edges(self, n):
+    @staticmethod
+    def check(n):
         fam = grid_family(states=6, members=3)
         phi = TestFunction.from_values(np.random.default_rng(n).normal(size=6), fam.pi)
         indices = (np.arange(n + 1) // 3) % fam.size
-        edges = {1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1,
+        edges = {1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 2 * _SUB_BLOCK, 2 * _SUB_BLOCK + 1,
                  _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK, n}
         prefixes = sorted(k for k in edges if k <= n)
         seed_seqs = [np.random.SeedSequence(entropy=n, spawn_key=(r,)) for r in range(3)]
         check_against_reference_ensemble(fam, indices, phi, n, seed_seqs, 5, prefixes)
 
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_block_edges(self, n):
+        self.check(n)
 
-def traced_peak(run) -> int:
-    """Peak bytes traced while ``run()`` executes, after one untraced warm-up."""
-    run()
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_block_edges_with_one_sub_block_per_refill(self, n, monkeypatch):
+        # a budget of 3 * _SUB_BLOCK doubles gives the 3 replications
+        # _SUB_BLOCK-row blocks, refilled at steps 1, _SUB_BLOCK + 1, ...
+        monkeypatch.setattr(ledger, "_U_BUDGET", 3 * _SUB_BLOCK)
+        self.check(n)
 
 
 class TestDriverMemory:
@@ -608,9 +608,10 @@ class TestDriverMemory:
     uniforms, not a copy of the family or the whole stream."""
 
     def test_chain_peak_below_twice_the_tables(self):
+        # a constant chain builds the one member table it reads
         fam = random_family("sparse", 200, 8, seed=3)
         peak = traced_peak(lambda: run_adaptive_chain(fam, ConstantScheme(), 0, 0, 100, 1))
-        assert peak < 2 * 8 * 200**2 * 8
+        assert peak < 2 * 200**2 * 8
 
     def test_ensemble_peak_below_the_whole_stream(self):
         fam = iid_family(PI3)
@@ -620,6 +621,16 @@ class TestDriverMemory:
         seed_seqs = [np.random.SeedSequence(r) for r in range(reps)]
         peak = traced_peak(lambda: ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0))
         assert peak < n * reps * 8
+
+    def test_ensemble_block_sized_from_the_replications(self):
+        # 4096 rows of uniforms would take 64 MB at R = 2048
+        fam = iid_family(PI3)
+        phi = TestFunction.indicator(0, fam.pi)
+        n, reps = 4096, 2048
+        indices = np.zeros(n + 1, dtype=np.int64)
+        seed_seqs = [np.random.SeedSequence(r) for r in range(reps)]
+        peak = traced_peak(lambda: ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0))
+        assert peak < 4 * ledger._U_BUDGET * 8
 
 
 class TestIndexOutsideFamily:
