@@ -28,12 +28,10 @@ from .kernels import (
     StochasticMatrix,
     dobrushin_coefficient,
     fit_ergodicity_constants,
-    kernel_apply,
     max_tv_between_kernels,
     read_kernel_json,
     stationary_distribution,
     sup_tv_to_pi_curve,
-    tv_distance,
 )
 from .ledger import (
     DecompositionLedger,

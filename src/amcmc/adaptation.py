@@ -44,31 +44,23 @@ class DeterministicSchedule:
     ``n_j = increment(j)`` clamped to at least 1 so the times strictly
     increase.  Draws nothing from the stream.
 
-    Single-owner: the cached adaptation times mutate as they are extended,
-    so one instance should drive one chain.
+    Single-owner: ``adapts`` keeps a cursor, the next adaptation time, and
+    answers only steps above the last one asked, so one instance drives one
+    chain from its start.
     """
 
     def __init__(self, increment: Callable[[int], float]):
         self.increment = increment
-        self._taus: list[int] = []
-        self._tau_set: set[int] = set()
-
-    def _extend_taus(self, k: int) -> None:
-        while not self._taus or self._taus[-1] < k:
-            j = len(self._taus) + 1
-            step = max(1, math.ceil(self.increment(j)))
-            tau = (self._taus[-1] if self._taus else 0) + step
-            self._taus.append(tau)
-            self._tau_set.add(tau)
-
-    def adaptation_times(self, up_to: int) -> list[int]:
-        """Adaptation times ``tau_j <= up_to``."""
-        self._extend_taus(up_to)
-        return [t for t in self._taus if t <= up_to]
+        self._j, self._tau, self._last = 0, 0, 0
 
     def adapts(self, k: int, rng) -> bool:
-        self._extend_taus(k)
-        return k in self._tau_set
+        if k <= self._last:
+            raise ValueError(f"step {k} is not above the last step asked, {self._last}")
+        self._last = k
+        while self._tau < k:
+            self._j += 1
+            self._tau += max(1, math.ceil(self.increment(self._j)))
+        return self._tau == k
 
 
 class BernoulliSchedule:

@@ -42,7 +42,7 @@ EXIT_EXPECTED_FAILURE = 2
 # ``fit_ergodicity_constants`` spends about 7.5 ms a power at 200 states.
 HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
 # ``waning`` holds its series, 8 bytes a step, and draws up to 1.5 us a step
-# (bernoulli-log); it peaks at 116 MB RSS here (145 MB for rare-log).
+# (bernoulli-log); it peaks at 116 MB RSS here, rare-log and constant at 114 MB.
 D_SERIES_CAP = (10_000_000, "about 0.15 GB and 15 s of steps")
 # An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds 256 rows
 # of uniforms at 10**4 replications, 20 MB; ``clt`` peaks at 79 MB RSS here.
@@ -50,6 +50,9 @@ ENSEMBLE_CAP = (10_000, "about 80 MB and 1.1 ms a step on 400 states")
 # A run length (``clt``'s n, an ``lln`` n_grid entry) sets a schedule of 8 bytes a step.
 RUN_LENGTH_CAP = (10_000_000, "about 80 MB of schedule and 3 us a step for 32 chains on 3 "
                               "states, 0.15 ms for 1000 on 400")
+# A family's count sets ``bounds``' count**2 / 2 Lipschitz reports; at 300
+# members ``bounds`` takes 3 s and peaks at 105 MB RSS here, at 1000 19 s and 0.8 GB.
+FAMILY_COUNT_CAP = (300, "about 45000 reports, 3 s and 0.1 GB of bounds")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ def build_family(spec: dict) -> families.KernelFamily:
     if kind == "mixture":
         _fields("family", spec, "kind", "count")
         base = families.cyclic_pair()
-        count = _typed("family.count", spec.get("count", 10), int, least=2)
+        count = _typed("family.count", spec.get("count", 10), int, least=2, cap=FAMILY_COUNT_CAP)
         return families.mixture_family(base.kernels[0], base.kernels[1], base.pi, count)
     if kind == "smoothed-cyclic":
         _fields("family", spec, "kind", "epsilon")
@@ -267,7 +270,8 @@ def build_family(spec: dict) -> families.KernelFamily:
         pi = _typed_list("family.pi", spec.get("pi", [0.4, 0.3, 0.2, 0.1]), float)
         return families.random_metropolis_family(
             Distribution(pi),
-            count=_typed("family.count", spec.get("count", 2), int, least=1),
+            count=_typed("family.count", spec.get("count", 2), int, least=1,
+                         cap=FAMILY_COUNT_CAP),
             seed=_typed("family.seed", spec.get("seed", 7), int, least=0),
         )
     if kind == "file":

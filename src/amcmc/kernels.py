@@ -133,30 +133,12 @@ class ErgodicityConstants:
         return self.curves.shape[1]
 
 
-def _dists(x) -> np.ndarray:
-    if isinstance(x, Distribution):
-        return x.weights
-    return np.asarray(x, dtype=np.float64).reshape(-1)
-
-
 def _row_tv(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     """``d_tv`` between matching rows of ``a`` and ``b`` (last axis), worked
     out in ``out``: the one subtract, abs, contiguous sum and halving that
     every distance in this module takes, so equal rows give equal bits."""
     diff = np.subtract(a, b, out=out)
     return 0.5 * np.abs(diff, out=diff).sum(axis=-1)
-
-
-def tv_distance(mu, nu) -> float:
-    """Total variation distance between two probability vectors.
-
-    Equals ``sup_A |mu(A) - nu(A)| = 0.5 * sum_i |mu_i - nu_i|`` and lies
-    in [0, 1].
-    """
-    a, b = _dists(mu), _dists(nu)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(_row_tv(a, b))
 
 
 def max_tv_between_kernels(P: StochasticMatrix, Q: StochasticMatrix) -> float:
@@ -183,14 +165,13 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     - *Mean row.*  The triangle inequality through the mean row ``c`` gives
       ``d_tv(P(x,.), P(y,.)) <= e_x + e_y`` with ``e_x = d_tv(P(x,.), c)``.
       Rows are searched by decreasing ``e_x``, row 0 against every other
-      row first, which seeds the best value.
+      row first, which seeds the best value; every later pair then lies
+      among the rows that can still pair with row 1.
     - *Hellinger (Le Cam's inequality).*  ``d_tv(p, q) <= sqrt(1 - BC**2)``
       with the Bhattacharyya coefficient ``BC = sum_z sqrt(p_z q_z)``, so
-      one product ``sqrt(P) @ sqrt(P).T`` bounds every pair.  It is
-      computed only when the mean-row bound leaves more than ``n**2 / 16``
-      pairs after the seed, as on a local random-walk kernel, where every
-      row is far from the mean row; the product then runs in row panels of
-      ``2**15`` entries, and each pair meets both bounds.
+      one product ``sqrt(P) @ sqrt(P).T`` over those rows bounds every
+      pair.  It runs in row panels of ``2**15`` entries, and each pair meets
+      both bounds.
 
     A pair is skipped only when its bound falls below the best value by
     more than a rounding slack.  ``64 * n * eps`` covers the rounding of the
@@ -205,22 +186,16 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     found.
 
     Memory is ``O(n**2)``: the ``n x n`` blocks below plus one panel.  Time
-    is ``O(n**2)`` when the mean-row bound prunes, as for high powers.  On
-    a 200-state random-walk kernel (OpenBLAS, one thread) ``beta(P)`` takes
-    2-3 ms against 5-12 ms without the Hellinger bound, and at 1000 states
-    0.2 s against 1.3-1.5 s: the product is ``O(n**3)`` at BLAS speed and
-    the pairs both bounds leave, 6-7% of all there, are ``O(n)`` each.
+    is ``O(n**2)`` for the seed row and the mean-row bound, plus the product
+    over the ``h`` rows that can pair with row 1, ``O(h**2 n)`` at BLAS
+    speed, and ``O(n)`` for each pair both bounds leave.  On truncated-
+    Gaussian random-walk kernels and their powers up to 12 (OpenBLAS, one
+    thread) ``beta`` takes 0.2-2 ms at 200 states and 11-200 ms at 1000.
     """
     return _dobrushin_raw(P.rows)
 
 
 _EPS = float(np.finfo(np.float64).eps)
-# The Hellinger product runs when the mean-row bound leaves more than this
-# share of n**2 row pairs after the seed.  Measured on truncated-Gaussian
-# RWM kernels and their powers at 100 to 800 states (OpenBLAS, one thread):
-# the product won from a share of about 0.07 up, and lost by up to 50% below
-# 0.05; in between, either path won by up to 25%.
-_HELLINGER_SHARE = 1 / 16
 _PANEL_ENTRIES = 1 << 15
 
 
@@ -243,52 +218,22 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None) -> float:
     best = float(_row_tv(rows[0], rows[1:], out=block[: n - 1]).max())
     if best >= 1.0:
         return 1.0
-    # partners j > i with e[i] + e[j] > best - slack are rows i+1 .. stops[i]-1
-    stops = np.searchsorted(neg_e, e - (best - slack), side="left")
-    if np.maximum(stops[1:] - np.arange(2, n + 1), 0).sum() > _HELLINGER_SHARE * n * n:
-        return _hellinger_search(rows, e, best, slack, block)
-    for i in range(1, n - 1):
-        stop = int(np.searchsorted(neg_e, e[i] - (best - slack), side="left"))
-        if stop <= i + 1:
-            break  # later rows have smaller e and even fewer partners
-        tv = _row_tv(rows[i], rows[i + 1 : stop], out=block[: stop - i - 1])
-        best = max(best, float(tv.max()))
-        if best >= 1.0:
-            return 1.0
-    return best
-
-
-def _pair_distance_max(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, scratch) -> float:
-    """Largest distance between rows ``ii[k]`` and ``jj[k]``, worked out in the
-    two halves of ``scratch``, an ``(m, n)`` block with ``m >= 2``."""
-    m = scratch.shape[0] // 2
-    best = 0.0
-    for a in range(0, ii.size, m):
-        pairs = min(m, ii.size - a)
-        left = np.take(rows, ii[a : a + m], axis=0, out=scratch[:pairs])
-        right = np.take(rows, jj[a : a + m], axis=0, out=scratch[m : m + pairs])
-        best = max(best, float(_row_tv(left, right, out=left).max()))
-    return best
-
-
-def _hellinger_search(rows, e, best, slack, root) -> float:
-    """Finish the search of :func:`_dobrushin_raw` from row 1 on, given rows
-    sorted by decreasing ``e`` and the seed ``best``: each panel of rows takes
-    its Bhattacharyya coefficients with every later row from one product, and
-    only the pairs that pass both bounds are worked out.  ``root`` is an
-    ``n x n`` block to work in."""
-    n = rows.shape[0]
-    np.maximum(rows, 0.0, out=root)
+    # partners j > i >= 1 with e[i] + e[j] > best - slack all lie below row 1's stop
+    hi = int(np.searchsorted(neg_e, e[1] - (best - slack), side="left"))
+    if hi <= 2:
+        return best
+    # each panel of rows takes its Bhattacharyya coefficients with every later
+    # row from one product, and only the pairs that pass both bounds are worked out
+    root = np.maximum(rows[:hi], 0.0, out=block[:hi])
     mass = root.sum(axis=1)
     # the largest clamped row sum, and the most negative mass a row drops,
     # each rounded up past the rounding of its sums
     alpha = float(mass.max()) + n * _EPS
-    lost = max(float((mass - rows.sum(axis=1)).max()), 0.0) + 2 * n * _EPS
+    lost = max(float((mass - rows[:hi].sum(axis=1)).max()), 0.0) + 2 * n * _EPS
     np.sqrt(root, out=root)
     k = max(2, min(n, _PANEL_ENTRIES // n))
     panel = np.empty((k, n))
-    neg_e = -e
-    for i0 in range(1, n - 1, k):
+    for i0 in range(1, hi - 1, k):
         stops = np.searchsorted(neg_e, e[i0 : i0 + k] - (best - slack), side="left")
         stop = int(stops[0])
         if stop <= i0 + 1:
@@ -311,6 +256,19 @@ def _hellinger_search(rows, e, best, slack, root) -> float:
     return best
 
 
+def _pair_distance_max(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, scratch) -> float:
+    """Largest distance between rows ``ii[k]`` and ``jj[k]``, worked out in the
+    two halves of ``scratch``, an ``(m, n)`` block with ``m >= 2``."""
+    m = scratch.shape[0] // 2
+    best = 0.0
+    for a in range(0, ii.size, m):
+        pairs = min(m, ii.size - a)
+        left = np.take(rows, ii[a : a + m], axis=0, out=scratch[:pairs])
+        right = np.take(rows, jj[a : a + m], axis=0, out=scratch[m : m + pairs])
+        best = max(best, float(_row_tv(left, right, out=left).max()))
+    return best
+
+
 def _bc_ceiling(b: float, alpha: float, n: int) -> float:
     """The largest computed Bhattacharyya coefficient of a pair whose bound
     ``sqrt(alpha**2 - BC**2)`` may reach ``b``: for ``b > 0``,
@@ -321,14 +279,6 @@ def _bc_ceiling(b: float, alpha: float, n: int) -> float:
         return math.inf
     a2 = alpha * alpha
     return math.sqrt(max(a2 - b * b, 0.0) + 4 * _EPS * a2) * (1.0 + (n + 4) * _EPS)
-
-
-def kernel_apply(P: StochasticMatrix, f) -> np.ndarray:
-    """Apply the kernel to a function: ``(P f)(x) = sum_y P(x, y) f(y)``."""
-    vec = np.asarray(f, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != P.n:
-        raise DimensionMismatch(f"function length {vec.shape[0]} != state count {P.n}")
-    return P.rows @ vec
 
 
 def _reaches(rows: np.ndarray, target: int) -> bool:

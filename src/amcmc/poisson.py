@@ -25,7 +25,6 @@ from .kernels import (
     ErgodicityConstants,
     StochasticMatrix,
     _reaches,
-    kernel_apply,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -247,7 +246,7 @@ def clt_variance(P: StochasticMatrix, pi: Distribution, phi: TestFunction) -> fl
         If the computed value is below ``-1e-8`` (inconsistent solution).
     """
     sol = solve_poisson_exact(P, pi, phi)
-    Pg = kernel_apply(P, sol.g)
+    Pg = P.rows @ sol.g
     value = float(pi.weights @ (sol.g**2 - Pg**2))
     if value < -1e-8:
         raise NegativeBeyondTolerance(f"variance {value:.3e} below -1e-8")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -50,8 +51,7 @@ def grid_family(members=8):
 class TestRareSchedules:
     def test_deterministic_times_strictly_increasing_and_slow(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
-        taus = sched.adaptation_times(200_000)
-        arr = np.asarray(taus)
+        arr = np.array([k for k in range(1, 200_001) if sched.adapts(k, rng=None)])
         assert np.all(np.diff(arr) >= 1)
         # the inter-adaptation gaps grow, so tau_j / (j log^{1.1} j) stays
         # bounded below and the weighted counting series converges
@@ -63,9 +63,19 @@ class TestRareSchedules:
 
     def test_deterministic_decision_matches_times(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
-        taus = set(sched.adaptation_times(500))
+        # tau_j = sum_{i<=j} max(1, ceil(2 log(i)**1.1)), from the definition
+        gaps = [max(1, math.ceil(2.0 * math.log(j) ** 1.1)) for j in range(1, 200)]
+        taus = {int(t) for t in np.cumsum(gaps) if t <= 500}
         hits = {k for k in range(1, 501) if sched.adapts(k, rng=None)}
         assert hits == taus
+
+    @pytest.mark.parametrize("k", [5, 4])
+    def test_deterministic_schedule_refuses_a_step_not_above_the_last(self, k):
+        sched = log_increment_schedule(c=2.0, epsilon=0.1)
+        for step in range(1, 6):
+            sched.adapts(step, rng=None)
+        with pytest.raises(ValueError, match="not above the last step asked"):
+            sched.adapts(k, rng=None)
 
     def test_bernoulli_activation_decays_with_shrinking_decade_tails(self):
         sched = bernoulli_log_schedule(c=1.0, epsilon=0.1)
@@ -205,8 +215,7 @@ class TestWaningDiagnostic:
     def test_rare_schedule_series_converges(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
         n = 100_000
-        D = np.zeros(n)
-        D[np.asarray(sched.adaptation_times(n)) - 1] = 1.0
+        D = np.fromiter((sched.adapts(k, rng=None) for k in range(1, n + 1)), np.float64, n)
         report = waning_diagnostic(D, p=1.0, checkpoints=[1_000, 10_000, 100_000])
         assert report.decreasing
         assert report.waning
@@ -295,7 +304,8 @@ class TestGridSchemes:
         scheme = RareCycleScheme(fam, lambda: log_increment_schedule(2.0, 0.1))
         traj = run_adaptive_chain(fam, scheme, 0, 0, n, seed=7)
         changed = (np.nonzero(traj.S[1:] != traj.S[:-1])[0] + 1).tolist()
-        assert changed == log_increment_schedule(2.0, 0.1).adaptation_times(n)
+        sched = log_increment_schedule(2.0, 0.1)
+        assert changed == [k for k in range(1, n + 1) if sched.adapts(k, rng=None)]
         assert np.all((traj.S[changed] - traj.S[np.asarray(changed) - 1]) % fam.size == 1)
 
     def test_bernoulli_rare_cycle_changes_where_second_uniform_is_below_eta(self):

@@ -19,6 +19,7 @@ from amcmc import kernels
 from amcmc.cli import (
     D_SERIES_CAP,
     ENSEMBLE_CAP,
+    FAMILY_COUNT_CAP,
     HORIZON_CAP,
     RUN_LENGTH_CAP,
     RunConfig,
@@ -750,6 +751,15 @@ class TestConfigHandling:
                      "seeds": list(range(ENSEMBLE_CAP[0] + 1))},
              f"len(seeds)={ENSEMBLE_CAP[0] + 1} exceeds {ENSEMBLE_CAP[0]}, "
              f"the budget of {ENSEMBLE_CAP[1]}"),
+            # a family's count sets the number of bounds' Lipschitz reports
+            ("bounds", {"family": {"kind": "mixture", "count": 1e12}},
+             f"family.count={10**12} exceeds {FAMILY_COUNT_CAP[0]}, "
+             f"the budget of {FAMILY_COUNT_CAP[1]}"),
+            ("bounds", {"family": {"kind": "random-metropolis", "count": 10**9}},
+             f"family.count={10**9} exceeds {FAMILY_COUNT_CAP[0]}, "
+             f"the budget of {FAMILY_COUNT_CAP[1]}"),
+            ("lln", {"family": {"kind": "mixture", "count": FAMILY_COUNT_CAP[0] + 1}},
+             f"family.count={FAMILY_COUNT_CAP[0] + 1} exceeds {FAMILY_COUNT_CAP[0]}"),
             # a run length sets the schedule's size before any step runs
             ("clt", {"family": {"kind": "iid"}, "n": 1e12},
              f"n={10**12} exceeds {RUN_LENGTH_CAP[0]}, the budget of {RUN_LENGTH_CAP[1]}"),

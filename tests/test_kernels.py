@@ -25,13 +25,11 @@ from amcmc.kernels import (
     StochasticMatrix,
     dobrushin_coefficient,
     fit_ergodicity_constants,
-    kernel_apply,
     kernel_json_text,
     max_tv_between_kernels,
     read_kernel_json,
     stationary_distribution,
     sup_tv_to_pi_curve,
-    tv_distance,
 )
 from amcmc.rwm import RwmParameter, build_discrete_rwm, truncated_gaussian_target
 
@@ -165,33 +163,6 @@ class TestStationaryDistribution:
         assert np.abs(d.weights - stationary_lstsq_reference(P)).max() <= 1e-12
 
 
-class TestTvDistance:
-    def test_identical_measures(self):
-        mu = Distribution([0.5, 0.25, 0.25])
-        assert tv_distance(mu, mu) == 0.0
-
-    def test_disjoint_supports(self):
-        assert tv_distance(Distribution([1, 0, 0]), Distribution([0, 1, 0])) == 1.0
-
-    def test_hand_checked_value(self):
-        # half the L1 gap: 0.5 * (0.25 + 0.25 + 0) = 0.25
-        mu = Distribution([0.5, 0.25, 0.25])
-        nu = Distribution([0.25, 0.5, 0.25])
-        assert tv_distance(mu, nu) == pytest.approx(0.25, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            tv_distance(Distribution([1.0]), Distribution([0.5, 0.5]))
-
-    def test_metric_properties_on_random_triples(self):
-        rng = np.random.Generator(np.random.Philox(11))
-        for _ in range(50):
-            a, b, c = (rng.dirichlet(np.ones(6)) for _ in range(3))
-            assert tv_distance(a, b) == tv_distance(b, a)
-            assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-12
-            assert 0.0 <= tv_distance(a, b) <= 1.0
-
-
 class TestMaxTvBetweenKernels:
     def test_identical_kernels(self):
         P = cyclic_pair().kernels[0]
@@ -200,9 +171,8 @@ class TestMaxTvBetweenKernels:
     def test_cyclic_pair_rows_disjoint(self):
         fam = cyclic_pair()
         # brute-force row oracle
-        expected = max(
-            tv_distance(fam.kernels[0].rows[x], fam.kernels[1].rows[x]) for x in range(3)
-        )
+        P, Q = fam.kernels[0].rows, fam.kernels[1].rows
+        expected = max(0.5 * np.abs(P[x] - Q[x]).sum() for x in range(3))
         assert expected == 1.0
         assert max_tv_between_kernels(fam.kernels[0], fam.kernels[1]) == 1.0
 
@@ -267,19 +237,6 @@ def make_kernel(kind: str, n: int, seed: int) -> StochasticMatrix:
     return StochasticMatrix(rows)
 
 
-def spy_hellinger(monkeypatch) -> list:
-    """The state count of every Hellinger search from here on."""
-    calls = []
-    real = kernels._hellinger_search
-
-    def spy(rows, *args):
-        calls.append(rows.shape[0])
-        return real(rows, *args)
-
-    monkeypatch.setattr(kernels, "_hellinger_search", spy)
-    return calls
-
-
 class TestDobrushinCoefficient:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -293,27 +250,42 @@ class TestDobrushinCoefficient:
         rows = np.linalg.matrix_power(P.rows, power)
         assert dobrushin_coefficient(StochasticMatrix(rows)) == dobrushin_oracle(rows)
 
+    # from (150, 2.0, 12) on, the mean-row bound leaves few pairs after the seed
+    # row (the certificate's high powers); (60, 2.0, 30) stops at the seed row
     @pytest.mark.parametrize("m, variance, power", [(60, 0.5, 1), (150, 0.5, 1), (150, 2.0, 1),
-                                                   (150, 0.5, 2), (150, 2.0, 12)])
+                                                   (150, 0.5, 2), (150, 2.0, 12), (150, 0.5, 7),
+                                                   (200, 0.5, 7), (200, 0.5, 12), (200, 2.0, 4),
+                                                   (100, 0.05, 64), (60, 2.0, 30)])
     def test_rwm_kernel_matches_all_pairs_oracle_exactly(self, m, variance, power):
         target = truncated_gaussian_target([[-3.0, 3.0]], m=m)
         P = build_discrete_rwm(target, RwmParameter.from_scalar(variance, 0.01, 10.0))
         rows = np.linalg.matrix_power(P.rows, power)
         assert kernels._dobrushin_raw(rows) == dobrushin_oracle(rows)
 
-    def test_hellinger_bound_only_where_the_mean_row_prunes_little(self, monkeypatch):
-        calls = spy_hellinger(monkeypatch)
-        target = truncated_gaussian_target([[-3.0, 3.0]], m=200)
-        P = build_discrete_rwm(target, RwmParameter.from_scalar(1.0, 0.01, 10.0))
-        beta = dobrushin_coefficient(P)
-        assert calls == [200]
-        beta_12 = kernels._dobrushin_raw(np.linalg.matrix_power(P.rows, 12))
-        assert calls == [200]
-        assert 0.0 < beta_12 < beta < 1.0
+    def test_pair_after_the_seed_row_sets_the_coefficient(self):
+        # by distance to the mean row the rows run 1, 3, 0, 2: row 1 seeds
+        # 0.46, and the one pair the mean-row bound leaves, (3, 0), sets 0.48
+        rows = np.array([[0.13, 0.54, 0.20, 0.13], [0.54, 0.28, 0.05, 0.13],
+                         [0.18, 0.34, 0.32, 0.16], [0.30, 0.06, 0.31, 0.33]])
+        seed = max(0.5 * np.abs(rows[1] - rows[x]).sum() for x in (0, 2, 3))
+        assert seed < dobrushin_oracle(rows)
+        assert dobrushin_coefficient(StochasticMatrix(rows)) == dobrushin_oracle(rows)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_entry_just_below_zero_is_clamped_before_the_root(self, monkeypatch):
-        calls = spy_hellinger(monkeypatch)
+        roots = []
+
+        class SqrtSpy:
+            """``kernels.np`` with every operand of ``np.sqrt`` kept."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sqrt(self, x, **kwargs):
+                roots.append(x.copy())
+                return np.sqrt(x, **kwargs)
+
+        monkeypatch.setattr(kernels, "np", SqrtSpy())
         rows = gaussian_band(40, 3.0)
         rows /= rows.sum(axis=1, keepdims=True)
         rows[5, 30] -= 5e-13 + rows[5, 30]  # admitted: within ROW_SUM_TOL of 0
@@ -321,7 +293,9 @@ class TestDobrushinCoefficient:
         P = StochasticMatrix(rows)
         assert -kernels.ROW_SUM_TOL <= P.rows.min() < 0.0
         assert dobrushin_coefficient(P) == dobrushin_oracle(P.rows)
-        assert calls == [40]
+        # the row holding the negative entry reached the root, clamped at 0
+        clamped = np.maximum(P.rows[5], 0.0)
+        assert len(roots) == 1 and any(np.array_equal(r, clamped) for r in roots[0])
 
     def test_equal_rows(self):
         pi = Distribution([0.5, 0.3, 0.2])
@@ -333,7 +307,7 @@ class TestDobrushinCoefficient:
     def test_cyclic_forward_brute_force(self):
         P = cyclic_pair().kernels[0]
         pairs = [
-            tv_distance(P.rows[x], P.rows[y]) for x in range(3) for y in range(x + 1, 3)
+            0.5 * np.abs(P.rows[x] - P.rows[y]).sum() for x in range(3) for y in range(x + 1, 3)
         ]
         assert max(pairs) == 1.0
         assert dobrushin_coefficient(P) == 1.0
@@ -373,8 +347,6 @@ class TestOneTvForm:
     def test_distances_are_the_explicit_form_bit_for_bit(self, kinds, n, seed, horizon):
         P, Q = (make_kernel(kind, n, seed + i) for i, kind in enumerate(kinds))
         pi = Distribution(Q.rows[0])
-        for p, q in zip(P.rows, Q.rows):
-            assert tv_distance(p, q) == 0.5 * float(np.abs(p - q).sum())
         gap = 0.5 * float(np.abs(P.rows - Q.rows).sum(axis=1).max())
         assert max_tv_between_kernels(P, Q) == gap
         Pk, curve = P.rows, []
@@ -382,26 +354,6 @@ class TestOneTvForm:
             curve.append(0.5 * np.abs(Pk - pi.weights).sum(axis=1).max())
             Pk = Pk @ P.rows
         assert np.array_equal(sup_tv_to_pi_curve(P, pi, horizon), curve)
-
-
-class TestKernelApply:
-    def test_constant_function(self):
-        P = cyclic_pair().kernels[0]
-        assert np.allclose(kernel_apply(P, [3.0, 3.0, 3.0]), 3.0, atol=1e-15)
-
-    def test_identity_kernel(self):
-        P = StochasticMatrix(np.eye(3))
-        f = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(kernel_apply(P, f), f)
-
-    def test_cyclic_forward_indicator(self):
-        # (P f)(x) reads the transition probability into state 0
-        P = cyclic_pair().kernels[0]
-        assert kernel_apply(P, [1.0, 0.0, 0.0]).tolist() == [0.5, 0.0, 1.0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            kernel_apply(cyclic_pair().kernels[0], [1.0, 2.0])
 
 
 class TestFitErgodicityConstants:
