@@ -199,23 +199,30 @@ _EPS = float(np.finfo(np.float64).eps)
 _PANEL_ENTRIES = 1 << 15
 
 
-def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None) -> float:
-    """The coefficient of ``rows``, worked out in ``work`` (two ``n x n`` blocks).
-    A caller taking many lends the same blocks to each call: the allocator hands
-    a freed block back to the OS and faults it in again on the next call."""
+def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: float = 0.0) -> float:
+    """``max(floor, beta)`` for the coefficient ``beta`` of ``rows``, worked out
+    in ``work`` (two ``n x n`` blocks, lent by a caller taking many: a freed
+    block goes back to the OS and is faulted in again on the next call).
+
+    ``floor`` seeds the best value.  While ``beta`` exceeds it the best value
+    stays at most ``beta``, so the pair attaining ``beta`` is never pruned; a
+    floor of 1, or one that ``e[0] + e[1]`` misses by more than the slack,
+    is returned before any pair is worked out."""
     n = rows.shape[0]
-    if n == 1:
-        return 0.0
+    if n == 1 or floor >= 1.0:
+        return max(floor, 0.0)
     block, ordered = np.empty((2, n, n)) if work is None else work
     e = _row_tv(rows, rows.mean(axis=0), out=block)
     # rows by decreasing distance to the pivot: the pairs most likely to be
     # far apart come first, and each row's partners are a leading slice
     order = np.argsort(-e, kind="stable")
     e = e[order]
+    slack = 64 * n * _EPS
+    if e[0] + e[1] < floor - slack:
+        return floor
     rows = np.take(rows, order, axis=0, out=ordered)
     neg_e = -e  # ascending, for searchsorted
-    slack = 64 * n * _EPS
-    best = float(_row_tv(rows[0], rows[1:], out=block[: n - 1]).max())
+    best = max(floor, float(_row_tv(rows[0], rows[1:], out=block[: n - 1]).max()))
     if best >= 1.0:
         return 1.0
     # partners j > i >= 1 with e[i] + e[j] > best - slack all lie below row 1's stop
@@ -356,16 +363,18 @@ def _require_invariant(pi: Distribution, P_list: Sequence[StochasticMatrix]) -> 
 
 def _metropolis_flux(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The accepted flux ``q(x, y) min(1, w_y / w_x)`` of a symmetric proposal
-    ``q`` under target weights ``w``; a zero-weight state accepts every move."""
+    ``q`` under target weights ``w``, written over ``q``; a zero-weight state
+    accepts every move."""
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight rows are reset
         accept = w[None, :] / w[:, None]
     accept[w <= 0.0] = 1.0
     np.minimum(accept, 1.0, out=accept)
-    return np.multiply(accept, q, out=accept)
+    return np.multiply(accept, q, out=q)
 
 
 def _metropolis_kernel(q: np.ndarray, w: np.ndarray) -> StochasticMatrix:
-    """The flux of :func:`_metropolis_flux` off the diagonal, the rejected mass on it."""
+    """The flux of :func:`_metropolis_flux` off the diagonal, the rejected mass on
+    it, written over ``q``."""
     P = _metropolis_flux(q, w)
     np.fill_diagonal(P, 0.0)
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
@@ -421,6 +430,12 @@ def fit_ergodicity_constants(
     rate can come out smaller where the coefficients reach the rounding
     floor or all rates tie (two-state kernels); the kept rate is then used.
 
+    Only ``max_s beta(P_s^m)`` matters, so the members are walked slowest
+    first (decreasing ``e_s(1)``, a stable sort) and each search starts from
+    the largest coefficient found so far at its power.  A search returns
+    ``max(floor, beta(P_s^m))`` bit for bit, so the result keeps its bits in
+    any order; the order changes only the cost.
+
     Parameters
     ----------
     P_list : sequence of StochasticMatrix
@@ -450,15 +465,18 @@ def fit_ergodicity_constants(
     # one walk over each member's powers gives the curve value e_s(k) of every
     # power and the contraction coefficient of the powers that can set rho
     kept = [1, *range(horizon // 2 + 1, horizon + 1)]
-    betas = np.empty((len(P_list), len(kept)))
+    beta_m = np.zeros(len(kept))  # worst coefficient of P^m across the family
     curves = np.empty((len(P_list), horizon))
     work = np.empty((2, pi.n, pi.n))
     for s, P in enumerate(P_list):
-        for m, Pk in enumerate(_powers(P, horizon), start=1):
+        curves[s, 0] = _row_tv(P.rows, pi.weights, out=work[0]).max()
+    for s in np.argsort(-curves[:, 0], kind="stable"):
+        for m, Pk in enumerate(_powers(P_list[s], horizon), start=1):
             if m in kept:
-                betas[s, kept.index(m)] = _dobrushin_raw(Pk, work)
-            curves[s, m - 1] = _row_tv(Pk, pi.weights, out=work[0]).max()
-    beta_m = betas.max(axis=0)  # worst coefficient of P^m across the family
+                i = kept.index(m)
+                beta_m[i] = _dobrushin_raw(Pk, work, floor=beta_m[i])
+            if m > 1:
+                curves[s, m - 1] = _row_tv(Pk, pi.weights, out=work[0]).max()
 
     rates = [b ** (1.0 / m) for m, b in zip(kept, beta_m) if b < 1.0]
     if not rates:

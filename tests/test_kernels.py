@@ -271,6 +271,43 @@ class TestDobrushinCoefficient:
         assert seed < dobrushin_oracle(rows)
         assert dobrushin_coefficient(StochasticMatrix(rows)) == dobrushin_oracle(rows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KERNEL_KINDS),
+        n=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        power=st.integers(min_value=1, max_value=4),
+        where=st.sampled_from(["zero", "below", "ulp-below", "slack-below", "at", "ulp-above",
+                               "slack-above", "above", "one"]),
+    )
+    def test_floor_returns_the_larger_of_floor_and_coefficient(self, kind, n, seed, power, where):
+        rows = np.linalg.matrix_power(make_kernel(kind, n, seed).rows, power)
+        beta = dobrushin_oracle(rows)
+        slack = 64 * n * np.finfo(np.float64).eps
+        floor = {
+            "zero": 0.0, "below": 0.5 * beta, "ulp-below": np.nextafter(beta, 0.0),
+            "slack-below": beta - 0.5 * slack, "at": beta, "ulp-above": np.nextafter(beta, 2.0),
+            "slack-above": beta + 0.5 * slack, "above": 0.5 * (beta + 1.0), "one": 1.0,
+        }[where]
+        floor = float(min(max(floor, 0.0), 1.0))
+        work = np.empty((2, n, n))
+        assert kernels._dobrushin_raw(rows, work, floor=floor) == max(floor, beta)
+
+    # the certificate's high powers, where the mean-row and Hellinger bounds
+    # prune most, with floors straddling the coefficient
+    @pytest.mark.parametrize("m, variance, power", [(150, 0.5, 1), (150, 2.0, 12), (200, 0.5, 7),
+                                                   (100, 0.05, 64), (60, 2.0, 30)])
+    def test_floor_on_rwm_powers_straddling_the_coefficient(self, m, variance, power):
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=m)
+        P = build_discrete_rwm(target, RwmParameter.from_scalar(variance, 0.01, 10.0))
+        rows = np.linalg.matrix_power(P.rows, power)
+        beta = dobrushin_oracle(rows)
+        slack = 64 * m * np.finfo(np.float64).eps
+        for floor in (0.0, 0.9 * beta, beta - slack, np.nextafter(beta, 0.0), beta,
+                      np.nextafter(beta, 2.0), beta + slack, 0.5 * (beta + 1.0), 1.0):
+            floor = float(min(floor, 1.0))
+            assert kernels._dobrushin_raw(rows, floor=floor) == max(floor, beta)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_entry_just_below_zero_is_clamped_before_the_root(self, monkeypatch):
         roots = []
@@ -473,47 +510,140 @@ class TestFitMatchesOracle:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_same_certificate_as_all_powers_oracle(self, kind, n, size, horizon, seed):
-        P_list, pi = ergodic_family(kind, n, size, seed)
+        assert_fit_matches_all_powers_oracle(*ergodic_family(kind, n, size, seed), horizon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["metropolis", "banded"]),
+        n=st.integers(min_value=2, max_value=30),
+        size=st.integers(min_value=2, max_value=4),
+        horizon=st.integers(min_value=2, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_lazy_family_in_any_order_matches_all_powers_oracle(
+        self, kind, n, size, horizon, seed, data
+    ):
+        # members (1 - lam) I + lam P mix at speeds set by lam, listed in any order
+        (P,), pi = ergodic_family(kind, n, 1, seed)
+        lams = np.sort(np.random.default_rng(seed).uniform(0.05, 1.0, size=size))
+        order = data.draw(st.permutations(range(size)))
+        P_list = [StochasticMatrix((1.0 - lams[s]) * np.eye(n) + lams[s] * P.rows) for s in order]
+        assert_fit_matches_all_powers_oracle(P_list, pi, horizon)
+
+    @staticmethod
+    def slow_last_rwm_family():
+        """A 40-state ``rwm-grid`` family listed fastest first: the last member,
+        variance 0.05, sets the family's coefficient at every power."""
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=40)
+        P_list = [build_discrete_rwm(target, RwmParameter.from_scalar(v, 0.01, 10.0))
+                  for v in (2.0, 1.0, 0.05)]
+        return P_list, target.grid_distribution()
+
+    def test_last_listed_member_sets_every_family_maximum(self, monkeypatch):
+        P_list, pi = self.slow_last_rwm_family()
+        horizon = 8
         (C, rho, beta), curves, beta_m = fit_ergodicity_constants_oracle(P_list, pi, horizon)
-        try:
-            consts = fit_ergodicity_constants(P_list, pi, horizon)
-        except NotSimultaneouslyErgodic:
-            # a coefficient rounded to zero gives rho = 0 and C = 1, which the
-            # curves refute; the oracle's certificate fails them too
-            with pytest.raises(NotSimultaneouslyErgodic):
-                ErgodicityConstants(C=C, rho=rho, beta=beta, curves=curves)
-            return
+        # each member's powers as the fit takes them, one product at a time
+        powers = [[Pk.copy() for Pk in kernels._powers(P, horizon)] for P in P_list]
+        kept = [1, *range(horizon // 2 + 1, horizon + 1)]
+        for m in kept:
+            assert dobrushin_oracle(powers[-1][m - 1]) == beta_m[m]
+            assert all(dobrushin_oracle(Pk[m - 1]) < beta_m[m] for Pk in powers[:-1])
+        floors = []
+        real = kernels._dobrushin_raw
+
+        def spy(rows, work=None, floor=0.0):
+            floors.append((rows.copy(), floor))
+            return real(rows, work, floor)
+
+        monkeypatch.setattr(kernels, "_dobrushin_raw", spy)
+        consts = fit_ergodicity_constants(P_list, pi, horizon)
+        assert (consts.C, consts.rho, consts.beta) == (C, rho, beta)
         assert np.array_equal(consts.curves, curves)
-        assert consts.beta == beta
-        if (consts.C, consts.rho) == (C, rho):
-            return
-        # The oracle's minimum sits at a skipped power m, and the doubling M of
-        # m that the fit keeps has a larger rate: the computed coefficients
-        # break beta_M <= beta_m^(M/m).  That may only be rounding, each power
-        # and coefficient off by a few n*eps: two-state and lazy-iid kernels,
-        # whose rates tie exactly, or coefficients near the rounding floor.
-        m = min(range(1, horizon + 1), key=lambda k: (beta_m[k] ** (1.0 / k), k))
-        assert 1 < m <= horizon // 2
-        M = m
-        while M <= horizon // 2:
-            M *= 2
-        slack = 64 * n * M * np.finfo(np.float64).eps
-        assert beta_m[m] ** (M // m) < beta_m[M] <= beta_m[m] ** (M // m) + slack
-        assert consts.rho > rho
+        # the slowest member is walked first, from a floor of 0, and every
+        # later search starts from its coefficient at the same power
+        first = floors[: len(kept)]
+        assert all(np.array_equal(rows, powers[-1][m - 1]) and floor == 0.0
+                   for (rows, floor), m in zip(first, kept))
+        assert [floor for _, floor in floors[len(kept):]] == [beta_m[m] for m in kept] * 2
+
+    def test_floored_members_at_high_powers_work_out_no_pair(self, monkeypatch):
+        P_list, pi = self.slow_last_rwm_family()
+        horizon = 8
+        distances, searches = [], []
+        real_tv, real_raw = kernels._row_tv, kernels._dobrushin_raw
+
+        def tv_spy(a, b, out=None):
+            distances.append(b.shape)
+            return real_tv(a, b, out)
+
+        def raw_spy(rows, work=None, floor=0.0):
+            before = len(distances)
+            beta = real_raw(rows, work, floor)
+            searches.append((floor, distances[before:]))
+            return beta
+
+        monkeypatch.setattr(kernels, "_row_tv", tv_spy)
+        monkeypatch.setattr(kernels, "_dobrushin_raw", raw_spy)
+        consts = fit_ergodicity_constants(P_list, pi, horizon)
+        expected, curves, _ = fit_ergodicity_constants_oracle(P_list, pi, horizon)
+        assert (consts.C, consts.rho, consts.beta) == expected
+        assert np.array_equal(consts.curves, curves)
+        # each later member's searches at m = 5..8 (after its m = 1) start from
+        # the slow member's coefficient and take only the distances to the mean
+        # row: no seed row and no pair
+        kept = 1 + horizon - horizon // 2
+        later = searches[kept:]
+        assert len(later) == 2 * kept
+        for floor, work_done in later[1:kept] + later[kept + 1:]:
+            assert 0.0 < floor < 1.0 and work_done == [(40,)]
 
     @pytest.mark.parametrize("horizon", [2, 3, 12, 13])
     def test_coefficients_only_of_powers_that_can_set_rho(self, monkeypatch, horizon):
         calls = []
         real = kernels._dobrushin_raw
 
-        def spy(rows, work=None):
+        def spy(rows, work=None, floor=0.0):
             calls.append(rows.shape)
-            return real(rows, work)
+            return real(rows, work, floor)
 
         monkeypatch.setattr(kernels, "_dobrushin_raw", spy)
         P_list, pi = ergodic_family("metropolis", 6, 3, seed=5)
         fit_ergodicity_constants(P_list, pi, horizon)
         assert len(calls) == len(P_list) * (1 + horizon - horizon // 2)
+
+
+def assert_fit_matches_all_powers_oracle(P_list, pi, horizon):
+    """The fit's certificate is the all-powers oracle's, up to the rounding a
+    skipped power's rate can carry; its curves and ``beta`` are the oracle's."""
+    n = pi.n
+    (C, rho, beta), curves, beta_m = fit_ergodicity_constants_oracle(P_list, pi, horizon)
+    try:
+        consts = fit_ergodicity_constants(P_list, pi, horizon)
+    except NotSimultaneouslyErgodic:
+        # a coefficient rounded to zero gives rho = 0 and C = 1, which the
+        # curves refute; the oracle's certificate fails them too
+        with pytest.raises(NotSimultaneouslyErgodic):
+            ErgodicityConstants(C=C, rho=rho, beta=beta, curves=curves)
+        return
+    assert np.array_equal(consts.curves, curves)
+    assert consts.beta == beta
+    if (consts.C, consts.rho) == (C, rho):
+        return
+    # The oracle's minimum sits at a skipped power m, and the doubling M of
+    # m that the fit keeps has a larger rate: the computed coefficients
+    # break beta_M <= beta_m^(M/m).  That may only be rounding, each power
+    # and coefficient off by a few n*eps: two-state and lazy-iid kernels,
+    # whose rates tie exactly, or coefficients near the rounding floor.
+    m = min(range(1, horizon + 1), key=lambda k: (beta_m[k] ** (1.0 / k), k))
+    assert 1 < m <= horizon // 2
+    M = m
+    while M <= horizon // 2:
+        M *= 2
+    slack = 64 * n * M * np.finfo(np.float64).eps
+    assert beta_m[m] ** (M // m) < beta_m[M] <= beta_m[m] ** (M // m) + slack
+    assert consts.rho > rho
 
 
 class TestErgodicityConstantsType:

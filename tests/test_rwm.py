@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ class TestDiscreteLane:
         with pytest.raises(GridTooLarge, match=f"exceed the cap of {DEFAULT_STATE_CAP}"):
             build_discrete_rwm(target, RwmParameter.from_scalar(1.0, 0.1, 10.0))
 
+    def test_build_peaks_near_two_kernel_sizes(self):
+        # the proposal block and the acceptance ratio are worked out in place:
+        # the build holds q and one n x n temporary at a time, then the stored copy
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=300)
+        target.grid_distribution()
+        tracemalloc.start()
+        try:
+            build_discrete_rwm(target, RwmParameter.from_scalar(0.5, 0.01, 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 300**2
+
     def test_non_positive_density(self):
         target = CompactTarget(
             d=1,
@@ -100,6 +114,43 @@ class TestDiscreteLane:
         )
         with pytest.raises(NonPositiveDensity):
             build_discrete_rwm(target, RwmParameter.from_scalar(1.0, 0.1, 10.0))
+
+    def test_failing_density_is_evaluated_and_refused_on_every_call(self):
+        calls = []
+
+        def logp(x):
+            calls.append(1)
+            return -np.inf if x[0] > 0 else 0.0
+
+        target = CompactTarget(d=1, bounds=[[-1.0, 1.0]], log_density=logp, m=10)
+        for _ in range(2):
+            with pytest.raises(NonPositiveDensity):
+                target.grid_distribution()
+        assert len(calls) == 2 * 10
+
+    def test_family_build_evaluates_the_density_once_per_grid_point(self, monkeypatch):
+        from amcmc import cli
+
+        def gaussian():
+            return truncated_gaussian_target([[-2.0, 2.0]], m=30)
+
+        calls, density = [], gaussian().log_density
+
+        def logp(x):
+            calls.append(1)
+            return density(x)
+
+        counted = CompactTarget(d=1, bounds=[[-2.0, 2.0]], log_density=logp, m=30)
+        monkeypatch.setattr(cli, "build_target", lambda spec: counted)
+        sigmas = [0.3, 0.6, 1.2]
+        fam = cli.build_family({"kind": "rwm-grid", "target": {}, "a": 0.1, "b": 4.0,
+                                "sigmas": sigmas})
+        assert len(calls) == counted.n_states
+        # kernels and pi keep the bits that a fresh target gives each build
+        for P, s in zip(fam.kernels, sigmas):
+            fresh = build_discrete_rwm(gaussian(), RwmParameter.from_scalar(s, 0.1, 4.0))
+            assert np.array_equal(P.rows, fresh.rows)
+        assert np.array_equal(fam.pi.weights, gaussian().grid_distribution().weights)
 
 
 class TestContinuousLane:
