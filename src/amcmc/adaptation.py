@@ -293,7 +293,6 @@ class WaningReport:
     of the series, a numerical convergence measure for the weighted series.
     """
 
-    p: float
     checkpoints: np.ndarray
     statistic: np.ndarray
     weighted_sums: np.ndarray
@@ -354,7 +353,6 @@ def waning_diagnostic(
     decreasing = bool(np.all(drops)) if stat.size > 1 else False
     waning = bool(stat[-1] == 0.0 or (decreasing and stat[-1] < stat[0]))
     return WaningReport(
-        p=float(p),
         checkpoints=cps,
         statistic=stat,
         weighted_sums=w_at,

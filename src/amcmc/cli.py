@@ -41,9 +41,9 @@ EXIT_EXPECTED_FAILURE = 2
 # A certificate walks one matrix power per unit of horizon and member;
 # ``fit_ergodicity_constants`` spends about 7.5 ms a power at 200 states.
 HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
-# ``waning`` holds its series, 8 bytes a step, and draws up to 1.5 us a step
-# (bernoulli-log); it peaks at 116 MB RSS here, rare-log and constant at 114 MB.
-D_SERIES_CAP = (10_000_000, "about 0.15 GB and 15 s of steps")
+# ``waning`` holds its series, 8 bytes a step; bernoulli-log took 8.2-12.1 s at
+# the cap and peaked at 116 MB RSS here, rare-log and constant at 114 MB.
+D_SERIES_CAP = (10_000_000, "about 0.12 GB and 12 s of steps")
 # An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds 256 rows
 # of uniforms at 10**4 replications, 20 MB; ``clt`` peaks at 79 MB RSS here.
 ENSEMBLE_CAP = (10_000, "about 80 MB and 1.1 ms a step on 400 states")
@@ -59,14 +59,6 @@ FAMILY_COUNT_CAP = (300, "about 45000 reports, 3 s and 0.1 GB of bounds")
 # configuration plumbing
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
-
-
 @dataclass
 class RunConfig:
     """Validated experiment configuration."""
@@ -79,11 +71,10 @@ class RunConfig:
 
     @property
     def hash(self) -> str:
-        payload = dict(self.raw)
-        payload["experiment"] = self.experiment
-        payload["seed"] = self.seed
-        payload["format"] = self.fmt
-        return config_hash(payload)
+        """SHA-256 of the canonical JSON of the config, experiment, seed and format."""
+        payload = {**self.raw, "experiment": self.experiment, "seed": self.seed, "format": self.fmt}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def get(self, key, default=None):
         return self.raw.get(key, default)
@@ -205,6 +196,7 @@ def _setting(flag, name: str, cfg: dict, default):
 
 def build_run_config(args, experiment: str) -> RunConfig:
     cfg = _load_config_file(args.config)
+    _fields("config", cfg, *sorted(CONFIG_FIELDS))
     return RunConfig(
         experiment=experiment,
         raw=cfg,
@@ -429,25 +421,26 @@ def _finish(cfg: RunConfig, tables: dict, summary: dict, exit_code: int) -> int:
 
     ``tables`` maps a name to a table.  A name with a suffix, such as
     ``reports.json``, keeps that fixed format; the others take ``--format``.
-    When both give one file name, the first table is the one written.
+    A prior record that cannot be read counts as a prior run without a date.
     """
     out_dir = cfg.out / f"{cfg.experiment}-{cfg.hash[:12]}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    files: dict = {}
-    for name, table in tables.items():
-        files.setdefault(name if "." in name else f"{name}.{cfg.fmt}", table)
-    for name, table in files.items():
+    files = [name if "." in name else f"{name}.{cfg.fmt}" for name in tables]
+    for name, table in zip(files, tables.values()):
         _write_table(out_dir / name, table)
     record_path = out_dir / "record.json"
     prior = record_path.exists()
     if prior:
-        old = json.loads(record_path.read_text())
-        print(f"prior run detected: {record_path} (created {old.get('created_utc')})")
+        try:
+            created = json.loads(record_path.read_text()).get("created_utc")
+        except (OSError, ValueError, AttributeError):
+            created = None
+        print(f"prior run detected: {record_path} (created {created})")
     record = {
         "config_hash": cfg.hash,
         "experiment": cfg.experiment,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "artifacts": list(files),
+        "artifacts": files,
         "summary": summary,
         "prior_run": prior,
         "exit_code": exit_code,
@@ -629,8 +622,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple:
         "n_reports": len(reports),
         "all_pass": bool(all_pass),
     }
-    tables = {"reports.json": table, "reports": table}
-    return tables, summary, EXIT_PASS if all_pass else EXIT_UNEXPECTED
+    return {"reports.json": table}, summary, EXIT_PASS if all_pass else EXIT_UNEXPECTED
 
 
 # d_series kind -> (schedule builder, default c)
@@ -651,8 +643,8 @@ def cmd_waning(cfg: RunConfig) -> tuple:
         sched = build(cfg.scalar("d_series.c", float, c, least=0),
                       cfg.scalar("d_series.epsilon", float, 0.1, least=0))
         # D_k is 1 exactly at the steps where the schedule adapts
-        rng = ledger.chain_generator(cfg.seed)
-        D = np.fromiter((sched.adapts(k, rng) for k in range(1, n + 1)), np.float64, n)
+        stream = ledger.ChainStream(cfg.seed)
+        D = np.fromiter((sched.adapts(k, stream) for k in range(1, n + 1)), np.float64, n)
     elif kind == "constant":
         _fields("d_series", cfg.get("d_series"), "kind", "n", "value")
         D = np.full(n, cfg.scalar("d_series.value", float, 0.05))
@@ -737,6 +729,12 @@ COMMANDS = {
     "kernel-info": cmd_kernel_info,
 }
 
+# A config's top-level fields: any command's, so that one config can serve
+# several (``bounds`` and ``kernel-info``), and the settings.
+CONFIG_FIELDS = frozenset({"seed", "out", "format", "family", "phi", "scheme", "x0", "horizon",
+                           "member", "tol", "n", "replications", "ratio_band", "n_grid", "seeds",
+                           "expect", "fail_threshold", "d_series", "p", "expect_waning"})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -767,7 +765,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_UNEXPECTED
-    except AmcmcError as exc:
+    except (AmcmcError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_UNEXPECTED
     if argv is None:

@@ -58,11 +58,13 @@ def chain_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-class _BlockStream:
-    """A chain's stream read in blocks: ``random()`` returns the double the
-    next scalar ``rng.random()`` would.  Schemes draw only through it."""
+class ChainStream:
+    """The stream of the chain with seed material ``seed``, read in blocks:
+    ``random()`` returns the next double of ``chain_generator(seed)``.
+    Schemes and rare schedules draw only through it."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, seed):
+        rng = chain_generator(seed)
         blocks = iter(lambda: rng.random(_STREAM_BLOCK).tolist(), None)
         self.random = itertools.chain.from_iterable(blocks).__next__
 
@@ -119,7 +121,7 @@ def run_adaptive_chain(
         raise ValueError(f"s0={s0} outside family")
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
-    stream = _BlockStream(chain_generator(seed))
+    stream = ChainStream(seed)
     draw = stream.random
     x = int(x0)
     s = int(scheme.start(s0, stream))

@@ -46,15 +46,12 @@ class CompactTarget:
     m : int
         Grid resolution per axis for the discrete lane (``m**d`` states,
         cell centers).
-    name : str
-        Label used in artifacts.
     """
 
     d: int
     bounds: np.ndarray
     log_density: Callable
     m: int
-    name: str = "custom"
 
     def __post_init__(self):
         bounds = np.asarray(self.bounds, dtype=np.float64).reshape(self.d, 2)
@@ -112,7 +109,7 @@ class CompactTarget:
 def uniform_target(bounds, m: int) -> CompactTarget:
     bounds = np.asarray(bounds, dtype=np.float64)
     d = bounds.reshape(-1, 2).shape[0]
-    return CompactTarget(d=d, bounds=bounds, log_density=lambda x: 0.0, m=m, name="uniform")
+    return CompactTarget(d=d, bounds=bounds, log_density=lambda x: 0.0, m=m)
 
 
 def truncated_gaussian_target(bounds, m: int, mean=0.0, sd=1.0) -> CompactTarget:
@@ -127,7 +124,7 @@ def truncated_gaussian_target(bounds, m: int, mean=0.0, sd=1.0) -> CompactTarget
         z = (x - mu) / s
         return -0.5 * float(z @ z)
 
-    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m, name="truncated-gaussian")
+    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m)
 
 
 def bimodal_mixture_target(bounds, m: int, centers, sd=0.5, weights=None) -> CompactTarget:
@@ -153,7 +150,7 @@ def bimodal_mixture_target(bounds, m: int, centers, sd=0.5, weights=None) -> Com
         sq = ((x[None, :] - cs) ** 2).sum(axis=1)
         return float(np.log(np.sum(ws * np.exp(-0.5 * sq / s**2)) + 1e-300))
 
-    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m, name="bimodal-mixture")
+    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m)
 
 
 def table_target(bounds, m: int, values) -> CompactTarget:
@@ -180,7 +177,7 @@ def table_target(bounds, m: int, values) -> CompactTarget:
         idx = np.clip(((x - lo) / h - 0.5).round().astype(int), 0, m - 1)
         return float(logs[np.ravel_multi_index(tuple(idx), (m,) * d)])
 
-    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m, name="table")
+    return CompactTarget(d=d, bounds=bounds, log_density=logp, m=m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import amcmc
 from amcmc import kernels
 from amcmc.cli import (
+    CONFIG_FIELDS,
     D_SERIES_CAP,
     ENSEMBLE_CAP,
     FAMILY_COUNT_CAP,
@@ -228,14 +229,17 @@ class TestBounds:
         assert kinds == {"poisson_sup_norm", "poisson_solution_gap"}
         assert all(r["pass"] for r in reports)
 
-    def test_json_format_keeps_boolean_pass_listed_once(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_are_written_once_as_json(self, tmp_path, fmt):
         cfg = write_config(
             tmp_path,
             {"family": {"kind": "cyclic-pair"}, "phi": {"kind": "indicator", "state": 0}},
         )
-        code = run(["bounds", "--config", cfg, "--out", str(tmp_path / "runs"), "--format", "json"])
+        code = run(["bounds", "--config", cfg, "--out", str(tmp_path / "runs"), "--format", fmt])
         assert code == 0
         run_dir = only_run_dir(tmp_path / "runs", "bounds")
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "record.json", "reports.json", "summary.json"]
         reports = json.loads((run_dir / "reports.json").read_text())
         assert reports and all(r["pass"] is True for r in reports)
         record = json.loads((run_dir / "record.json").read_text())
@@ -329,6 +333,8 @@ class TestShippedConfigs:
         [
             ("bounds", "bounds_mixture.json", 0),
             ("bounds", "bounds_rwm_grid.json", 0),
+            ("kernel-info", "bounds_rwm_grid.json", 0),
+            ("kernel-info", "poisson_cyclic.json", 0),
             ("waning", "waning_rare.json", 0),
             ("waning", "waning_constant_control.json", 0),
             ("poisson", "poisson_cyclic.json", 0),
@@ -359,11 +365,11 @@ class TestPinnedArtifacts:
                 "solution.csv":
                     "ad57c12ccad64b950572a6053dc9f45cd2f5b8252d589a5f0331f509ad723558"}),
             ("bounds", "bounds_mixture.json", {
-                "reports.csv": "48d77ba88f501f150c643706316aeb0098344ccc8161022bfee34e3d2dc509e3",
                 "reports.json":
                     "a7ee8151c56151e287ac80aba00d305a3181a5c38784c221dede1eec82ced2be"}),
             ("bounds", "bounds_rwm_grid.json", {
-                "reports.csv": "ad02ad01afc5a4556fbf16b0750e7624b8c5344c521a128d064bf96baafa270c"}),
+                "reports.json":
+                    "40a167ca9bb1a1a1e40d5a73d65077c00f77ae672283922277e365e25fb5785b"}),
             ("waning", "waning_rare.json", {
                 "waning.csv": "1dedb2dc77f695f42054b33b726700b373020cde406a1ec17e29b38edf6c5027"}),
             ("waning", "waning_constant_control.json", {
@@ -811,6 +817,20 @@ class TestConfigHandling:
             ("clt", {"family": {"kind": "mixture", "count": 3}, "n": 10, "replications": 4,
                      "scheme": {"kind": "constant", "s00": 3}},
              "scheme 'constant' has no field 's00'; it reads kind, s0"),
+            # so is a top-level field that no command reads
+            ("clt", {"family": {"kind": "iid"}, "replicatons": 5},
+             "config has no field 'replicatons'; it reads d_series, expect, expect_waning,"),
+            ("lln", {"family": {"kind": "iid"}, "seed_count": 4},
+             "config has no field 'seed_count'"),
+            ("bounds", {"family": {"kind": "cyclic-pair"}, "horizion": 8},
+             "config has no field 'horizion'"),
+            ("waning", {"d_series": {"kind": "constant", "n": 100}, "expect_wanning": False},
+             "config has no field 'expect_wanning'"),
+            ("poisson", {"family": {"kind": "cyclic-pair"}, "tolerance": 1e-9},
+             "config has no field 'tolerance'"),
+            ("kernel-info", {"family": {"kind": "cyclic-pair"}, "Horizon": 5},
+             "config has no field 'Horizon'"),
+            ("counterexample", {"sed": 1}, "config has no field 'sed'"),
         ],
     )
     def test_config_error_is_one_line_and_leaves_no_run_dir(
@@ -863,6 +883,33 @@ class TestConfigHandling:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:") and message in lines[0]
         assert not out.exists()
+
+    def test_out_naming_a_file_is_one_line(self, tmp_path):
+        cfg = write_config(tmp_path, {"family": {"kind": "cyclic-pair"},
+                                      "phi": {"kind": "indicator", "state": 0}})
+        out = tmp_path / "runs"
+        out.write_text("")
+        proc = run_subprocess(["bounds", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NotADirectoryError: ")
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("contents", [b"{", b"\xff", b"[1]", b""])
+    def test_unreadable_prior_record_counts_as_a_prior_run(self, tmp_path, contents):
+        cfg = write_config(tmp_path, {"family": {"kind": "cyclic-pair"},
+                                      "phi": {"kind": "indicator", "state": 0}})
+        out = tmp_path / "runs"
+        assert run(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        record_path = only_run_dir(out, "bounds") / "record.json"
+        record_path.write_bytes(contents)
+        proc = run_subprocess(["bounds", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert f"prior run detected: {record_path} (created None)" in proc.stdout
+        record = json.loads(record_path.read_text())
+        assert record["prior_run"] and record["exit_code"] == 0
 
     @pytest.mark.parametrize(
         "scheme,expected",
@@ -919,6 +966,8 @@ TOY_CONFIGS = [
 ]
 # stands for the JSON number 1e400, which json.dumps cannot write
 OVERFLOW = "<1e400>"
+# the edit that renames a top-level field instead of setting one
+MISSPELT = ("<misspelt>",)
 # a wrong type, a bool, NaN, +-inf, an overflow, a negative or a non-integral number
 BAD_VALUES = ["x", [1], {"a": 1}, None, True, False, float("nan"), float("inf"),
               float("-inf"), OVERFLOW, -1, -3.5, 2.5, 0.7]
@@ -939,15 +988,25 @@ class TestCliFuzz:
         """A config with one field set to a bad value either runs, writing
         its run directory, or fails with exit 1, one stderr line and no
         directory.  A valid value can still fail a check (exit 1 with its
-        run written); no example may raise out of ``main``."""
+        run written); no example may raise out of ``main``.  A misspelt
+        top-level field is always that one-line config error."""
         command, name, toy = data.draw(st.sampled_from(TOY_CONFIGS))
         cfg = json.loads(json.dumps({**json.loads((CONFIG_DIR / name).read_text()), **toy}))
-        *parents, key = path = data.draw(st.sampled_from(list(field_paths(cfg))))
-        oversized = [DEFAULT_STATE_CAP + 1] if path[-2:] == ("target", "m") else []
-        obj = cfg
-        for part in parents:
-            obj = obj[part]
-        obj[key] = data.draw(st.sampled_from(BAD_VALUES + oversized))
+        *parents, key = path = data.draw(st.sampled_from([MISSPELT, *field_paths(cfg)]))
+        misspelt = None
+        if path == MISSPELT:
+            # a top-level field renamed by one inserted letter
+            key = data.draw(st.sampled_from(sorted(cfg)))
+            at = data.draw(st.integers(0, len(key)))
+            misspelt = key[:at] + data.draw(st.sampled_from("aesx_")) + key[at:]
+            assume(misspelt not in CONFIG_FIELDS)
+            cfg[misspelt] = cfg.pop(key)
+        else:
+            oversized = [DEFAULT_STATE_CAP + 1] if path[-2:] == ("target", "m") else []
+            obj = cfg
+            for part in parents:
+                obj = obj[part]
+            obj[key] = data.draw(st.sampled_from(BAD_VALUES + oversized))
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.json"
             config.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400"))
@@ -958,6 +1017,9 @@ class TestCliFuzz:
             assert code in (0, 1, 2)
             lines = err.getvalue().strip().splitlines()
             run_dirs = list(out.iterdir()) if out.exists() else []
+            if misspelt:
+                assert lines and lines[0].startswith(
+                    f"config error: config has no field {misspelt!r};")
             if lines:
                 assert code == 1 and len(lines) == 1
                 assert lines[0].startswith(("config error:", "error:"))

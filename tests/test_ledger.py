@@ -142,10 +142,10 @@ class TestRunAdaptiveChain:
         fam = KernelFamily(kernels=(P,), pi=Distribution(np.full(4, 0.25)))
 
         class FixedStream:
-            def __init__(self, rng):
+            def __init__(self, seed):
                 self.random = lambda: u
 
-        monkeypatch.setattr(ledger, "_BlockStream", FixedStream)
+        monkeypatch.setattr(ledger, "ChainStream", FixedStream)
         traj = run_adaptive_chain(fam, ConstantScheme(), x0=0, s0=0, n=12, seed=1)
         # each step lands on the first column whose pinned cumsum exceeds u
         cums[:, -1] = 1.0
