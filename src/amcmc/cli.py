@@ -45,11 +45,17 @@ HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
 # the cap and peaked at 116 MB RSS here, rare-log and constant at 114 MB.
 D_SERIES_CAP = (10_000_000, "about 0.12 GB and 12 s of steps")
 # An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds 256 rows
-# of uniforms at 10**4 replications, 20 MB; ``clt`` peaks at 79 MB RSS here.
-ENSEMBLE_CAP = (10_000, "about 80 MB and 1.1 ms a step on 400 states")
+# of uniforms at 10**4 replications, 20 MB; ``clt`` peaks at 78 MB RSS here.
+ENSEMBLE_CAP = (10_000, "about 80 MB and 0.4 ms a step on 400 states")
 # A run length (``clt``'s n, an ``lln`` n_grid entry) sets a schedule of 8 bytes a step.
 RUN_LENGTH_CAP = (10_000_000, "about 80 MB of schedule and 3 us a step for 32 chains on 3 "
-                              "states, 0.15 ms for 1000 on 400")
+                              "states, 0.06 ms for 1000 on 400")
+# An ensemble's steps times its replications (``clt``'s n * replications,
+# ``lln``'s max(n_grid) * len(seeds)); on 400 states ``clt`` took 40 to 60 ns
+# a step and replication at 10**4 and 1000 replications.  Below that, fixed
+# per-step costs dominate and the run-length cap bounds a run.
+STEP_REPLICATION_CAP = (1_000_000_000, "about 60 s of lockstep steps for 1000 or more "
+                                       "replications on 400 states")
 # A family's count sets ``bounds``' count**2 / 2 Lipschitz reports; at 300
 # members ``bounds`` takes 3 s and peaks at 105 MB RSS here, at 1000 19 s and 0.8 GB.
 FAMILY_COUNT_CAP = (300, "about 45000 reports, 3 s and 0.1 GB of bounds")
@@ -541,6 +547,7 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     else:
         seeds = _typed_list("seeds", seeds_spec, int, least=0)
         _typed("len(seeds)", len(seeds), int, cap=ENSEMBLE_CAP)
+    _typed("max(n_grid) * len(seeds)", max(n_grid) * len(seeds), int, cap=STEP_REPLICATION_CAP)
     expect = cfg.scalar("expect", str, "converge", choices=("converge", "fail"))
     fail_threshold = cfg.scalar("fail_threshold", float, 0.1)
     family = build_family(cfg.require("family"))
@@ -574,6 +581,7 @@ def cmd_lln(cfg: RunConfig) -> tuple:
 def cmd_clt(cfg: RunConfig) -> tuple:
     n = cfg.scalar("n", int, 10000, least=1, cap=RUN_LENGTH_CAP)
     replications = cfg.scalar("replications", int, 1000, least=2, cap=ENSEMBLE_CAP)
+    _typed("n * replications", n * replications, int, cap=STEP_REPLICATION_CAP)
     lo, hi = _interval("ratio_band", cfg.get("ratio_band", [0.85, 1.15]))
     family = build_family(cfg.require("family"))
     phi = build_phi(cfg.require("phi"), family)

@@ -25,7 +25,6 @@ from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import ScheduleScheme
 from .errors import DegenerateVariance, DobrushinViolation, SchemeEscape
@@ -327,26 +326,25 @@ def martingale_check(
 # ``<= u``.  The steps run in sub-blocks of ``_SUB_BLOCK``, by one of two
 # paths chosen once per run from ``n_states`` and the replication count R:
 #
-# - Next-state table, when a row fits the scan window (``n_states <=
-#   _BISECT_WINDOW``) and ``R * n_states * (n_states - 1) <=
-#   _TABLE_MAX_COMPARES``.  A sub-block first counts, for each of its
-#   steps, replications and states, the row entries ``<= u``: that many
-#   compares per step, in ``n_states - 1`` passes over the whole sub-block.
-#   Each step is then one gather of R entries.  The table holds
-#   ``_SUB_BLOCK * n_states * R`` int64 entries, at most 12 MB when a row has
-#   two or more states.
-# - Lockstep bisection otherwise, a few NumPy calls on R elements per
-#   halving round and per scan, ``O(R log n_states)`` per step.  Rows
-#   longer than ``_BISECT_WINDOW`` are first narrowed by a lockstep binary
-#   search: all replications share one window length, halved each round,
-#   while each moves its own window start.  The last window, and any row of
-#   at most ``_BISECT_WINDOW`` entries, is scanned by a single
-#   compare-argmax.
+# - Next-state table, when ``n_states <= _TABLE_MAX_STATES`` and ``R *
+#   n_states * (n_states - 1) <= _TABLE_MAX_COMPARES``.  A sub-block first
+#   counts, for each of its steps, replications and states, the row entries
+#   ``<= u``: that many compares per step, in ``n_states - 1`` passes over
+#   the whole sub-block.  Each step is then one gather of R entries.  The
+#   table holds ``_SUB_BLOCK * n_states * R`` int64 entries, at most 12 MB
+#   when a row has two or more states.
+# - Lockstep bisection otherwise, ``O(R log n_states)`` per step.  All
+#   replications share one window length, halved each round until one
+#   entry is left (``ceil(log2(n_states))`` rounds), while each moves its
+#   own window start.  A round is three NumPy calls on buffers made once
+#   per sub-block: gather each start's probe entry, compare it with ``u``,
+#   add ``below * half`` (an add through a boolean mask was about 3x slower
+#   at R = 1000).
 #
 # The table's build grows with ``n_states**2`` per replication, while
-# bisection's cost is mostly per step.  In the sweep kept in
-# BENCH_ensemble_table.json the table ran slower only beyond the compare
-# budget; near the budget the two paths tie within the noise.
+# bisection's cost is mostly per step.  On the compare budget, in the sweep
+# kept in BENCH_lockstep_halving.json, the table ran 12-28% faster than
+# bisection on 8 to 16 states and 13-19% slower on 2 to 4 (R >= 500).
 #
 # Each path leaves a sub-block's running phi sums in the rows of its spent
 # uniforms, where the recorded prefixes are read.  Bisection adds each
@@ -354,12 +352,10 @@ def martingale_check(
 # path, whose steps are single gathers, writes the sub-block's states to
 # one ``(_SUB_BLOCK, R)`` buffer and sums them with one cumsum down the rows,
 # seeded with the running sums: the same additions in the same order, so
-# the sums are bit-identical.  Bisection keeps no such buffer: at 400
-# states and R = 1000, storing each step's states alone slowed it by about
-# 3%.
+# the sums are bit-identical.
 
-_BISECT_WINDOW = 16
-_SUB_BLOCK = _STREAM_BLOCK // _BISECT_WINDOW
+_TABLE_MAX_STATES = 16
+_SUB_BLOCK = 256
 _U_BUDGET = 2**18
 _TABLE_MAX_COMPARES = 6000
 
@@ -367,24 +363,33 @@ _TABLE_MAX_COMPARES = 6000
 def _uses_table(n_states: int, R: int) -> bool:
     """Whether an ensemble of ``R`` replications on ``n_states`` states
     advances by next-state table rather than lockstep bisection."""
-    return n_states <= _BISECT_WINDOW and R * n_states * (n_states - 1) <= _TABLE_MAX_COMPARES
+    return n_states <= _TABLE_MAX_STATES and R * n_states * (n_states - 1) <= _TABLE_MAX_COMPARES
 
 
-def _bisection_steps(n_states, flats, windows, halves, phi_vals, steps, U, states, sums):
+def _halving_probes(flats, n_states):
+    """``(probes, halves)`` of a lockstep bisection over the flat cumsum
+    tables ``flats``: round ``i`` halves a window of ``ceil(n_states / 2**i)``
+    entries by ``halves[i]``, and ``probes[s][i]`` is ``flats[s][halves[i] - 1:]``."""
+    halves = [-(-n_states >> i) // 2 for i in range((n_states - 1).bit_length())]
+    return [[flat[half - 1 :] for half in halves] for flat in flats], halves
+
+
+def _bisection_steps(n_states, probes, halves, phi_vals, steps, U, states, sums):
     """Advance ``states`` through a sub-block whose step ``j`` draws ``U[j]``
-    from kernel ``steps[j]``, by lockstep bisection; ``windows[s][i]`` is
-    ``flats[s][i : i + width]``.  The running phi sums, seeded with
-    ``sums``, overwrite the spent uniforms.  Returns the last states."""
-    steps = steps.tolist()
-    for j in range(U.shape[0]):
-        s = steps[j]
-        u = U[j]
-        flat = flats[s]
+    from kernel ``steps[j]``, by lockstep bisection over
+    :func:`_halving_probes`.  The running phi sums, seeded with ``sums``,
+    overwrite the spent uniforms.  Returns the last states."""
+    R = U.shape[1]
+    pos, vals, below = np.empty(R, dtype=np.int64), np.empty(R), np.empty(R, dtype=bool)
+    for s, u in zip(steps.tolist(), U):
         row = states * n_states
-        start = row
-        for half in halves:
-            start = start + half * (flat[start + (half - 1)] <= u)
-        states = start - row + (u[:, None] < windows[s][start]).argmax(axis=1)
+        pos[:] = row
+        # probes stay inside the table: clip never acts, and spares take a copy
+        for probe, half in zip(probes[s], halves):
+            probe.take(pos, out=vals, mode="clip")
+            np.less_equal(vals, u, out=below)
+            pos += below * half
+        states = pos - row
         sums = np.add(sums, phi_vals[states], out=u)
     return states
 
@@ -468,13 +473,7 @@ def ensemble_schedule_run(
         visited = np.empty((min(n, _SUB_BLOCK), R), dtype=np.int64)
         advance = partial(_table_steps, by_column, table, visited, phi.values)
     else:
-        halves = []
-        width = n_states
-        while width > _BISECT_WINDOW:
-            halves.append(width // 2)
-            width -= width // 2
-        windows = [sliding_window_view(flat, width) for flat in flats]
-        advance = partial(_bisection_steps, n_states, flats, windows, halves, phi.values)
+        advance = partial(_bisection_steps, n_states, *_halving_probes(flats, n_states), phi.values)
     states = np.full(R, x0, dtype=np.int64)
     phi_sums = np.zeros(R)
     recorded = np.empty((len(prefixes), R)) if prefixes else None

@@ -23,6 +23,7 @@ from amcmc.cli import (
     FAMILY_COUNT_CAP,
     HORIZON_CAP,
     RUN_LENGTH_CAP,
+    STEP_REPLICATION_CAP,
     RunConfig,
     _write_table,
     build_family,
@@ -340,6 +341,7 @@ class TestShippedConfigs:
             ("poisson", "poisson_cyclic.json", 0),
             ("lln", "lln_counterexample.json", 2),
             ("clt", "clt_iid.json", 0),
+            ("clt", "clt_rwm_grid.json", 0),
             ("lln", "lln_iid.json", 0),
         ],
     )
@@ -385,6 +387,9 @@ class TestPinnedArtifacts:
             ("clt", "clt_iid.json", {
                 "clt_replicates.csv":
                     "58f093cf0c9ba6b83db22059121039a851ff8fbfa8d4a621a1aafd8562551573"}),
+            ("clt", "clt_rwm_grid.json", {
+                "clt_replicates.csv":
+                    "e64089c9659af7e04ea3476ee65315789d00b9f5124a27bca8282bdaddbef2d6"}),
             ("lln", "lln_iid.json", {
                 "lln.csv": "fbcad5d198cb9f9a06a85a19c8e661630edb1ec61364a31f97c5caee93a3bb0b",
                 "lln_medians.csv":
@@ -771,6 +776,14 @@ class TestConfigHandling:
              f"n={10**12} exceeds {RUN_LENGTH_CAP[0]}, the budget of {RUN_LENGTH_CAP[1]}"),
             ("lln", {"family": {"kind": "iid"}, "n_grid": [1000, 1e12]},
              f"n_grid={10**12} exceeds {RUN_LENGTH_CAP[0]}, the budget of {RUN_LENGTH_CAP[1]}"),
+            # so does an ensemble's steps times its replications, each within its cap
+            ("clt", {"family": {"kind": "iid"}, "n": 10**7, "replications": 10**4},
+             f"n * replications={10**11} exceeds {STEP_REPLICATION_CAP[0]}, "
+             f"the budget of {STEP_REPLICATION_CAP[1]}"),
+            ("lln", {"family": {"kind": "iid"}, "n_grid": [10**5 + 1, 1000],
+                     "seeds": {"count": 10**4}},
+             f"max(n_grid) * len(seeds)={10**9 + 10**4} exceeds {STEP_REPLICATION_CAP[0]}, "
+             f"the budget of {STEP_REPLICATION_CAP[1]}"),
             # nor may a non-integral value be truncated into a run
             ("bounds", {"family": {"kind": "mixture", "count": 2.9}},
              "family.count must be int, got 2.9"),

@@ -5,6 +5,7 @@ import itertools
 import math
 import warnings
 from bisect import bisect_right
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -398,10 +399,42 @@ ROUNDOFF_WEIGHTS = (0.33, 0.56, 0.11)
 
 
 class TestLockstepBisect:
-    """Rows longer than the scan window go through the lockstep binary search;
-    the sizes straddle the window (16) and the halving boundaries.  Seven
-    replications take the next-state table up to 16 states, forty take it
-    only up to 12."""
+    """Rows off the next-state table go through the lockstep binary search;
+    the sizes straddle the table's state limit (16) and the halving
+    boundaries.  Seven replications take the next-state table up to 16
+    states, forty take it only up to 12."""
+
+    @staticmethod
+    def search_tables(n_states):
+        """Flat cumsum tables of rows with runs of zero entries, of dyadic
+        rows with exact ties and of rows roundoff lifts above 1.0."""
+        rng = np.random.default_rng(n_states)
+        weights = rng.dirichlet(np.ones(n_states)) * (rng.random(n_states) < 0.5)
+        weights[0] += weights.sum() == 0.0
+        sparse = circulant_kernel(n_states, weights / weights.sum(), range(n_states))
+        lazy = circulant_kernel(n_states, (0.25, 0.75), (0, 1))
+        roundoff = circulant_kernel(n_states, ROUNDOFF_WEIGHTS, (0, 1, 2))
+        return [ledger._cum_table(P) for P in (sparse, lazy, roundoff)]
+
+    @pytest.mark.parametrize("reps", [1, 7, 1000])
+    def test_search_lands_where_bisect_right_does(self, reps):
+        # every halving sequence up to 70 states, and 257 = 2**8 + 1; the
+        # uniforms are 0, each entry of the row below 1.0 (ties) and the
+        # largest double below 1.0
+        for n_states in [*range(1, 71), 257]:
+            flats = self.search_tables(n_states)
+            advance = partial(ledger._bisection_steps, n_states,
+                              *ledger._halving_probes(flats, n_states), np.zeros(n_states))
+            for s, flat in enumerate(flats):
+                cases = [
+                    (x, u, bisect_right(row, u))
+                    for x, row in enumerate(flat.reshape(n_states, n_states).tolist())
+                    for u in {0.0, np.nextafter(1.0, 0.0), *(c for c in row if c < 1.0)}
+                ]
+                for i in range(0, len(cases), reps):
+                    x, u, expected = (np.array(column) for column in zip(*cases[i : i + reps]))
+                    states = advance(np.array([s]), u[None, :], x, np.zeros(len(x)))
+                    assert states.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("reps", [7, 40])
     @pytest.mark.parametrize("n_states", [1, 2, 15, 16, 17, 31, 32, 33, 64, 65, 257])
