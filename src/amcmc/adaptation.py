@@ -17,6 +17,11 @@ The ``rng`` a scheme receives is the chain's stream, and a scheme draws
 from it only with ``rng.random()``, as every scheme here does.  Both chain
 drivers read each chain's stream in blocks; the doubles and their order are
 those of one scalar draw each, so a trajectory does not depend on the block.
+
+A scheme may fix what does not change between steps (a negated exponent, a
+bound method, a statistic as a list) at construction or in ``start``; its
+``step`` keeps the floating-point operations of the rule in their order and
+the draws in theirs, so every trajectory keeps its bits.
 """
 
 from __future__ import annotations
@@ -95,7 +100,13 @@ def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> BernoulliSch
     """
     if not (0 < c < math.inf and 0 < epsilon < math.inf):
         raise ValueError("c and epsilon must be positive and finite")
-    return BernoulliSchedule(lambda k: min(1.0, c / math.log(max(k, 2)) ** (1.0 + epsilon)))
+    power, log = 1.0 + epsilon, math.log
+
+    def activation(k: int) -> float:
+        eta = c / log(k if k > 2 else 2) ** power
+        return eta if eta < 1.0 else 1.0
+
+    return BernoulliSchedule(activation)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +164,13 @@ class MeanTrackingScheme:
 
     def start(self, s0: int, rng) -> int:
         self._mean = 0.0
+        self._values = self.statistic.tolist()
+        self._nearest = self.family.nearest_index
         return s0
 
     def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        self._mean += (float(self.statistic[x_new]) - self._mean) / k
-        return self.family.nearest_index(self._mean)
+        self._mean = mean = self._mean + (self._values[x_new] - self._mean) / k
+        return self._nearest(mean)
 
 
 class RateTargetScheme:
@@ -188,13 +201,21 @@ class RateTargetScheme:
 
     def start(self, s0: int, rng) -> int:
         self._t = float(self.family.params[s0])
+        # moved - target for moved = 0.0 and 1.0, indexed by x_new != x_prev
+        self._pull = (0.0 - self.target, 1.0 - self.target)
+        self._power = -self.exponent
+        self._nearest = self.family.nearest_index
         return s0
 
     def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        gamma = self.c * float(k) ** (-self.exponent)
-        moved = 1.0 if x_new != x_prev else 0.0
-        self._t = min(max(self._t + gamma * (moved - self.target), self._lo), self._hi)
-        return self.family.nearest_index(self._t)
+        t = self._t + self.c * float(k) ** self._power * self._pull[x_new != x_prev]
+        # min(max(t, lo), hi)
+        if self._lo > t:
+            t = self._lo
+        elif self._hi < t:
+            t = self._hi
+        self._t = t
+        return self._nearest(t)
 
 
 class RareCycleScheme:
@@ -217,10 +238,12 @@ class RareCycleScheme:
 
     def start(self, s0: int, rng) -> int:
         self._sched = self.schedule_factory()
+        self._adapts = self._sched.adapts
+        self._size = self.family.size
         return s0
 
     def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        return (s_prev + 1) % self.family.size if self._sched.adapts(k, rng) else s_prev
+        return (s_prev + 1) % self._size if self._adapts(k, rng) else s_prev
 
 
 # steps of a schedule or a change series taken in one vectorized pass
@@ -228,18 +251,14 @@ _CHUNK = 2**16
 
 
 def _nearest_members(family: KernelFamily, values: np.ndarray) -> np.ndarray:
-    """``family.nearest_index`` of each of ``values`` (no NaN): one bisection
-    for all, and the scalar method where a neighbour lies as near."""
-    grid, first = np.unique(family.params, return_index=True)  # first member of each value
-    top = grid.size - 1
-    i = np.searchsorted(grid, values)
-    below, above = np.maximum(i - 1, 0), np.minimum(i, top)
-    i = np.where((i > top) | (i > 0) & (values - grid[below] <= grid[above] - values), below, i)
-    gap = np.abs(grid[i] - values)
-    tied = (i > 0) & (np.abs(grid[np.maximum(i - 1, 0)] - values) == gap)
-    tied |= (i < top) & (np.abs(grid[np.minimum(i + 1, top)] - values) == gap)
-    out = first[i]
-    out[tied] = [family.nearest_index(v) for v in values[tied].tolist()]
+    """``family.nearest_index`` of each of ``values``: one search of the
+    family's interval table for all, and the scalar method off its ranges."""
+    bounds, members = family._nearest_table
+    i = np.searchsorted(bounds, values, side="right")
+    inside = (i & 1).astype(bool)
+    out = np.empty(values.shape, dtype=np.int64)
+    out[inside] = np.take(members, i[inside] >> 1)
+    out[~inside] = [family.nearest_index(v) for v in values[~inside].tolist()]
     return out
 
 

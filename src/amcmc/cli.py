@@ -776,6 +776,9 @@ def main(argv=None) -> int:
     except (AmcmcError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_UNEXPECTED
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        code = EXIT_UNEXPECTED
     if argv is None:
         sys.exit(code)
     return code

@@ -9,8 +9,9 @@ optionally tagged with scalar parameter values (a parameter grid).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,14 +80,20 @@ class KernelFamily:
         """Index of the first member whose parameter is closest to ``value``
         (``0`` for a NaN ``value``), as ``argmin`` over ``|p - value|``.
 
-        The rounded distance ``|p - value|`` falls towards ``value`` and
-        rises past it, so the members at the least distance are one run of
-        the sorted grid around the bisection point.  Rounding can make that
-        run longer than one value (``[0.0, 1e-17, 1.0]`` at 0.5, any grid at
-        ``inf``), so it is widened over every equal distance.
+        One ``bisect_right`` over :attr:`_nearest_table`'s bounds answers
+        most values: an odd result falls in a grid value's range.  A NaN, a
+        value in a rounding tie or outside the table, and every value on a
+        grid without a table take the scan below.  The rounded distance
+        ``|p - value|`` falls towards ``value`` and rises past it, so the
+        members at the least distance are one run of the sorted grid around
+        the bisection point.  Rounding can make that run longer than one
+        value (``[0.0, 1e-17, 1.0]`` at 0.5, any grid at ``inf``), so it is
+        widened over every equal distance.
         """
-        if self.params is None:
-            raise ValueError("family has no parameter grid")
+        bounds, members = self._nearest_table
+        i = bisect_right(bounds, value)
+        if i & 1:
+            return members[i >> 1]
         if value != value:
             return 0
         grid = self._grid
@@ -101,6 +108,45 @@ class KernelFamily:
             hi += 1
         first = self._grid_first
         return first[i] if lo == hi else min(first[lo : hi + 1])
+
+    @cached_property
+    def _nearest_table(self) -> tuple[list, list]:
+        """``(bounds, members)``: on ``[bounds[2i], bounds[2i+1])`` grid value
+        ``i`` is strictly the nearest, and ``members[i]`` is its first member.
+
+        Between neighbours ``a < b`` the rounded distances to ``v`` are
+        monotone, so ``a`` wins on a prefix of ``[a, b]`` and ``b`` on a
+        suffix; bisection finds both ends, and the floats between them tie.
+        Every other grid value lies beyond a neighbour, farther by at least
+        the least gap, which keeps the rounded distances apart when it exceeds
+        twice their rounding unit at twice the span: the ranges reach one
+        span beyond the grid's ends.  Otherwise the table is empty.
+        """
+        if self.params is None:
+            raise ValueError("family has no parameter grid")
+        grid = self._grid
+        span = grid[-1] - grid[0]
+        ends = grid[0] - span, grid[-1] + span
+        least_gap = min((b - a for a, b in zip(grid, grid[1:])), default=math.inf)
+        if not (all(map(math.isfinite, ends)) and least_gap > 2.0 * math.ulp(2.0 * span)):
+            return [], []
+        bounds = [ends[0]]
+        for a, b in zip(grid, grid[1:]):
+            bounds.append(_first_float(a, b, lambda v: not v - a < b - v))
+            bounds.append(_first_float(a, b, lambda v: b - v < v - a))
+        bounds.append(ends[1])
+        return bounds, self._grid_first
+
+
+def _first_float(a: float, b: float, holds) -> float:
+    """The first float in ``(a, b]`` where ``holds``, a predicate false at
+    ``a`` and true from some float up to ``b``, is true."""
+    while math.nextafter(a, b) < b:
+        mid = a + (b - a) / 2
+        if not a < mid < b:
+            mid = math.nextafter(a, b)
+        a, b = (a, mid) if holds(mid) else (mid, b)
+    return b
 
 
 def cyclic_pair() -> KernelFamily:

@@ -411,11 +411,13 @@ def fit_ergodicity_constants(
     """Fit a uniform geometric-ergodicity certificate for a kernel family.
 
     The rate is ``rho = min_m (max_s beta(P_s^m))**(1/m)`` over powers
-    ``m <= horizon`` whose worst contraction coefficient is below one; the
-    constant is ``C = max(1, max_{s,k<=horizon} e_s(k) / rho**k)`` where
-    ``e_s(k)`` is the worst-start total variation to ``pi`` after ``k``
-    steps.  One walk over each member's powers gives both; the certificate
-    keeps the curves and is checked against them when built.  Beyond the
+    ``m <= horizon`` whose worst contraction coefficient is below one,
+    leaving out a rate that rounds to 0 unless every curve value is 0 (such
+    a rate admits no ``C``); the constant is
+    ``C = max(1, max_{s,k<=horizon} e_s(k) / rho**k)`` where ``e_s(k)`` is
+    the worst-start total variation to ``pi`` after ``k`` steps.  One walk
+    over each member's powers gives both; the certificate keeps the curves
+    and is checked against them when built.  Beyond the
     horizon the contraction of the ``m``-th power keeps the decay geometric
     at the same rate.  This is one valid certificate, not the tightest.
 
@@ -483,7 +485,8 @@ def fit_ergodicity_constants(
         raise NotSimultaneouslyErgodic(
             f"no power m <= {horizon} has contraction coefficient < 1 for the whole family"
         )
-    rho = min(rates)
+    positive = [r for r in rates if r > 0.0]
+    rho = min(positive) if positive and curves.any() else min(rates)
 
     C = 1.0
     if rho > 0.0:

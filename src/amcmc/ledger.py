@@ -91,8 +91,14 @@ class Trajectory:
 
 def _cum_table(P) -> np.ndarray:
     """Inverse-CDF table of kernel ``P``, flat: entry ``x * n_states + j`` is
-    the cumsum of row ``x`` up to column ``j``, the last pinned to 1."""
+    the cumsum of row ``x`` up to column ``j``, the last pinned to 1.  A
+    kernel with a negative entry, which ``StochasticMatrix`` admits down to
+    -1e-12, takes the cumsum's running maximum, so that no row decreases
+    before its pinned end; on any other kernel the maximum changes nothing
+    and its buffered pass is skipped."""
     cum = np.cumsum(P.rows, axis=1)
+    if P.rows.min() < 0.0:
+        np.maximum.accumulate(cum, axis=1, out=cum)
     cum[:, -1] = 1.0  # pin against roundoff so inverse CDF always lands
     return cum.reshape(-1)
 
@@ -136,17 +142,19 @@ def run_adaptive_chain(
     n_states = family.n_states
     X = [x]
     S = [s]
+    append_x, append_s, step = X.append, S.append, scheme.step
     for k in range(1, n + 1):
         lo = x * n_states
         x_new = bisect_right(cum, draw(), lo, lo + n_states) - lo
-        s_new = int(scheme.step(k, x, x_new, s, stream))
+        s_new = step(k, x, x_new, s, stream)
         if s_new != s:
-            if not 0 <= s_new < size:
-                raise SchemeEscape(f"scheme produced index {s_new} outside family at step {k}")
-            cum = member_table(s_new)
-        X.append(x_new)
-        S.append(s_new)
-        x, s = x_new, s_new
+            s = int(s_new)
+            if not 0 <= s < size:
+                raise SchemeEscape(f"scheme produced index {s} outside family at step {k}")
+            cum = member_table(s)
+        append_x(x_new)
+        append_s(s)
+        x = x_new
     return Trajectory(X=np.array(X, dtype=np.int64), S=np.array(S, dtype=np.int64), n=n)
 
 
@@ -318,12 +326,12 @@ def martingale_check(
 # at most 2 MB up to R = 1024, and 20 MB at R = 10**4.
 #
 # Each step finds, for every replication, the first entry of its row's
-# cumsum that exceeds its uniform: ``bisect_right``'s index.  Cumsums never
-# decrease and the pinned last entry 1.0 exceeds every uniform in [0, 1), so
-# ``entry <= u`` holds on a prefix of the row and fails on the rest, even
-# where roundoff lifts earlier cumsums above 1.0.  Any search for that
-# boundary returns the same index, and so does a count of the entries
-# ``<= u``.  The steps run in sub-blocks of ``_SUB_BLOCK``, by one of two
+# cumsum that exceeds its uniform: ``bisect_right``'s index.  A row of
+# ``_cum_table`` never decreases before its pinned last entry 1.0, which
+# exceeds every uniform in [0, 1), so ``entry <= u`` holds on a prefix of the
+# row and fails on the rest, even where roundoff lifts earlier cumsums above
+# 1.0.  Any search for that boundary returns the same index, and so does a
+# count of the entries ``<= u``.  The steps run in sub-blocks of ``_SUB_BLOCK``, by one of two
 # paths chosen once per run from ``n_states`` and the replication count R:
 #
 # - Next-state table, when ``n_states <= _TABLE_MAX_STATES`` and ``R *

@@ -230,6 +230,22 @@ class TestBounds:
         assert kinds == {"poisson_sup_norm", "poisson_solution_gap"}
         assert all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("horizon", [16, 24, 32])
+    def test_a_rate_rounded_to_zero_sets_no_rho(self, tmp_path, horizon):
+        # beta(P^m) = 0.25**m for the two-step kernel P0 P1 of smoothed-cyclic
+        # at epsilon 0.5; at horizon 32 beta(P^28) rounds to 0, whose rate of
+        # 0 admits no C while a curve value is positive
+        fam = build_family({"kind": "smoothed-cyclic", "epsilon": 0.5})
+        P = kernels.StochasticMatrix(fam.kernels[0].rows @ fam.kernels[1].rows)
+        path = tmp_path / "two_step.json"
+        path.write_text(kernels.kernel_json_text(P, fam.pi))
+        cfg = write_config(tmp_path, {"family": {"kind": "file", "paths": [str(path)]},
+                                      "phi": {"kind": "indicator", "state": 0},
+                                      "horizon": horizon})
+        assert run(["bounds", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        consts = kernels.fit_ergodicity_constants([P], fam.pi, horizon)
+        assert 0.0 < consts.rho < 0.251 and consts.C == 1.0
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_reports_are_written_once_as_json(self, tmp_path, fmt):
         cfg = write_config(
@@ -642,6 +658,22 @@ class TestConfigHandling:
         assert len(lines) == 1
         assert lines[0].startswith("error: CertificateOverflow: ") and message in lines[0]
         assert f"horizon={horizon}" in lines[0]
+        assert not out.exists()
+
+    def test_memory_error_is_one_line_and_exit_1(self, tmp_path, monkeypatch, capsys):
+        # what numpy raises for a 20 000-state iid family under a 2 GB limit
+        def out_of_memory(pi):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                              "(20000, 20000) and data type float64")
+
+        monkeypatch.setattr(amcmc.families, "iid_family", out_of_memory)
+        cfg = write_config(tmp_path, {"family": {"kind": "iid"},
+                                      "phi": {"kind": "indicator", "state": 0}})
+        out = tmp_path / "runs"
+        assert run(["clt", "--config", cfg, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: MemoryError: Unable to allocate 2.98 GiB for an array with "
+                         "shape (20000, 20000) and data type float64"]
         assert not out.exists()
 
     def test_violated_certificate_is_one_line_and_leaves_no_run_dir(

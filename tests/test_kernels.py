@@ -462,7 +462,6 @@ def fit_ergodicity_constants_oracle(P_list, pi, horizon):
         if m > 1:
             powers = [Pk @ P.rows for Pk, P in zip(powers, P_list)]
         beta_m[m] = max(dobrushin_oracle(Pk) for Pk in powers)
-    rho, _ = min((beta_m[m] ** (1.0 / m), m) for m in range(1, horizon + 1) if beta_m[m] < 1.0)
     curves = np.empty((len(P_list), horizon))
     for s, P in enumerate(P_list):
         Pk = P.rows.copy()
@@ -470,12 +469,25 @@ def fit_ergodicity_constants_oracle(P_list, pi, horizon):
             if k > 1:
                 Pk = Pk @ P.rows
             curves[s, k - 1] = 0.5 * np.abs(Pk - pi.weights[None, :]).sum(axis=1).max()
+    m = oracle_power(beta_m, curves)
+    rho = beta_m[m] ** (1.0 / m)
     C = 1.0
     if rho > 0.0:
         ks = np.arange(1, horizon + 1)
         for e in curves:
-            C = max(C, float(np.max(e / rho**ks)))
+            # a curve value of 0 constrains nothing, even where rho**k underflows
+            ratios = np.divide(e, rho**ks, out=np.zeros(horizon), where=e > 0.0)
+            C = max(C, float(np.max(ratios)))
     return (C, float(rho), float(beta)), curves, beta_m
+
+
+def oracle_power(beta_m, curves) -> int:
+    """The power whose rate ``beta_m[m] ** (1/m)`` is least, ties to the
+    smallest ``m``; a rate of 0 counts only where every curve value is 0."""
+    powers = [m for m in range(1, len(beta_m)) if beta_m[m] < 1.0]
+    if curves.any() and any(beta_m[m] > 0.0 for m in powers):
+        powers = [m for m in powers if beta_m[m] > 0.0]
+    return min(powers, key=lambda m: (beta_m[m] ** (1.0 / m), m))
 
 
 class TestFitMatchesOracle:
@@ -622,8 +634,8 @@ def assert_fit_matches_all_powers_oracle(P_list, pi, horizon):
     try:
         consts = fit_ergodicity_constants(P_list, pi, horizon)
     except NotSimultaneouslyErgodic:
-        # a coefficient rounded to zero gives rho = 0 and C = 1, which the
-        # curves refute; the oracle's certificate fails them too
+        # every coefficient rounded to zero gives rho = 0 and C = 1, which
+        # the curves refute; the oracle's certificate fails them too
         with pytest.raises(NotSimultaneouslyErgodic):
             ErgodicityConstants(C=C, rho=rho, beta=beta, curves=curves)
         return
@@ -636,7 +648,7 @@ def assert_fit_matches_all_powers_oracle(P_list, pi, horizon):
     # break beta_M <= beta_m^(M/m).  That may only be rounding, each power
     # and coefficient off by a few n*eps: two-state and lazy-iid kernels,
     # whose rates tie exactly, or coefficients near the rounding floor.
-    m = min(range(1, horizon + 1), key=lambda k: (beta_m[k] ** (1.0 / k), k))
+    m = oracle_power(beta_m, curves)
     assert 1 < m <= horizon // 2
     M = m
     while M <= horizon // 2:

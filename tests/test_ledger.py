@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -24,6 +25,7 @@ from amcmc.adaptation import (
     log_increment_schedule,
 )
 from amcmc import ledger
+from amcmc.cli import build_family
 from amcmc.errors import DobrushinViolation, NotInvariant, SchemeEscape
 from amcmc.families import (
     KernelFamily,
@@ -41,6 +43,7 @@ from amcmc.kernels import (
     fit_ergodicity_constants,
     invariance_residual,
     max_tv_between_kernels,
+    stationary_distribution,
 )
 from amcmc.ledger import (
     _CSV_BLOCK,
@@ -160,6 +163,44 @@ class TestRunAdaptiveChain:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="n=-5"):
             run_adaptive_chain(cyclic_pair(), ConstantScheme(), x0=0, s0=0, n=-5, seed=1)
+
+    @pytest.mark.parametrize(
+        "name, x_digest, s_digest",
+        [
+            ("constant", "6ba2921af1e18b79bef8a0840f29bdb65d38754d4d14b1fd30b3c9d039b59ed6",
+             "97a23d3ef44f44ccdf42194a492964c61cbb6fc3b942727e67123fcc3e3b9a58"),
+            ("rate", "7c9d5df041475a096752d9fd0280daf05ab641a70df868bfe99dc3649786e594",
+             "e7d05d7d87e0e0caf5a6df2d3ed64c967275963b1d27b726929c1dfddfd02f47"),
+            ("mean", "1b6eeab2327838c78040b5e1b20ff0278eeba65764e39b5fb5650a6c0a82501a",
+             "789065a0b6a42020273db0ad77bdb4f92437b13a505a26348ad2c57f971cf1d9"),
+            ("rare-bernoulli", "57671981d03f8cfabaef31852090666f968d40f008416003d6681f74333ee5a7",
+             "5c2c086d6cfd29d5f4665156fbc11a588ed179629e2897fce8179ef0e1e7755e"),
+            ("rare-deterministic",
+             "1d6f4060738f9fa992df837033c41725f93a7348eb564f73385d95749c339f4c",
+             "2846f5c927947707b377aaec1d9a9a7a35cc8315bf85755f55a71cf9156edb8d"),
+        ],
+    )
+    def test_trajectories_keep_their_bits(self, name, x_digest, s_digest):
+        """sha256 of ``X`` and ``S`` on a 30-state rwm-grid family of 8
+        members, pinned so that any change to a scheme's arithmetic, its
+        draws or the chain driver shows up bit for bit."""
+        fam = build_family({
+            "kind": "rwm-grid", "a": 0.01, "b": 10.0,
+            "sigmas": [0.1, 0.17, 0.3, 0.5, 0.8, 1.3, 2.0, 3.0],
+            "target": {"d": 1, "bounds": [[-3.0, 3.0]], "m": 30,
+                       "density": {"kind": "truncated-gaussian"}},
+        })
+        scheme = {
+            "constant": ConstantScheme,
+            "rate": lambda: RateTargetScheme(fam),
+            "mean": lambda: MeanTrackingScheme(fam, np.linspace(-3, 3, 30) ** 2),
+            "rare-bernoulli": lambda: RareCycleScheme(fam, lambda: bernoulli_log_schedule(1.0, 0.1)),
+            "rare-deterministic":
+                lambda: RareCycleScheme(fam, lambda: log_increment_schedule(2.0, 0.1)),
+        }[name]()
+        traj = run_adaptive_chain(fam, scheme, x0=15, s0=3, n=4000, seed=2026)
+        assert hashlib.sha256(traj.X.tobytes()).hexdigest() == x_digest
+        assert hashlib.sha256(traj.S.tobytes()).hexdigest() == s_digest
 
 
 class TestDecompose:
@@ -463,6 +504,31 @@ class TestLockstepBisect:
             for i, k in enumerate(prefixes):
                 assert sequential_sum(phi.values[X[1 : k + 1]]) == recorded[i, r]
             assert X[-1] == last[r]
+
+    def test_samplers_agree_on_a_row_with_a_negative_entry(self, monkeypatch):
+        # StochasticMatrix admits entries down to -1e-12, so row 0's cumsum
+        # dips below 0.5 at column 1; the table's running maximum lifts it
+        P = StochasticMatrix([[0.5, -1e-13, 0.5 + 1e-13], [1 / 3] * 3, [1 / 3] * 3])
+        fam = KernelFamily(kernels=(P,), pi=stationary_distribution(P))
+        flat = ledger._cum_table(P)
+        assert flat[:3].tolist() == [0.5, 0.5, 1.0]
+        u = 0.49999999999995
+        assert np.cumsum(P.rows[0])[1] < u < 0.5
+
+        class FixedStream:
+            def __init__(self, seed):
+                self.random = lambda: u
+
+        monkeypatch.setattr(ledger, "ChainStream", FixedStream)
+        chain = run_adaptive_chain(fam, ConstantScheme(), x0=0, s0=0, n=1, seed=1).X[1]
+        halving = ledger._bisection_steps(3, *ledger._halving_probes([flat], 3), np.zeros(3),
+                                          np.array([0]), np.array([[u]]), np.array([0]),
+                                          np.zeros(1))
+        by_column = flat.reshape(1, 3, 3).transpose(2, 0, 1)
+        table = ledger._table_steps(by_column, np.empty((1, 3, 1), dtype=np.int64),
+                                    np.empty((1, 1), dtype=np.int64), np.zeros(3),
+                                    np.array([0]), np.array([[u]]), np.array([0]), np.zeros(1))
+        assert chain == halving[0] == table[0] == 0
 
     @pytest.mark.parametrize("n_states,reps,table", [(3, 32, True), (400, 1000, False)])
     def test_benchmark_shapes_take_their_paths(self, n_states, reps, table):
@@ -1180,6 +1246,65 @@ def test_nearest_index_explicit_rows(params, value, expected):
                        pi=pi, params=tuple(params))
     assert fam.nearest_index(value) == expected
     assert expected == int(np.argmin(np.abs(np.asarray(params, dtype=np.float64) - value)))
+
+
+def grid_of(params) -> KernelFamily:
+    return KernelFamily(kernels=(StochasticMatrix(np.full((2, 2), 0.5)),) * len(params),
+                        pi=Distribution([0.5, 0.5]), params=tuple(params))
+
+
+# grid values on a coarse lattice, values within rounding of 0 or of 1 (so
+# distances tie by rounding), and any finite double
+GRID_VALUES = st.one_of(
+    st.floats(min_value=-10, max_value=10).map(lambda v: round(v, 1)),
+    st.floats(min_value=-1e-15, max_value=1e-15),
+    st.floats(min_value=-1e-15, max_value=1e-15).map(lambda v: 1.0 + v),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.lists(GRID_VALUES, min_size=1, max_size=24))
+def test_nearest_index_matches_argmin_around_every_table_bound(params):
+    """The interval table's bounds, their float neighbours, the infinities
+    and NaN are where a lookup by table can go wrong."""
+    fam = grid_of(params)
+    bounds, members = fam._nearest_table
+    assert len(bounds) in (0, 2 * len(set(params)))
+    assert bounds == sorted(bounds)
+    values = [math.inf, -math.inf, math.nan]
+    values += [v for b in bounds for v in (b, math.nextafter(b, -math.inf),
+                                          math.nextafter(b, math.inf))]
+    grid = np.asarray(params, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for v in values:
+            assert fam.nearest_index(v) == int(np.argmin(np.abs(grid - v)))
+
+
+@pytest.mark.parametrize(
+    "params, enabled",
+    [
+        ([0.0, 1e-17, 1.0], False),  # 0.5 - 1e-17 rounds to 0.5
+        ([-1e308, 1e308], False),  # the span overflows
+        ([0.1, 0.17, 0.3, 0.5, 0.8, 1.3, 2.0, 3.0], True),
+        ([3.0, -1.0, 0.5, 2.0, -1.0], True),
+    ],
+)
+def test_nearest_table_is_disabled_where_rounding_can_tie(params, enabled):
+    fam = grid_of(params)
+    bounds, members = fam._nearest_table
+    assert bool(bounds) is enabled
+    grid = np.asarray(params)
+    values = [a / 2 + b / 2 for a in params for b in params] + [v + d for v in params
+                                                                for d in (-1.0, 0.25, 1.0)]
+    with np.errstate(over="ignore"):
+        for v in values:
+            assert fam.nearest_index(v) == int(np.argmin(np.abs(grid - v)))
+    if enabled:
+        # every grid value answers from its own range
+        for i, g in enumerate(sorted(set(params))):
+            assert bounds[2 * i] <= g < bounds[2 * i + 1]
+            assert members[i] == params.index(g)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
