@@ -59,6 +59,9 @@ STEP_REPLICATION_CAP = (1_000_000_000, "about 60 s of lockstep steps for 1000 or
 # A family's count sets ``bounds``' count**2 / 2 Lipschitz reports; at 300
 # members ``bounds`` takes 3 s and peaks at 105 MB RSS here, at 1000 19 s and 0.8 GB.
 FAMILY_COUNT_CAP = (300, "about 45000 reports, 3 s and 0.1 GB of bounds")
+# An explicit family's state count (an ``iid`` or ``random-metropolis`` ``pi``,
+# a kernel file's ``n``) has the ``rwm-grid`` lane's measured cap.
+STATE_CAP = (rwm.DEFAULT_STATE_CAP, rwm.STATE_CAP_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +256,7 @@ def build_family(spec: dict) -> families.KernelFamily:
     if kind == "iid":
         _fields("family", spec, "kind", "pi")
         pi = _typed_list("family.pi", spec.get("pi", [0.5, 0.25, 0.25]), float)
+        _typed("len(family.pi)", len(pi), int, cap=STATE_CAP)
         return families.iid_family(Distribution(pi))
     if kind == "mixture":
         _fields("family", spec, "kind", "count")
@@ -266,6 +270,7 @@ def build_family(spec: dict) -> families.KernelFamily:
     if kind == "random-metropolis":
         _fields("family", spec, "kind", "pi", "count", "seed")
         pi = _typed_list("family.pi", spec.get("pi", [0.4, 0.3, 0.2, 0.1]), float)
+        _typed("len(family.pi)", len(pi), int, cap=STATE_CAP)
         return families.random_metropolis_family(
             Distribution(pi),
             count=_typed("family.count", spec.get("count", 2), int, least=1,
@@ -275,7 +280,10 @@ def build_family(spec: dict) -> families.KernelFamily:
     if kind == "file":
         _fields("family", spec, "kind", "paths")
         paths = _typed_list("family.paths", spec.get("paths"), str)
-        loaded = [kernels.read_kernel_json(p) for p in paths]
+        # a file's n is capped before its rows become an array
+        loaded = [kernels.read_kernel_json(p, check_n=functools.partial(
+            _typed, f"family.paths[{i}].n", kind=int, least=1, cap=STATE_CAP))
+            for i, p in enumerate(paths)]
         pi = next((p for _, p in loaded if p is not None), None)
         if pi is None:
             pi = kernels.stationary_distribution(loaded[0][0])
@@ -285,6 +293,7 @@ def build_family(spec: dict) -> families.KernelFamily:
         a = _typed("family.a", spec.get("a", 0.1), float, least=0)
         b = _typed("family.b", spec.get("b", 10.0), float, least=0)
         sigmas = _typed_list("family.sigmas", spec.get("sigmas"), float, least=0)
+        _typed("len(family.sigmas)", len(sigmas), int, cap=FAMILY_COUNT_CAP)
         params = [rwm.RwmParameter.from_scalar(s, a, b) for s in sigmas]
         target = build_target(spec["target"])
         mats = tuple(rwm.build_discrete_rwm(target, p) for p in params)

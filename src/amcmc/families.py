@@ -179,7 +179,7 @@ def cyclic_pair() -> KernelFamily:
 def iid_family(pi: Distribution) -> KernelFamily:
     """Single kernel drawing each state independently from ``pi``."""
     rows = np.tile(pi.weights, (pi.n, 1))
-    return KernelFamily(kernels=(StochasticMatrix(rows),), pi=pi)
+    return KernelFamily(kernels=(StochasticMatrix._adopt(rows),), pi=pi)
 
 
 def mixture_family(
@@ -189,7 +189,7 @@ def mixture_family(
     if count < 2:
         raise ValueError("count must be >= 2")
     ts = np.linspace(0.0, 1.0, count)
-    kernels = tuple(StochasticMatrix((1.0 - t) * P.rows + t * Q.rows) for t in ts)
+    kernels = tuple(StochasticMatrix._adopt((1.0 - t) * P.rows + t * Q.rows) for t in ts)
     return KernelFamily(kernels=kernels, pi=pi, params=tuple(ts))
 
 
@@ -203,7 +203,7 @@ def smoothed_family(family: KernelFamily, epsilon: float) -> KernelFamily:
         raise ValueError("epsilon must lie in (0, 1]")
     iid_rows = np.tile(family.pi.weights, (family.n_states, 1))
     kernels = tuple(
-        StochasticMatrix((1.0 - epsilon) * P.rows + epsilon * iid_rows)
+        StochasticMatrix._adopt((1.0 - epsilon) * P.rows + epsilon * iid_rows)
         for P in family.kernels
     )
     return KernelFamily(kernels=kernels, pi=family.pi, params=family.params)
@@ -215,7 +215,7 @@ def random_metropolis_kernel(pi: Distribution, rng: np.random.Generator) -> Stoc
     positive weight has positive probability; one of zero weight, none."""
     raw = rng.uniform(0.1, 1.0, size=(pi.n, pi.n))
     q = raw + raw.T
-    q = q / q.sum(axis=1, keepdims=True).max()
+    q /= q.sum(axis=1, keepdims=True).max()
     return _metropolis_kernel(q, pi.weights)
 
 
@@ -229,5 +229,5 @@ def random_metropolis_family(pi: Distribution, count: int, seed: int) -> KernelF
 def random_positive_kernel(n: int, rng: np.random.Generator) -> StochasticMatrix:
     """Random strictly positive kernel (rows drawn from a Dirichlet)."""
     rows = rng.dirichlet(np.ones(n), size=n) + 1e-3
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    return StochasticMatrix(rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return StochasticMatrix._adopt(rows)

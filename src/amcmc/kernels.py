@@ -29,6 +29,8 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 BOUND_TOL = 1e-10
+# entries in each chunk of a kernel build's elementwise temporaries
+_CHUNK_ENTRIES = 1 << 15
 
 
 def _as_readonly(a, dtype=np.float64) -> np.ndarray:
@@ -53,22 +55,40 @@ class StochasticMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[0] < 1:
-            raise DimensionMismatch(f"expected a square matrix, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("transition probabilities must be finite")
-        if np.any(rows < -ROW_SUM_TOL) or np.any(rows > 1.0 + ROW_SUM_TOL):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = rows.sum(axis=1)
-        worst = np.max(np.abs(row_sums - 1.0))
-        if worst > ROW_SUM_TOL:
-            raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {worst:.3e}")
-        object.__setattr__(self, "rows", _as_readonly(rows))
+        object.__setattr__(self, "rows", _as_readonly(_checked_rows(self.rows)))
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray) -> StochasticMatrix:
+        """The matrix over ``rows``, a fresh float64 array that a builder hands
+        over: checked as the constructor checks, then set read-only and kept
+        rather than copied."""
+        rows = _checked_rows(rows)
+        rows.setflags(write=False)
+        P = object.__new__(cls)
+        object.__setattr__(P, "rows", rows)
+        return P
 
     @property
     def n(self) -> int:
         return self.rows.shape[0]
+
+
+def _checked_rows(a) -> np.ndarray:
+    """``a`` as float64, refused unless it is a square, finite, row-stochastic
+    matrix as :class:`StochasticMatrix` defines one; the checks take no
+    ``n x n`` temporary."""
+    rows = np.asarray(a, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[0] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {rows.shape}")
+    lo, hi = float(rows.min()), float(rows.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN is neither
+        raise ValueError("transition probabilities must be finite")
+    if lo < -ROW_SUM_TOL or hi > 1.0 + ROW_SUM_TOL:
+        raise ValueError("transition probabilities must lie in [0, 1]")
+    worst = np.max(np.abs(rows.sum(axis=1) - 1.0))
+    if worst > ROW_SUM_TOL:
+        raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {worst:.3e}")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +178,7 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     Contracts total variation: ``d_tv(mu P, nu P) <= beta * d_tv(mu, nu)``.
 
     The maximum is exact: a search over row pairs skips only the pairs that
-    one of two upper bounds rules out, and every other pair's distance is
+    one of three upper bounds rules out, and every other pair's distance is
     the all-pairs form's subtract, abs, contiguous sum and halving, so the
     result equals the all-pairs maximum bit for bit.
 
@@ -167,30 +187,45 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
       Rows are searched by decreasing ``e_x``, row 0 against every other
       row first, which seeds the best value; every later pair then lies
       among the rows that can still pair with row 1.
+    - *Doeblin (column minima).*  ``d_tv(p, q) = (A_p + A_q) / 2 -
+      sum_z min(p_z, q_z)`` for rows with sums ``A_p``, ``A_q``, so any two
+      rows of a set are at most the largest row sum less the sum of the
+      set's column minima apart (Seneta, *Non-negative Matrices and Markov
+      Chains*, 3.1).  The search stops after the seed row, or before the
+      product's panel from row ``i`` on, once that bound over the rows
+      ``i..`` that can still pair falls below the best value; with a floor,
+      the bound over all rows can settle the search before the seed row.
     - *Hellinger (Le Cam's inequality).*  ``d_tv(p, q) <= sqrt(1 - BC**2)``
       with the Bhattacharyya coefficient ``BC = sum_z sqrt(p_z q_z)``, so
       one product ``sqrt(P) @ sqrt(P).T`` over those rows bounds every
       pair.  It runs in row panels of ``2**15`` entries, and each pair meets
-      both bounds.
+      both it and the mean-row bound.
 
     A pair is skipped only when its bound falls below the best value by
     more than a rounding slack.  ``64 * n * eps`` covers the rounding of the
-    computed distances and of ``e_x``.  For the Hellinger bound, the rows'
-    entries are clamped at 0 before the square root (entries down to
-    ``-ROW_SUM_TOL`` are admitted) and the negative mass a row loses is
-    added back; row sums ``A``, ``B`` within rounding of 1 enter through
-    ``d_tv <= sqrt((A + B)**2 - 4 BC**2) / 2`` at the largest row sum; and
-    the product's rounding, at most ``(n + 2) eps / 2`` relative in any
-    summation order or thread count, is covered by a relative
-    ``(n + 4) eps``.  The search stops as soon as a pair at distance 1 is
-    found.
+    computed distances and of ``e_x``; the Doeblin bound's two sums, each of
+    ``n`` terms whose magnitudes add to at most 2, add ``4 n eps``.  For the
+    Hellinger bound, the rows' entries are clamped at 0 before the square
+    root (entries down to ``-ROW_SUM_TOL`` are admitted) and the negative
+    mass a row loses is added back; row sums ``A``, ``B`` within rounding
+    of 1 enter through ``d_tv <= sqrt((A + B)**2 - 4 BC**2) / 2`` at the
+    largest row sum; and the product's rounding, at most ``(n + 2) eps / 2``
+    relative in any summation order or thread count, is covered by a
+    relative ``(n + 4) eps``.  The search stops as soon as a pair at
+    distance 1 is found.
 
     Memory is ``O(n**2)``: the ``n x n`` blocks below plus one panel.  Time
-    is ``O(n**2)`` for the seed row and the mean-row bound, plus the product
+    is ``O(n**2)`` for the seed row and the mean-row and Doeblin bounds,
+    plus, where Doeblin's bound does not settle the search, the product
     over the ``h`` rows that can pair with row 1, ``O(h**2 n)`` at BLAS
-    speed, and ``O(n)`` for each pair both bounds leave.  On truncated-
-    Gaussian random-walk kernels and their powers up to 12 (OpenBLAS, one
-    thread) ``beta`` takes 0.2-2 ms at 200 states and 11-200 ms at 1000.
+    speed, and ``O(n)`` for each pair both other bounds leave.  The far rows
+    of a truncated-Gaussian random walk share the mass where the walk
+    lingers, so on such kernels and their powers up to 12 (OpenBLAS, one
+    thread) Doeblin's bound settles most searches after the seed row:
+    ``beta`` takes about 0.2 ms at 200 states and 6-8 ms at 1000, and up
+    to 2 and 130 ms where it does not (a narrow proposal's third and fourth
+    powers).  Kernels whose columns each hold a near-zero entry, such as
+    cyclic bands, share almost no mass and still take the product.
     """
     return _dobrushin_raw(P.rows)
 
@@ -206,8 +241,8 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: floa
 
     ``floor`` seeds the best value.  While ``beta`` exceeds it the best value
     stays at most ``beta``, so the pair attaining ``beta`` is never pruned; a
-    floor of 1, or one that ``e[0] + e[1]`` misses by more than the slack,
-    is returned before any pair is worked out."""
+    floor of 1, or one that ``e[0] + e[1]`` or Doeblin's bound over all rows
+    misses by more than the slack, is returned before any pair is worked out."""
     n = rows.shape[0]
     if n == 1 or floor >= 1.0:
         return max(floor, 0.0)
@@ -220,6 +255,13 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: floa
     slack = 64 * n * _EPS
     if e[0] + e[1] < floor - slack:
         return floor
+    # Doeblin: two rows of a set share at least its column minima, and
+    # d_tv(p, q) = (A_p + A_q) / 2 - sum_z min(p_z, q_z), so no pair of the
+    # set is farther apart than the largest row sum less the minima's sum;
+    # `top` is raised past the rounding of both sums (n terms adding to at most 2)
+    top = float(rows.sum(axis=1).max()) + 4 * n * _EPS
+    if floor > 0.0 and top - float(rows.min(axis=0).sum()) < floor - slack:
+        return floor
     rows = np.take(rows, order, axis=0, out=ordered)
     neg_e = -e  # ascending, for searchsorted
     best = max(floor, float(_row_tv(rows[0], rows[1:], out=block[: n - 1]).max()))
@@ -228,6 +270,12 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: floa
     # partners j > i >= 1 with e[i] + e[j] > best - slack all lie below row 1's stop
     hi = int(np.searchsorted(neg_e, e[1] - (best - slack), side="left"))
     if hi <= 2:
+        return best
+    k = max(2, min(n, _PANEL_ENTRIES // n))
+    starts = range(1, hi - 1, k)
+    # every pair a panel from starts[j] on can work out lies among rows[starts[j]:hi]
+    shared = _column_minima_sums(rows[:hi], starts)
+    if top - shared[0] < best - slack:
         return best
     # each panel of rows takes its Bhattacharyya coefficients with every later
     # row from one product, and only the pairs that pass both bounds are worked out
@@ -238,9 +286,10 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: floa
     alpha = float(mass.max()) + n * _EPS
     lost = max(float((mass - rows[:hi].sum(axis=1)).max()), 0.0) + 2 * n * _EPS
     np.sqrt(root, out=root)
-    k = max(2, min(n, _PANEL_ENTRIES // n))
     panel = np.empty((k, n))
-    for i0 in range(1, hi - 1, k):
+    for i0, floor_mass in zip(starts, shared):
+        if top - floor_mass < best - slack:
+            break  # every pair left computes below best
         stops = np.searchsorted(neg_e, e[i0 : i0 + k] - (best - slack), side="left")
         stop = int(stops[0])
         if stop <= i0 + 1:
@@ -261,6 +310,17 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: floa
             if best >= 1.0:
                 return 1.0
     return best
+
+
+def _column_minima_sums(rows: np.ndarray, starts: range) -> list:
+    """``sum_z min(rows[i:, z])`` for each ``i`` in ``starts``, from one pass
+    over the rows in chunks from the last start up, in ``O(n)`` memory."""
+    low = rows[starts[-1] :].min(axis=0)
+    sums = [float(low.sum())]
+    for a in reversed(starts[:-1]):
+        np.minimum(low, rows[a : a + starts.step].min(axis=0), out=low)
+        sums.append(float(low.sum()))
+    return sums[::-1]
 
 
 def _pair_distance_max(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, scratch) -> float:
@@ -363,22 +423,28 @@ def _require_invariant(pi: Distribution, P_list: Sequence[StochasticMatrix]) -> 
 
 def _metropolis_flux(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The accepted flux ``q(x, y) min(1, w_y / w_x)`` of a symmetric proposal
-    ``q`` under target weights ``w``, written over ``q``; a zero-weight state
-    accepts every move."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight rows are reset
-        accept = w[None, :] / w[:, None]
-    accept[w <= 0.0] = 1.0
-    np.minimum(accept, 1.0, out=accept)
-    return np.multiply(accept, q, out=q)
+    ``q`` under target weights ``w``, written over ``q`` in row chunks of
+    ``_CHUNK_ENTRIES``; a zero-weight state accepts every move."""
+    n = q.shape[0]
+    step = max(1, _CHUNK_ENTRIES // max(n, 1))
+    buffer = np.empty((min(step, n), n))
+    for a in range(0, n, step):
+        accept = buffer[: min(step, n - a)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight rows are reset
+            np.divide(w[None, :], w[a : a + step, None], out=accept)
+        accept[w[a : a + step] <= 0.0] = 1.0
+        np.minimum(accept, 1.0, out=accept)
+        np.multiply(accept, q[a : a + step], out=q[a : a + step])
+    return q
 
 
 def _metropolis_kernel(q: np.ndarray, w: np.ndarray) -> StochasticMatrix:
     """The flux of :func:`_metropolis_flux` off the diagonal, the rejected mass on
-    it, written over ``q``."""
+    it, written over ``q``, which the kernel keeps."""
     P = _metropolis_flux(q, w)
     np.fill_diagonal(P, 0.0)
     np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    return StochasticMatrix(P)
+    return StochasticMatrix._adopt(P)
 
 
 def _powers(P: StochasticMatrix, horizon: int):
@@ -515,12 +581,17 @@ def kernel_json_text(P: StochasticMatrix, pi: Distribution | None = None) -> str
     return json.dumps(d, indent=2) + "\n"
 
 
-def read_kernel_json(path) -> tuple[StochasticMatrix, Distribution | None]:
-    """Read a kernel file in the format :func:`kernel_json_text` makes."""
+def read_kernel_json(path, check_n=None) -> tuple[StochasticMatrix, Distribution | None]:
+    """Read a kernel file in the format :func:`kernel_json_text` makes.
+
+    ``check_n``, given, sees the file's ``n`` before any array is built and
+    may refuse it by raising."""
     d = json.loads(Path(path).read_text())
+    if check_n is not None:
+        check_n(d["n"])
     rows = np.asarray(d["rows"], dtype=np.float64)
     if rows.shape != (d["n"], d["n"]):
         raise DimensionMismatch(f"rows shape {rows.shape} does not match n={d['n']}")
-    P = StochasticMatrix(rows)
+    P = StochasticMatrix._adopt(rows)
     pi = Distribution(d["pi"]) if "pi" in d else None
     return P, pi

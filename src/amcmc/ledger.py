@@ -331,16 +331,18 @@ def martingale_check(
 # exceeds every uniform in [0, 1), so ``entry <= u`` holds on a prefix of the
 # row and fails on the rest, even where roundoff lifts earlier cumsums above
 # 1.0.  Any search for that boundary returns the same index, and so does a
-# count of the entries ``<= u``.  The steps run in sub-blocks of ``_SUB_BLOCK``, by one of two
-# paths chosen once per run from ``n_states`` and the replication count R:
+# count of the entries ``<= u``.  The steps run in sub-blocks of at most
+# ``_SUB_BLOCK``, by one of two paths chosen once per run from ``n_states``
+# and the replication count R:
 #
 # - Next-state table, when ``n_states <= _TABLE_MAX_STATES`` and ``R *
 #   n_states * (n_states - 1) <= _TABLE_MAX_COMPARES``.  A sub-block first
 #   counts, for each of its steps, replications and states, the row entries
 #   ``<= u``: that many compares per step, in ``n_states - 1`` passes over
-#   the whole sub-block.  Each step is then one gather of R entries.  The
-#   table holds ``_SUB_BLOCK * n_states * R`` int64 entries, at most 12 MB
-#   when a row has two or more states.
+#   the whole sub-block.  Each step is then one gather of R entries.  Its
+#   sub-blocks are the largest power of two of steps, at most ``_SUB_BLOCK``,
+#   whose int64 table and visited states and int8 counts and compares fit
+#   ``_U_BUDGET`` doubles, so they divide the uniform block's rows.
 # - Lockstep bisection otherwise, ``O(R log n_states)`` per step.  All
 #   replications share one window length, halved each round until one
 #   entry is left (``ceil(log2(n_states))`` rounds), while each moves its
@@ -358,7 +360,7 @@ def martingale_check(
 # uniforms, where the recorded prefixes are read.  Bisection adds each
 # step's phi values as it goes, as a per-step ``+=`` would.  The table
 # path, whose steps are single gathers, writes the sub-block's states to
-# one ``(_SUB_BLOCK, R)`` buffer and sums them with one cumsum down the rows,
+# one ``(steps, R)`` buffer and sums them with one cumsum down the rows,
 # seeded with the running sums: the same additions in the same order, so
 # the sums are bit-identical.
 
@@ -372,6 +374,14 @@ def _uses_table(n_states: int, R: int) -> bool:
     """Whether an ensemble of ``R`` replications on ``n_states`` states
     advances by next-state table rather than lockstep bisection."""
     return n_states <= _TABLE_MAX_STATES and R * n_states * (n_states - 1) <= _TABLE_MAX_COMPARES
+
+
+def _table_sub_block(n_states: int, R: int) -> int:
+    """Steps per advance of the next-state table: a power of two, at most
+    ``_SUB_BLOCK``, whose scratch fits ``_U_BUDGET`` doubles (or one step)."""
+    per_step = R * (n_states + 1) + -(-R * n_states // 4)
+    fit = max(_U_BUDGET // per_step, 1)
+    return min(1 << (fit.bit_length() - 1), _SUB_BLOCK)
 
 
 def _halving_probes(flats, n_states):
@@ -406,8 +416,9 @@ def _table_steps(by_column, table, visited, phi_vals, steps, U, states, sums):
     """Advance ``states`` through a sub-block whose step ``j`` draws ``U[j]``
     from kernel ``steps[j]``, by next-state table; ``by_column[c][s]`` is
     column ``c`` of member ``s``'s cumsum table, and ``table`` and
-    ``visited`` are scratch of ``(_SUB_BLOCK, n_states, R)`` and
-    ``(_SUB_BLOCK, R)``.  The sums are those of :func:`_bisection_steps`.
+    ``visited`` are scratch of ``(steps, n_states, R)`` and ``(steps, R)``
+    for at least the sub-block's steps.  The sums are those of
+    :func:`_bisection_steps`.
     Returns the last states."""
     m, R = U.shape
     n_states = by_column.shape[0]
@@ -476,23 +487,25 @@ def ensemble_schedule_run(
     n_states = family.n_states
     flats = [_cum_table(P) for P in family.kernels]
     if _uses_table(n_states, R):
+        sub = _table_sub_block(n_states, R)
         by_column = np.stack(flats).reshape(-1, n_states, n_states).transpose(2, 0, 1)
-        table = np.empty((min(n, _SUB_BLOCK), n_states, R), dtype=np.int64)
-        visited = np.empty((min(n, _SUB_BLOCK), R), dtype=np.int64)
+        table = np.empty((min(n, sub), n_states, R), dtype=np.int64)
+        visited = np.empty((min(n, sub), R), dtype=np.int64)
         advance = partial(_table_steps, by_column, table, visited, phi.values)
     else:
+        sub = _SUB_BLOCK
         advance = partial(_bisection_steps, n_states, *_halving_probes(flats, n_states), phi.values)
     states = np.full(R, x0, dtype=np.int64)
     phi_sums = np.zeros(R)
     recorded = np.empty((len(prefixes), R)) if prefixes else None
     next_record = 0
-    for k in range(1, n + 1, _SUB_BLOCK):
+    for k in range(1, n + 1, sub):
         j = (k - 1) % rows
         if j == 0:
             block = min(rows, n - k + 1)
             for i, rng in enumerate(streams):
                 U[:block, i] = rng.random(block)
-        m = min(_SUB_BLOCK, n - k + 1)
+        m = min(sub, n - k + 1)
         # row i of the spent uniforms comes back as the sums after step k + i
         spent = U[j : j + m]
         states = advance(schedule[k - 1 : k - 1 + m], spent, states, phi_sums)

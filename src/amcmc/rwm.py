@@ -19,7 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, NonPositiveDensity
-from .kernels import Distribution, StochasticMatrix, _metropolis_flux, _metropolis_kernel
+from .kernels import (
+    _CHUNK_ENTRIES,
+    Distribution,
+    StochasticMatrix,
+    _metropolis_flux,
+    _metropolis_kernel,
+)
 from .ledger import chain_generator
 
 SYMMETRY_TOL = 1e-10
@@ -246,10 +252,12 @@ def _proposal_weights(target: CompactTarget, param: RwmParameter) -> tuple[np.nd
     lattice_norm = float(np.exp(-0.5 * np.einsum("ij,jk,ik->i", diffs, Sinv, diffs)).sum())
 
     q = np.empty((n, n))
-    chunk = max(1, int(4e6) // max(n, 1))
+    chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
+    buffer = np.empty((min(chunk, n), n, target.d))
     for start in range(0, n, chunk):
-        delta = points[start : start + chunk, None, :] - points[None, :, :]
         block = q[start : start + chunk]
+        delta = np.subtract(points[start : start + chunk, None, :], points[None, :, :],
+                            out=buffer[: block.shape[0]])
         np.einsum("abj,jk,abk->ab", delta, Sinv, delta, out=block)
         block *= -0.5
         np.exp(block, out=block)

@@ -23,6 +23,7 @@ from amcmc.cli import (
     FAMILY_COUNT_CAP,
     HORIZON_CAP,
     RUN_LENGTH_CAP,
+    STATE_CAP,
     STEP_REPLICATION_CAP,
     RunConfig,
     _write_table,
@@ -32,6 +33,7 @@ from amcmc.cli import (
     main,
 )
 from amcmc.errors import ConfigError, NonPositiveDensity
+from amcmc.families import cyclic_pair, smoothed_family
 from amcmc.rwm import DEFAULT_STATE_CAP, RwmParameter, build_discrete_rwm, table_target
 from test_ledger import CSV_FLOATS
 
@@ -661,7 +663,7 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_memory_error_is_one_line_and_exit_1(self, tmp_path, monkeypatch, capsys):
-        # what numpy raises for a 20 000-state iid family under a 2 GB limit
+        # what numpy raises when a 20 000-state kernel does not fit in memory
         def out_of_memory(pi):
             raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
                               "(20000, 20000) and data type float64")
@@ -890,6 +892,30 @@ class TestConfigHandling:
         assert len(lines) == 1 and lines[0].startswith("config error:") and message in lines[0]
         assert not out.exists()
 
+    def test_explicit_family_sizes_are_capped(self, tmp_path):
+        # an iid or random-metropolis pi, a kernel file's n (its rows are never
+        # read) and an rwm-grid's variances are refused before any kernel is built
+        over, members = DEFAULT_STATE_CAP + 1, FAMILY_COUNT_CAP[0] + 1
+        kernel = tmp_path / "big.json"
+        kernel.write_text(json.dumps({"n": over, "rows": []}))
+        states = f"={over} exceeds {STATE_CAP[0]}, the budget of {STATE_CAP[1]}"
+        cases = [
+            ({"kind": "iid", "pi": [1.0 / over] * over}, "len(family.pi)" + states),
+            ({"kind": "random-metropolis", "pi": [1.0 / over] * over}, "len(family.pi)" + states),
+            ({"kind": "file", "paths": [str(kernel)]}, "family.paths[0].n" + states),
+            ({**RWM_GRID, "sigmas": [0.5] * members},
+             f"len(family.sigmas)={members} exceeds {FAMILY_COUNT_CAP[0]}, "
+             f"the budget of {FAMILY_COUNT_CAP[1]}"),
+        ]
+        assert STATE_CAP[0] == DEFAULT_STATE_CAP
+        out = tmp_path / "runs"
+        for family, message in cases:
+            cfg = write_config(tmp_path, {"family": family, "phi": {"kind": "indicator", "state": 0}})
+            proc = run_subprocess(["bounds", "--config", cfg, "--out", str(out)])
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines() == [f"config error: {message}"]
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bounds", "poisson"])
     def test_pi_admitted_by_family_but_not_fit_is_one_line(self, tmp_path, command):
         # pi moves by about 1e-11, beyond the 1e-12 that the family, like the
@@ -996,9 +1022,19 @@ class TestConfigHandling:
 
 
 # the shipped configs at toy size: n <= 1000, replications <= 20, m <= 40
+# stand for a small kernel file and one whose n is past the state cap,
+# written beside each fuzzed config
+KERNEL_FILE = "<kernel file>"
+OVERSIZED_FILE = "<oversized kernel file>"
+SMOOTHED_KERNEL = smoothed_family(cyclic_pair(), 0.2).kernels[0]
 TOY_CONFIGS = [
     ("bounds", "bounds_mixture.json", {}),
     ("bounds", "bounds_rwm_grid.json", {}),
+    ("bounds", "bounds_mixture.json",
+     {"family": {"kind": "random-metropolis", "pi": [0.4, 0.3, 0.2, 0.1], "count": 2}}),
+    ("bounds", "bounds_mixture.json", {"family": {"kind": "file", "paths": [KERNEL_FILE]}}),
+    ("clt", "clt_iid.json",
+     {"family": {"kind": "iid", "pi": [0.5, 0.25, 0.25]}, "n": 1000, "replications": 20}),
     ("kernel-info", "bounds_mixture.json", {}),
     ("clt", "clt_iid.json", {"n": 1000, "replications": 20}),
     ("lln", "lln_counterexample.json", {"n_grid": [100, 1000]}),
@@ -1016,6 +1052,19 @@ MISSPELT = ("<misspelt>",)
 # a wrong type, a bool, NaN, +-inf, an overflow, a negative or a non-integral number
 BAD_VALUES = ["x", [1], {"a": 1}, None, True, False, float("nan"), float("inf"),
               float("-inf"), OVERFLOW, -1, -3.5, 2.5, 0.7]
+
+
+def oversized(path) -> list:
+    """Sizes just above the cap that the field at ``path`` meets: a grid's
+    ``m``, an explicit ``pi``'s length, a kernel file's ``n`` and the number
+    of an rwm-grid's variances."""
+    over = DEFAULT_STATE_CAP + 1
+    return {
+        ("target", "m"): [over],
+        ("family", "pi"): [[1.0 / over] * over],
+        ("paths", 0): [OVERSIZED_FILE],
+        ("family", "sigmas"): [[0.5] * (FAMILY_COUNT_CAP[0] + 1)],
+    }.get(tuple(path[-2:]), [])
 
 
 def field_paths(obj, prefix=()):
@@ -1047,14 +1096,19 @@ class TestCliFuzz:
             assume(misspelt not in CONFIG_FIELDS)
             cfg[misspelt] = cfg.pop(key)
         else:
-            oversized = [DEFAULT_STATE_CAP + 1] if path[-2:] == ("target", "m") else []
             obj = cfg
             for part in parents:
                 obj = obj[part]
-            obj[key] = data.draw(st.sampled_from(BAD_VALUES + oversized))
+            obj[key] = data.draw(st.sampled_from(BAD_VALUES + oversized(path)))
         with tempfile.TemporaryDirectory() as tmp:
+            files = {KERNEL_FILE: Path(tmp) / "kernel.json", OVERSIZED_FILE: Path(tmp) / "big.json"}
+            files[KERNEL_FILE].write_text(kernels.kernel_json_text(SMOOTHED_KERNEL))
+            files[OVERSIZED_FILE].write_text(json.dumps({"n": DEFAULT_STATE_CAP + 1, "rows": []}))
+            text = json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400")
+            for name, file in files.items():
+                text = text.replace(json.dumps(name), json.dumps(str(file)))
             config = Path(tmp) / "config.json"
-            config.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400"))
+            config.write_text(text)
             out = Path(tmp) / "runs"
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

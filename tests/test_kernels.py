@@ -16,8 +16,10 @@ from amcmc.errors import (
 from amcmc.families import (
     cyclic_pair,
     iid_family,
+    mixture_family,
     random_metropolis_family,
     random_positive_kernel,
+    smoothed_family,
 )
 from amcmc.kernels import (
     Distribution,
@@ -32,6 +34,7 @@ from amcmc.kernels import (
     sup_tv_to_pi_curve,
 )
 from amcmc.rwm import RwmParameter, build_discrete_rwm, truncated_gaussian_target
+from conftest import traced_peak
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -103,6 +106,40 @@ class TestStochasticMatrix:
         P = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError):
             P.rows[0, 0] = 0.9
+
+    def test_a_caller_array_is_copied(self):
+        rows = np.full((3, 3), 1.0 / 3.0)
+        P = StochasticMatrix(rows)
+        assert not np.shares_memory(P.rows, rows) and rows.flags.writeable
+        assert not P.rows.flags.writeable
+
+    def test_an_adopted_array_is_checked_like_a_copied_one(self):
+        for rows, match in (([[0.5, 0.4], [0.5, 0.5]], "sum to 1"),
+                            ([[1.1, -0.1], [0.5, 0.5]], r"lie in \[0, 1\]"),
+                            ([[np.nan, 1.0], [0.5, 0.5]], "finite"),
+                            ([[0.5, 0.5]], "square")):
+            with pytest.raises((ValueError, DimensionMismatch), match=match):
+                StochasticMatrix._adopt(np.array(rows))
+
+    @pytest.mark.parametrize("build, arrays", [
+        (lambda pi: iid_family(pi), 1),
+        (lambda pi: random_positive_kernel(pi.n, np.random.default_rng(1)), 1),
+        # a Metropolis draw also holds its raw draws while it symmetrises them
+        (lambda pi: random_metropolis_family(pi, 1, seed=2), 2),
+    ])
+    def test_builders_hand_over_their_arrays(self, build, arrays):
+        # a builder's kernel keeps the array it filled, where a stored copy
+        # took one more n x n array at the peak
+        n = 800
+        pi = Distribution(np.full(n, 1.0 / n))
+        assert traced_peak(lambda: build(pi)) < (arrays + 0.2) * 8 * n**2
+
+    def test_families_keep_read_only_members(self):
+        pi = Distribution(np.full(5, 0.2))
+        pair = random_metropolis_family(pi, 2, seed=3)
+        for family in (iid_family(pi), pair, mixture_family(*pair.kernels, pi, 3),
+                       smoothed_family(pair, 0.3)):
+            assert not any(P.rows.flags.writeable for P in family.kernels)
 
     @pytest.mark.parametrize(
         "rows",
@@ -210,6 +247,13 @@ def gaussian_band(n: int, width: float) -> np.ndarray:
     return np.exp(-0.5 * (offsets / width) ** 2)
 
 
+def circulant_band(n: int, width: float) -> np.ndarray:
+    """:func:`gaussian_band` around a cycle: every column holds a near-zero
+    entry, so the rows share almost no mass and Doeblin's bound stays near 1."""
+    offsets = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return np.exp(-0.5 * (np.minimum(offsets, n - offsets) / width) ** 2)
+
+
 def make_kernel(kind: str, n: int, seed: int) -> StochasticMatrix:
     rng = np.random.default_rng(seed)
     if kind == "dense":
@@ -308,6 +352,79 @@ class TestDobrushinCoefficient:
             floor = float(min(floor, 1.0))
             assert kernels._dobrushin_raw(rows, floor=floor) == max(floor, beta)
 
+    @pytest.mark.parametrize("variance", [0.5, 2.0])
+    def test_doeblin_bound_settles_rwm_powers_after_the_seed_row(self, monkeypatch, variance):
+        # the far rows of a truncated-Gaussian walk overlap where the walk
+        # lingers, so the column minima of rows 1.. already rule out every
+        # pair: no product and no pair after the seed row
+        work = []
+
+        class MatmulSpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                work.append("matmul")
+                return np.matmul(*args, **kwargs)
+
+        def pairs_spy(*args):
+            work.append("pairs")
+            return real_pairs(*args)
+
+        real_pairs = kernels._pair_distance_max
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=200)
+        P = build_discrete_rwm(target, RwmParameter.from_scalar(variance, 0.01, 10.0))
+        powers = [np.linalg.matrix_power(P.rows, power) for power in range(1, 13)]
+        monkeypatch.setattr(kernels, "np", MatmulSpy())
+        monkeypatch.setattr(kernels, "_pair_distance_max", pairs_spy)
+        for rows in powers:
+            assert kernels._dobrushin_raw(rows) == dobrushin_oracle(rows)
+        assert work == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["positive", "metropolis", "banded", "circulant"]),
+        n=st.integers(min_value=2, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        power=st.integers(min_value=1, max_value=3),
+        negative=st.floats(min_value=0.0, max_value=0.2),
+        where=st.sampled_from(["zero", "below", "ulp-below", "at", "ulp-above", "slack-above",
+                               "doeblin", "ulp-below-doeblin", "between", "one"]),
+    )
+    def test_floor_and_doeblin_stop_keep_the_all_pairs_maximum(self, kind, n, seed, power,
+                                                                negative, where):
+        # entries down to -ROW_SUM_TOL and row sums off 1 by up to ROW_SUM_TOL,
+        # as StochasticMatrix admits, with floors around the coefficient and
+        # around Doeblin's bound (largest row sum less the column minima)
+        rng = np.random.default_rng(seed)
+        if kind == "positive":
+            rows = random_positive_kernel(n, rng).rows
+        elif kind == "metropolis":
+            rows = random_metropolis_family(Distribution(rng.dirichlet(np.ones(n))), 1,
+                                            seed=seed).kernels[0].rows
+        else:
+            band = gaussian_band if kind == "banded" else circulant_band
+            rows = band(n, rng.uniform(0.03, 0.3) * n + 0.5)
+            rows /= rows.sum(axis=1, keepdims=True)
+        rows = np.linalg.matrix_power(rows, power).copy()
+        hit = rng.random((n, n)) < negative
+        lost = np.where(hit, rows, 0.0).sum(axis=1)
+        rows[hit] = -kernels.ROW_SUM_TOL * rng.random(int(hit.sum()))
+        rows[np.arange(n), rows.argmax(axis=1)] += lost + np.where(hit, -rows, 0.0).sum(axis=1)
+        rows *= 1.0 + kernels.ROW_SUM_TOL * rng.uniform(-1.0, 1.0, size=(n, 1))
+        rows = np.maximum(rows, -kernels.ROW_SUM_TOL)
+        beta = dobrushin_oracle(rows)
+        doeblin = float(rows.sum(axis=1).max() - rows.min(axis=0).sum())
+        slack = 64 * n * np.finfo(np.float64).eps
+        floor = {
+            "zero": 0.0, "below": 0.5 * beta, "ulp-below": np.nextafter(beta, 0.0), "at": beta,
+            "ulp-above": np.nextafter(beta, 2.0), "slack-above": beta + 0.5 * slack,
+            "doeblin": doeblin, "ulp-below-doeblin": np.nextafter(doeblin, 0.0),
+            "between": 0.5 * (beta + doeblin), "one": 1.0,
+        }[where]
+        floor = float(min(max(floor, 0.0), 1.0))
+        assert kernels._dobrushin_raw(rows, floor=floor) == max(floor, beta)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_entry_just_below_zero_is_clamped_before_the_root(self, monkeypatch):
         roots = []
@@ -323,10 +440,11 @@ class TestDobrushinCoefficient:
                 return np.sqrt(x, **kwargs)
 
         monkeypatch.setattr(kernels, "np", SqrtSpy())
-        rows = gaussian_band(40, 3.0)
+        # a kernel Doeblin's bound cannot settle, so the search takes the product
+        rows = circulant_band(40, 3.0)
         rows /= rows.sum(axis=1, keepdims=True)
-        rows[5, 30] -= 5e-13 + rows[5, 30]  # admitted: within ROW_SUM_TOL of 0
-        rows[5, 5] += 5e-13
+        rows[5, 5] += rows[5, 25] + 5e-13
+        rows[5, 25] = -5e-13  # admitted: within ROW_SUM_TOL of 0
         P = StochasticMatrix(rows)
         assert -kernels.ROW_SUM_TOL <= P.rows.min() < 0.0
         assert dobrushin_coefficient(P) == dobrushin_oracle(P.rows)

@@ -731,6 +731,41 @@ class TestDriverMemory:
         peak = traced_peak(lambda: ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0))
         assert peak < 4 * ledger._U_BUDGET * 8
 
+    def test_next_state_table_fits_the_uniform_budget(self):
+        # 2 states take the table path up to 3000 replications; its table,
+        # visited states and compares fit _U_BUDGET doubles beside the block
+        # of uniforms, where 256 steps of them took 22 MB
+        fam = iid_family(Distribution([0.5, 0.5]))
+        phi = TestFunction.indicator(0, fam.pi)
+        n, reps = 1000, 3000
+        assert _uses_table(2, reps)
+        indices = np.zeros(n + 1, dtype=np.int64)
+        seed_seqs = [np.random.SeedSequence(r) for r in range(reps)]
+        peak = traced_peak(lambda: ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0))
+        uniforms = _SUB_BLOCK * reps * 8
+        assert peak < uniforms + 3 * ledger._U_BUDGET * 8
+
+    # lln's 32 chains on 3 states keep whole sub-blocks
+    @pytest.mark.parametrize("n_states, reps, sub", [(2, 3000, 16), (4, 500, 64), (16, 25, 256),
+                                                      (3, 32, _SUB_BLOCK)])
+    def test_table_sub_blocks_keep_the_bits(self, monkeypatch, n_states, reps, sub):
+        # a power of two of steps divides the uniform block's rows, and the
+        # states and sums do not depend on how the steps are grouped
+        assert _uses_table(n_states, reps)
+        assert ledger._table_sub_block(n_states, reps) == sub
+        fam = grid_family(states=n_states, members=3)
+        phi = TestFunction.from_values(np.random.default_rng(n_states).normal(size=n_states),
+                                       fam.pi)
+        n = 2 * _SUB_BLOCK + 5
+        indices = (np.arange(n + 1) // 5) % fam.size
+        seed_seqs = [np.random.SeedSequence(entropy=7, spawn_key=(r,)) for r in range(reps)]
+        prefixes = [1, sub - 1, sub, sub + 1, _SUB_BLOCK + 3, n]
+        run = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0, prefixes)
+        monkeypatch.setattr(ledger, "_table_sub_block", lambda n_states, R: _SUB_BLOCK)
+        whole = ensemble_schedule_run(fam, indices, phi, n, seed_seqs, 0, prefixes)
+        for a, b in zip(run, whole):
+            assert np.array_equal(a, b)
+
 
 class TestIndexOutsideFamily:
     """A NumPy gather wraps an index of -1 to the last member, so every entry

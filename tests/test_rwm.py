@@ -19,6 +19,7 @@ from amcmc.rwm import (
     truncated_gaussian_target,
     uniform_target,
 )
+from conftest import traced_peak
 
 
 class TestRwmParameter:
@@ -104,6 +105,14 @@ class TestDiscreteLane:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * 300**2
+
+    def test_build_keeps_the_array_it_fills(self):
+        # the proposal is worked out in row chunks and the kernel adopts the
+        # array written over it: the build peaks near one kernel size, where
+        # the stored copy and whole-matrix temporaries took two
+        target = truncated_gaussian_target([[-3.0, 3.0]], m=1000)
+        param = RwmParameter.from_scalar(0.5, 0.01, 10.0)
+        assert traced_peak(lambda: build_discrete_rwm(target, param)) < 1.2 * 8 * 1000**2
 
     def test_non_positive_density(self):
         target = CompactTarget(
