@@ -294,8 +294,10 @@ def build_family(spec: dict) -> families.KernelFamily:
         b = _typed("family.b", spec.get("b", 10.0), float, least=0)
         sigmas = _typed_list("family.sigmas", spec.get("sigmas"), float, least=0)
         _typed("len(family.sigmas)", len(sigmas), int, cap=FAMILY_COUNT_CAP)
-        params = [rwm.RwmParameter.from_scalar(s, a, b) for s in sigmas]
         target = build_target(spec["target"])
+        _typed("target.m**target.d", target.n_states, int, cap=STATE_CAP)
+        # each entry is a variance: the isotropic covariance v * I_d
+        params = [rwm.RwmParameter(Sigma=v * np.eye(target.d), a=a, b=b) for v in sigmas]
         mats = tuple(rwm.build_discrete_rwm(target, p) for p in params)
         pi = target.grid_distribution()
         return families.KernelFamily(kernels=mats, pi=pi, params=tuple(sigmas))

@@ -16,7 +16,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import Distribution, StochasticMatrix, _metropolis_kernel, _require_invariant
+from .kernels import (
+    _CHUNK_ENTRIES,
+    Distribution,
+    StochasticMatrix,
+    _metropolis_kernel,
+    _require_invariant,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,12 +215,28 @@ def smoothed_family(family: KernelFamily, epsilon: float) -> KernelFamily:
     return KernelFamily(kernels=kernels, pi=family.pi, params=family.params)
 
 
+def _symmetrise(q: np.ndarray) -> np.ndarray:
+    """``q + q.T`` written over ``q``: each ``q[i, j] + q[j, i]`` is formed in
+    row blocks of ``_CHUNK_ENTRIES`` and written to both entries, so no
+    ``n x n`` temporary is taken."""
+    n = q.shape[0]
+    step = max(1, _CHUNK_ENTRIES // n)
+    buffer = np.empty((min(step, n), n))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        # rows a..b-1 from column a on; the columns left of a are done
+        pair_sums = np.add(q[a:b, a:], q[a:, a:b].T, out=buffer[: b - a, : n - a])
+        q[a:b, a:] = pair_sums
+        q[a:, a:b] = pair_sums.T
+    return q
+
+
 def random_metropolis_kernel(pi: Distribution, rng: np.random.Generator) -> StochasticMatrix:
     """Random kernel in detailed balance with ``pi``: the Metropolis kernel of
     a random symmetric positive proposal.  Every move into a state of
-    positive weight has positive probability; one of zero weight, none."""
-    raw = rng.uniform(0.1, 1.0, size=(pi.n, pi.n))
-    q = raw + raw.T
+    positive weight has positive probability; one of zero weight, none.
+    The build peaks near one ``n x n`` array."""
+    q = _symmetrise(rng.uniform(0.1, 1.0, size=(pi.n, pi.n)))
     q /= q.sum(axis=1, keepdims=True).max()
     return _metropolis_kernel(q, pi.weights)
 

@@ -178,7 +178,7 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
     Contracts total variation: ``d_tv(mu P, nu P) <= beta * d_tv(mu, nu)``.
 
     The maximum is exact: a search over row pairs skips only the pairs that
-    one of three upper bounds rules out, and every other pair's distance is
+    one of two upper bounds rules out, and every other pair's distance is
     the all-pairs form's subtract, abs, contiguous sum and halving, so the
     result equals the all-pairs maximum bit for bit.
 
@@ -186,52 +186,42 @@ def dobrushin_coefficient(P: StochasticMatrix) -> float:
       ``d_tv(P(x,.), P(y,.)) <= e_x + e_y`` with ``e_x = d_tv(P(x,.), c)``.
       Rows are searched by decreasing ``e_x``, row 0 against every other
       row first, which seeds the best value; every later pair then lies
-      among the rows that can still pair with row 1.
+      among the rows that can still pair with row 1, and each row's
+      partners are a leading slice of the rows after it.
     - *Doeblin (column minima).*  ``d_tv(p, q) = (A_p + A_q) / 2 -
       sum_z min(p_z, q_z)`` for rows with sums ``A_p``, ``A_q``, so any two
       rows of a set are at most the largest row sum less the sum of the
       set's column minima apart (Seneta, *Non-negative Matrices and Markov
-      Chains*, 3.1).  The search stops after the seed row, or before the
-      product's panel from row ``i`` on, once that bound over the rows
-      ``i..`` that can still pair falls below the best value; with a floor,
-      the bound over all rows can settle the search before the seed row.
-    - *Hellinger (Le Cam's inequality).*  ``d_tv(p, q) <= sqrt(1 - BC**2)``
-      with the Bhattacharyya coefficient ``BC = sum_z sqrt(p_z q_z)``, so
-      one product ``sqrt(P) @ sqrt(P).T`` over those rows bounds every
-      pair.  It runs in row panels of ``2**15`` entries, and each pair meets
-      both it and the mean-row bound.
+      Chains*, 3.1).  With a floor, the bound over all rows can settle the
+      search before the seed row; after it, the bound over the rows that
+      can still pair settles most searches at once.
 
-    A pair is skipped only when its bound falls below the best value by
-    more than a rounding slack.  ``64 * n * eps`` covers the rounding of the
-    computed distances and of ``e_x``; the Doeblin bound's two sums, each of
-    ``n`` terms whose magnitudes add to at most 2, add ``4 n eps``.  For the
-    Hellinger bound, the rows' entries are clamped at 0 before the square
-    root (entries down to ``-ROW_SUM_TOL`` are admitted) and the negative
-    mass a row loses is added back; row sums ``A``, ``B`` within rounding
-    of 1 enter through ``d_tv <= sqrt((A + B)**2 - 4 BC**2) / 2`` at the
-    largest row sum; and the product's rounding, at most ``(n + 2) eps / 2``
-    relative in any summation order or thread count, is covered by a
-    relative ``(n + 4) eps``.  The search stops as soon as a pair at
-    distance 1 is found.
+    Otherwise a row loop takes each row ``i`` from 1 on: it stops once
+    Doeblin's bound over rows ``i..`` or row ``i``'s mean-row bound rules
+    out every pair left, and else works out row ``i``'s distances to its
+    partners in one pass.  A pair is skipped only when its bound falls below
+    the best value by more than a rounding slack: ``64 * n * eps`` covers
+    the rounding of the computed distances and of ``e_x``, and the Doeblin
+    bound's two sums, each of ``n`` terms whose magnitudes add to at most 2,
+    add ``4 n eps``.  The search stops as soon as a pair at distance 1 is
+    found.
 
-    Memory is ``O(n**2)``: the ``n x n`` blocks below plus one panel.  Time
-    is ``O(n**2)`` for the seed row and the mean-row and Doeblin bounds,
-    plus, where Doeblin's bound does not settle the search, the product
-    over the ``h`` rows that can pair with row 1, ``O(h**2 n)`` at BLAS
-    speed, and ``O(n)`` for each pair both other bounds leave.  The far rows
-    of a truncated-Gaussian random walk share the mass where the walk
-    lingers, so on such kernels and their powers up to 12 (OpenBLAS, one
-    thread) Doeblin's bound settles most searches after the seed row:
-    ``beta`` takes about 0.2 ms at 200 states and 6-8 ms at 1000, and up
-    to 2 and 130 ms where it does not (a narrow proposal's third and fourth
-    powers).  Kernels whose columns each hold a near-zero entry, such as
-    cyclic bands, share almost no mass and still take the product.
+    Memory is two ``n x n`` blocks (the rows in search order and the
+    distances), which a caller taking many searches lends, plus ``O(n)``.
+    Time is ``O(n**2)`` for the seed row and both bounds, plus ``O(n)`` for
+    each pair the bounds leave.  The far rows of a truncated-Gaussian random
+    walk share the mass where the walk lingers, so on such kernels and
+    their powers up to 12 (OpenBLAS, one thread) Doeblin's bound settles most
+    searches after the seed row: ``beta`` takes about 0.25 ms at 200 states
+    and 6 ms at 1000.  The rest take the row loop: a narrow proposal's
+    (variance 0.05) third power 2 and 220 ms, and kernels whose rows share
+    almost no mass, such as cyclic bands, 5 ms and 0.7-0.8 s, and
+    Dirichlet(0.05) rows 6 ms and 0.8 s.
     """
     return _dobrushin_raw(P.rows)
 
 
 _EPS = float(np.finfo(np.float64).eps)
-_PANEL_ENTRIES = 1 << 15
 
 
 def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: float = 0.0) -> float:
@@ -262,90 +252,30 @@ def _dobrushin_raw(rows: np.ndarray, work: np.ndarray | None = None, floor: floa
     top = float(rows.sum(axis=1).max()) + 4 * n * _EPS
     if floor > 0.0 and top - float(rows.min(axis=0).sum()) < floor - slack:
         return floor
-    rows = np.take(rows, order, axis=0, out=ordered)
+    # mode="clip" writes straight into `ordered` (the default buffers a copy);
+    # `order` is a permutation, so nothing is clipped
+    rows = np.take(rows, order, axis=0, out=ordered, mode="clip")
     neg_e = -e  # ascending, for searchsorted
     best = max(floor, float(_row_tv(rows[0], rows[1:], out=block[: n - 1]).max()))
     if best >= 1.0:
         return 1.0
     # partners j > i >= 1 with e[i] + e[j] > best - slack all lie below row 1's stop
     hi = int(np.searchsorted(neg_e, e[1] - (best - slack), side="left"))
-    if hi <= 2:
+    if hi <= 2 or top - float(rows[1:hi].min(axis=0).sum()) < best - slack:
         return best
-    k = max(2, min(n, _PANEL_ENTRIES // n))
-    starts = range(1, hi - 1, k)
-    # every pair a panel from starts[j] on can work out lies among rows[starts[j]:hi]
-    shared = _column_minima_sums(rows[:hi], starts)
-    if top - shared[0] < best - slack:
-        return best
-    # each panel of rows takes its Bhattacharyya coefficients with every later
-    # row from one product, and only the pairs that pass both bounds are worked out
-    root = np.maximum(rows[:hi], 0.0, out=block[:hi])
-    mass = root.sum(axis=1)
-    # the largest clamped row sum, and the most negative mass a row drops,
-    # each rounded up past the rounding of its sums
-    alpha = float(mass.max()) + n * _EPS
-    lost = max(float((mass - rows[:hi].sum(axis=1)).max()), 0.0) + 2 * n * _EPS
-    np.sqrt(root, out=root)
-    panel = np.empty((k, n))
-    for i0, floor_mass in zip(starts, shared):
-        if top - floor_mass < best - slack:
+    # shared[i - 1]: the column minima's sum over rows i..hi - 1, which hold
+    # every pair row i and the rows after it can still work out
+    low = np.minimum.accumulate(rows[hi - 1 : 0 : -1], axis=0, out=block[: hi - 1])
+    shared = low.sum(axis=1)[::-1]
+    for i in range(1, hi - 1):
+        stop = int(np.searchsorted(neg_e, e[i] - (best - slack), side="left"))
+        if stop <= i + 1 or top - shared[i - 1] < best - slack:
             break  # every pair left computes below best
-        stops = np.searchsorted(neg_e, e[i0 : i0 + k] - (best - slack), side="left")
-        stop = int(stops[0])
-        if stop <= i0 + 1:
-            break  # later rows have smaller e and even fewer partners
-        height, width = min(k, stop - 1 - i0), stop - 1 - i0
-        bc = np.matmul(root[i0 : i0 + height], root[i0 + 1 : stop].T,
-                       out=panel.reshape(-1)[: height * width].reshape(height, width))
-        # sqrt(alpha**2 - BC**2) + lost < best - slack rules a pair out
-        keep = bc <= _bc_ceiling(best - slack - lost, alpha, n)
-        cols = np.arange(width)
-        keep &= cols >= np.arange(height)[:, None]  # j > i
-        keep &= cols < (stops[:height] - i0 - 1)[:, None]  # mean-row bound
-        ii, jj = np.nonzero(keep)
-        if ii.size:
-            ii += i0
-            jj += i0 + 1
-            best = max(best, _pair_distance_max(rows, ii, jj, panel))
-            if best >= 1.0:
-                return 1.0
+        far = _row_tv(rows[i], rows[i + 1 : stop], out=block[: stop - i - 1])
+        best = max(best, float(far.max()))
+        if best >= 1.0:
+            return 1.0
     return best
-
-
-def _column_minima_sums(rows: np.ndarray, starts: range) -> list:
-    """``sum_z min(rows[i:, z])`` for each ``i`` in ``starts``, from one pass
-    over the rows in chunks from the last start up, in ``O(n)`` memory."""
-    low = rows[starts[-1] :].min(axis=0)
-    sums = [float(low.sum())]
-    for a in reversed(starts[:-1]):
-        np.minimum(low, rows[a : a + starts.step].min(axis=0), out=low)
-        sums.append(float(low.sum()))
-    return sums[::-1]
-
-
-def _pair_distance_max(rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, scratch) -> float:
-    """Largest distance between rows ``ii[k]`` and ``jj[k]``, worked out in the
-    two halves of ``scratch``, an ``(m, n)`` block with ``m >= 2``."""
-    m = scratch.shape[0] // 2
-    best = 0.0
-    for a in range(0, ii.size, m):
-        pairs = min(m, ii.size - a)
-        left = np.take(rows, ii[a : a + m], axis=0, out=scratch[:pairs])
-        right = np.take(rows, jj[a : a + m], axis=0, out=scratch[m : m + pairs])
-        best = max(best, float(_row_tv(left, right, out=left).max()))
-    return best
-
-
-def _bc_ceiling(b: float, alpha: float, n: int) -> float:
-    """The largest computed Bhattacharyya coefficient of a pair whose bound
-    ``sqrt(alpha**2 - BC**2)`` may reach ``b``: for ``b > 0``,
-    ``sqrt(alpha**2 - b**2)`` raised past the rounding of ``alpha**2 - b**2``
-    (``4 eps alpha**2``) and of the square roots and product (relative
-    ``(n + 4) eps``); every pair reaches ``b <= 0``."""
-    if b <= 0.0:
-        return math.inf
-    a2 = alpha * alpha
-    return math.sqrt(max(a2 - b * b, 0.0) + 4 * _EPS * a2) * (1.0 + (n + 4) * _EPS)
 
 
 def _reaches(rows: np.ndarray, target: int) -> bool:

@@ -532,8 +532,9 @@ def lln_study(
 
     For every ``n`` in the grid and every seed, records
     ``|n^-1 sum phi(X_k) - pi(phi)|``; reports the per-``n`` median over
-    seeds and the log-log slope of the medians.  Restricted to exogenous
-    (fixed-index-sequence) schemes so replications can run in lockstep.
+    seeds and the log-log slope of the medians (None for a one-entry grid,
+    which has no slope).  Restricted to exogenous (fixed-index-sequence)
+    schemes so replications can run in lockstep.
     """
     if len(seeds) == 0:
         raise ValueError("lln_study needs at least one seed")
@@ -556,7 +557,7 @@ def lln_study(
         medians.append(float(np.median(errors)))
     logs_n = np.log10(np.asarray(n_grid, dtype=np.float64))
     safe = np.asarray([max(m, 1e-300) for m in medians])
-    slope = float(np.polyfit(logs_n, np.log10(safe), 1)[0]) if len(n_grid) > 1 else float("nan")
+    slope = float(np.polyfit(logs_n, np.log10(safe), 1)[0]) if len(n_grid) > 1 else None
     return {"rows": rows, "n_grid": n_grid, "medians": medians, "slope": slope}
 
 
@@ -664,8 +665,9 @@ def clt_study(
     whose index stops changing); the limit is the schedule's index at step
     ``n``.  Replication ``r`` draws from ``SeedSequence(entropy=seed,
     spawn_key=(r,))`` at every replication count.  Reports the empirical
-    variance across replications, the oracle variance, their ratio, and a
-    Kolmogorov-Smirnov normality summary (``ks_normal``).
+    variance across replications, the oracle variance, their ratio (None
+    when the oracle variance is 0), and a Kolmogorov-Smirnov normality
+    summary (``ks_normal``).
 
     Raises
     ------
@@ -698,7 +700,7 @@ def clt_study(
         "replicates": scaled,
         "empirical_var": empirical,
         "sigma2_oracle": float(sigma2),
-        "ratio": float(empirical / sigma2) if sigma2 > 0 else float("nan"),
+        "ratio": float(empirical / sigma2) if sigma2 > 0 else None,
         "ks_stat": float(ks_stat),
         "ks_pvalue": float(ks_p),
         "n": int(n),

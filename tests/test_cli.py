@@ -202,6 +202,26 @@ class TestClt:
         assert "ratio_band" in capsys.readouterr().err
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("command, payload, field", [
+        # one run length has no slope
+        ("lln", {"family": {"kind": "iid"}, "n_grid": [100], "seeds": {"count": 4}}, "slope"),
+        # a one-state chain has oracle variance 0 and no ratio
+        ("clt", {"family": {"kind": "iid", "pi": [1.0]}, "n": 10, "replications": 4}, "ratio"),
+    ])
+    def test_a_value_that_does_not_exist_is_null(self, tmp_path, command, payload, field):
+        cfg = write_config(tmp_path, {**payload, "phi": {"kind": "indicator", "state": 0}})
+        run([command, "--config", cfg, "--out", str(tmp_path / "runs")])
+        run_dir = only_run_dir(tmp_path / "runs", command)
+        summary = json.loads((run_dir / "summary.json").read_text(), parse_constant=refuse_constant)
+        record = json.loads((run_dir / "record.json").read_text(), parse_constant=refuse_constant)
+        assert summary[field] is None and record["summary"] == summary
+
+
 class TestBounds:
     def test_mixture_family_all_pass(self, tmp_path):
         cfg = write_config(
@@ -263,6 +283,32 @@ class TestBounds:
         assert reports and all(r["pass"] is True for r in reports)
         record = json.loads((run_dir / "record.json").read_text())
         assert record["artifacts"] == ["reports.json"]
+
+    def test_two_dimensional_rwm_grid_takes_isotropic_covariances(self, tmp_path):
+        # each variance v of a d = 2 grid is the covariance v * I_2, not a 1 x 1 one
+        family = {"kind": "rwm-grid", "a": 0.1, "b": 10.0, "sigmas": [0.5, 2.0],
+                  "target": {"d": 2, "bounds": [[-3.0, 3.0], [-3.0, 3.0]], "m": 6,
+                             "density": {"kind": "truncated-gaussian"}}}
+        cfg = write_config(tmp_path, {"family": family, "phi": {"kind": "indicator", "state": 0}})
+        assert run(["bounds", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        target = build_target(family["target"])
+        built = build_family(family)
+        assert built.n_states == 36
+        for v, P in zip(family["sigmas"], built.kernels):
+            expected = build_discrete_rwm(target, RwmParameter(Sigma=v * np.eye(2), a=0.1, b=10.0))
+            assert np.array_equal(P.rows, expected.rows)
+
+    def test_grid_over_the_state_cap_is_refused_before_any_covariance(self, monkeypatch, tmp_path):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a covariance was built before the grid was capped")
+
+        monkeypatch.setattr(amcmc.rwm, "RwmParameter", unreachable)
+        over = int(DEFAULT_STATE_CAP**0.5) + 1
+        family = {"kind": "rwm-grid", "sigmas": [0.5],
+                  "target": {"d": 2, "bounds": [[-3.0, 3.0], [-3.0, 3.0]], "m": over,
+                             "density": {"kind": "uniform"}}}
+        with pytest.raises(ConfigError, match=rf"target.m\*\*target.d={over**2} exceeds"):
+            build_family(family)
 
 
 class TestWaning:
@@ -352,6 +398,7 @@ class TestShippedConfigs:
         [
             ("bounds", "bounds_mixture.json", 0),
             ("bounds", "bounds_rwm_grid.json", 0),
+            ("bounds", "bounds_rwm_grid_2d.json", 0),
             ("kernel-info", "bounds_rwm_grid.json", 0),
             ("kernel-info", "poisson_cyclic.json", 0),
             ("waning", "waning_rare.json", 0),
@@ -390,6 +437,9 @@ class TestPinnedArtifacts:
             ("bounds", "bounds_rwm_grid.json", {
                 "reports.json":
                     "40a167ca9bb1a1a1e40d5a73d65077c00f77ae672283922277e365e25fb5785b"}),
+            ("bounds", "bounds_rwm_grid_2d.json", {
+                "reports.json":
+                    "d8db18ac8d16a93c3864a2494703c318781527e28dca75550acc0ed34c36f9e7"}),
             ("waning", "waning_rare.json", {
                 "waning.csv": "1dedb2dc77f695f42054b33b726700b373020cde406a1ec17e29b38edf6c5027"}),
             ("waning", "waning_constant_control.json", {

@@ -18,6 +18,7 @@ from amcmc.families import (
     iid_family,
     mixture_family,
     random_metropolis_family,
+    random_metropolis_kernel,
     random_positive_kernel,
     smoothed_family,
 )
@@ -337,7 +338,7 @@ class TestDobrushinCoefficient:
         work = np.empty((2, n, n))
         assert kernels._dobrushin_raw(rows, work, floor=floor) == max(floor, beta)
 
-    # the certificate's high powers, where the mean-row and Hellinger bounds
+    # the certificate's high powers, where the mean-row and Doeblin bounds
     # prune most, with floors straddling the coefficient
     @pytest.mark.parametrize("m, variance, power", [(150, 0.5, 1), (150, 2.0, 12), (200, 0.5, 7),
                                                    (100, 0.05, 64), (60, 2.0, 30)])
@@ -356,30 +357,55 @@ class TestDobrushinCoefficient:
     def test_doeblin_bound_settles_rwm_powers_after_the_seed_row(self, monkeypatch, variance):
         # the far rows of a truncated-Gaussian walk overlap where the walk
         # lingers, so the column minima of rows 1.. already rule out every
-        # pair: no product and no pair after the seed row
-        work = []
+        # pair: no distance is worked out after the seed row
+        distances = []
+        real_tv = kernels._row_tv
 
-        class MatmulSpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def tv_spy(a, b, out=None):
+            distances.append(b.shape)
+            return real_tv(a, b, out)
 
-            def matmul(self, *args, **kwargs):
-                work.append("matmul")
-                return np.matmul(*args, **kwargs)
-
-        def pairs_spy(*args):
-            work.append("pairs")
-            return real_pairs(*args)
-
-        real_pairs = kernels._pair_distance_max
         target = truncated_gaussian_target([[-3.0, 3.0]], m=200)
         P = build_discrete_rwm(target, RwmParameter.from_scalar(variance, 0.01, 10.0))
         powers = [np.linalg.matrix_power(P.rows, power) for power in range(1, 13)]
-        monkeypatch.setattr(kernels, "np", MatmulSpy())
-        monkeypatch.setattr(kernels, "_pair_distance_max", pairs_spy)
+        monkeypatch.setattr(kernels, "_row_tv", tv_spy)
         for rows in powers:
+            distances.clear()
             assert kernels._dobrushin_raw(rows) == dobrushin_oracle(rows)
-        assert work == []
+            # the distances to the mean row, then the seed row's to every other row
+            assert distances == [(200,), (199, 200)]
+
+    @staticmethod
+    def circulant_kernel(n: int = 300, width: float = 20.0) -> np.ndarray:
+        rows = circulant_band(n, width)
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    def test_row_loop_over_a_wide_circulant_band_matches_the_oracle(self, monkeypatch):
+        # every row is as far from the mean row as every other and every column
+        # holds a near-zero entry, so neither bound prunes: the row loop works
+        # out the distances of nearly every row to the rows after it
+        rows = self.circulant_kernel()
+        searched = []
+        real_tv = kernels._row_tv
+
+        def tv_spy(a, b, out=None):
+            searched.append(b.shape)
+            return real_tv(a, b, out)
+
+        monkeypatch.setattr(kernels, "_row_tv", tv_spy)
+        beta = kernels._dobrushin_raw(rows)
+        assert len(searched) > 250
+        monkeypatch.undo()
+        assert beta == dobrushin_oracle(rows)
+        assert kernels._dobrushin_raw(rows, np.empty((2, 300, 300))) == beta
+
+    def test_search_with_lent_work_allocates_well_under_one_block(self):
+        # the sorted rows, the suffix column minima and every row's distances
+        # are written into the lent blocks; what is left is O(n) vectors and
+        # the reductions' buffers
+        rows = self.circulant_kernel()
+        work = np.empty((2, 300, 300))
+        assert traced_peak(lambda: kernels._dobrushin_raw(rows, work)) < 0.25 * 8 * 300**2
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -424,33 +450,6 @@ class TestDobrushinCoefficient:
         }[where]
         floor = float(min(max(floor, 0.0), 1.0))
         assert kernels._dobrushin_raw(rows, floor=floor) == max(floor, beta)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_entry_just_below_zero_is_clamped_before_the_root(self, monkeypatch):
-        roots = []
-
-        class SqrtSpy:
-            """``kernels.np`` with every operand of ``np.sqrt`` kept."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def sqrt(self, x, **kwargs):
-                roots.append(x.copy())
-                return np.sqrt(x, **kwargs)
-
-        monkeypatch.setattr(kernels, "np", SqrtSpy())
-        # a kernel Doeblin's bound cannot settle, so the search takes the product
-        rows = circulant_band(40, 3.0)
-        rows /= rows.sum(axis=1, keepdims=True)
-        rows[5, 5] += rows[5, 25] + 5e-13
-        rows[5, 25] = -5e-13  # admitted: within ROW_SUM_TOL of 0
-        P = StochasticMatrix(rows)
-        assert -kernels.ROW_SUM_TOL <= P.rows.min() < 0.0
-        assert dobrushin_coefficient(P) == dobrushin_oracle(P.rows)
-        # the row holding the negative entry reached the root, clamped at 0
-        clamped = np.maximum(P.rows[5], 0.0)
-        assert len(roots) == 1 and any(np.array_equal(r, clamped) for r in roots[0])
 
     def test_equal_rows(self):
         pi = Distribution([0.5, 0.3, 0.2])
@@ -509,6 +508,26 @@ class TestOneTvForm:
             curve.append(0.5 * np.abs(Pk - pi.weights).sum(axis=1).max())
             Pk = Pk @ P.rows
         assert np.array_equal(sup_tv_to_pi_curve(P, pi, horizon), curve)
+
+
+class TestRandomMetropolisKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 181, 200, 500])
+    def test_kernel_is_the_summed_transpose_construction_bit_for_bit(self, n):
+        # up to 181 states one block of 2**15 entries holds every row; 200
+        # and 500 states take blocks of 163 and 65 rows, the last one partial
+        pi = Distribution(np.random.default_rng(n).dirichlet(np.ones(n)))
+        raw = np.random.default_rng(11).uniform(0.1, 1.0, size=(n, n))
+        q = raw + raw.T
+        q /= q.sum(axis=1, keepdims=True).max()
+        expected = kernels._metropolis_kernel(q, pi.weights)
+        P = random_metropolis_kernel(pi, np.random.default_rng(11))
+        assert np.array_equal(P.rows, expected.rows)
+
+    def test_build_peaks_near_one_kernel_size(self):
+        # the uniforms are symmetrised in place, where raw + raw.T held two
+        pi = Distribution(np.full(500, 1.0 / 500))
+        peak = traced_peak(lambda: random_metropolis_kernel(pi, np.random.default_rng(3)))
+        assert peak < 1.5 * 8 * 500**2
 
 
 class TestFitErgodicityConstants:
