@@ -1,34 +1,36 @@
 """Adaptation over a finite kernel family: the scheme protocol, the grid
 schemes, rare adaptation schedules and waning diagnostics.
 
-A scheme chooses the family index ``S_k`` the chain uses next.  It exposes
-``start(s0, rng)``, returning ``S_0``, and ``step(k, x_prev, x_new, s_prev,
-rng)``, returning ``S_k`` after the chain moved from ``x_prev`` to
-``x_new``.  Exogenous schemes (:class:`ScheduleScheme`) also give their
-whole index sequence through ``index_array(n)``, which lets the lockstep
-studies run many replications at once.  The grid schemes follow the
-adaptation rules of the supporting theory: running-mean tracking (Haario,
-Saksman & Tamminen 2001), acceptance-rate targeting (Vihola 2012) and
-cyclic moves at increasingly rare times, where a rare schedule answers
-``adapts(k, rng)``.  :func:`waning_diagnostic` checks that the resulting
-kernel-change magnitudes die out.
+A scheme chooses the family index ``S_k`` the chain uses next.  Its one
+method ``run(s0, x0, rng)`` starts a chain's index sequence as a generator:
+``next()`` gives ``S_0``, and ``send(x_k)``, after the chain moved to
+``x_k``, gives ``S_k``.  Everything a chain carries (a running mean, a
+latent parameter, the step count, the previous state, a rare schedule)
+lives in that generator, so one scheme object can drive any number of
+chains, each from its own start.  Exogenous schemes
+(:class:`ScheduleScheme`) also give their whole index sequence through
+``index_array(n)``, which lets the lockstep studies run many replications
+at once.  The grid schemes follow the adaptation rules of the supporting
+theory: running-mean tracking (Haario, Saksman & Tamminen 2001),
+acceptance-rate targeting (Vihola 2012) and cyclic moves at increasingly
+rare times, where a rare schedule's ``run(rng)`` yields whether each step
+``k = 1, 2, ...`` adapts.  :func:`waning_diagnostic` checks that the
+resulting kernel-change magnitudes die out.
 
 The ``rng`` a scheme receives is the chain's stream, and a scheme draws
-from it only with ``rng.random()``, as every scheme here does.  Both chain
-drivers read each chain's stream in blocks; the doubles and their order are
-those of one scalar draw each, so a trajectory does not depend on the block.
-
-A scheme may fix what does not change between steps (a negated exponent, a
-bound method, a statistic as a list) at construction or in ``start``; its
-``step`` keeps the floating-point operations of the rule in their order and
-the draws in theirs, so every trajectory keeps its bits.
+from it only with ``rng.random()``, as every scheme here does, and only
+while it answers a ``send``: after the step's transition uniform.  Both
+chain drivers read each chain's stream in blocks; the doubles and their
+order are those of one scalar draw each, so a trajectory does not depend
+on the block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import count, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,34 +40,24 @@ from .families import KernelFamily
 # ---------------------------------------------------------------------------
 # rare adaptation schedules
 #
-# A rare schedule answers one question, ``adapts(k, rng)``: may the
-# parameter change at step ``k``?  It draws what it needs with
-# ``rng.random()`` from the chain's stream, after the transition uniform of
-# that step.
+# A rare schedule's ``run(rng)`` yields, for step k = 1, 2, ..., whether the
+# parameter may change at that step.  It draws what it needs with
+# ``rng.random()`` from the chain's stream when step k's answer is asked for,
+# which is after the transition uniform of that step.
 
 
 class DeterministicSchedule:
     """Adapts exactly at times ``tau_j = sum_{i<=j} n_i``, with increments
     ``n_j = increment(j)`` clamped to at least 1 so the times strictly
-    increase.  Draws nothing from the stream.
-
-    Single-owner: ``adapts`` keeps a cursor, the next adaptation time, and
-    answers only steps above the last one asked, so one instance drives one
-    chain from its start.
-    """
+    increase.  Draws nothing from the stream."""
 
     def __init__(self, increment: Callable[[int], float]):
         self.increment = increment
-        self._j, self._tau, self._last = 0, 0, 0
 
-    def adapts(self, k: int, rng) -> bool:
-        if k <= self._last:
-            raise ValueError(f"step {k} is not above the last step asked, {self._last}")
-        self._last = k
-        while self._tau < k:
-            self._j += 1
-            self._tau += max(1, math.ceil(self.increment(self._j)))
-        return self._tau == k
+    def run(self, rng=None) -> Iterator[bool]:
+        for j in count(1):
+            yield from repeat(False, max(1, math.ceil(self.increment(j))) - 1)
+            yield True
 
 
 class BernoulliSchedule:
@@ -81,8 +73,10 @@ class BernoulliSchedule:
             raise ValueError(f"activation probability eta_{k}={value} outside (0, 1]")
         return value
 
-    def adapts(self, k: int, rng) -> bool:
-        return rng.random() <= self.eta(k)
+    def run(self, rng) -> Iterator[bool]:
+        draw, eta = rng.random, self.eta
+        for k in count(1):
+            yield draw() <= eta(k)
 
 
 def log_increment_schedule(c: float = 2.0, epsilon: float = 0.1) -> DeterministicSchedule:
@@ -116,11 +110,9 @@ def bernoulli_log_schedule(c: float = 1.0, epsilon: float = 0.1) -> BernoulliSch
 class ConstantScheme:
     """Non-adaptive scheme: the parameter index never changes."""
 
-    def start(self, s0: int, rng) -> int:
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        return s_prev
+    def run(self, s0: int, x0: int, rng) -> Iterator[int]:
+        while True:
+            yield s0
 
 
 class ScheduleScheme:
@@ -137,11 +129,10 @@ class ScheduleScheme:
             raise ValueError(f"schedule has {self._arr.size} indices, steps 0..{n} need {n + 1}")
         return self._arr[: n + 1]
 
-    def start(self, s0: int, rng) -> int:
-        return int(self._arr[0])
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        return int(self._arr[k])
+    def run(self, s0: int, x0: int, rng) -> Iterator[int]:
+        for s in self._arr.tolist():
+            yield s
+        self.index_array(self._arr.size)  # a step past the last index: refused
 
 
 class MeanTrackingScheme:
@@ -160,17 +151,16 @@ class MeanTrackingScheme:
         self.statistic = np.asarray(statistic, dtype=np.float64)
         if self.statistic.shape[0] != family.n_states:
             raise ValueError("statistic must assign a value per state")
-        self._mean = 0.0
+        if not np.isfinite(self.statistic).all():
+            raise ValueError("statistic must be finite")
 
-    def start(self, s0: int, rng) -> int:
-        self._mean = 0.0
-        self._values = self.statistic.tolist()
-        self._nearest = self.family.nearest_index
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        self._mean = mean = self._mean + (self._values[x_new] - self._mean) / k
-        return self._nearest(mean)
+    def run(self, s0: int, x0: int, rng) -> Iterator[int]:
+        values, nearest = self.statistic.tolist(), self.family.nearest_index
+        mean = 0.0
+        x = yield s0
+        for k in count(1):
+            mean = mean + (values[x] - mean) / k
+            x = yield nearest(mean)
 
 
 class RateTargetScheme:
@@ -191,31 +181,32 @@ class RateTargetScheme:
     ):
         if family.params is None:
             raise ValueError("scheme needs a parameter grid")
+        if not 0.0 <= target <= 1.0:  # a NaN fails too
+            raise ValueError(f"target={target} must lie in [0, 1]")
+        for name, value in (("c", c), ("exponent", exponent)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name}={value} must be positive and finite")
         self.family = family
         self.target = target
         self.c = c
         self.exponent = exponent
-        self._lo = min(family.params)
-        self._hi = max(family.params)
-        self._t = self._lo
 
-    def start(self, s0: int, rng) -> int:
-        self._t = float(self.family.params[s0])
-        # moved - target for moved = 0.0 and 1.0, indexed by x_new != x_prev
-        self._pull = (0.0 - self.target, 1.0 - self.target)
-        self._power = -self.exponent
-        self._nearest = self.family.nearest_index
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        t = self._t + self.c * float(k) ** self._power * self._pull[x_new != x_prev]
-        # min(max(t, lo), hi)
-        if self._lo > t:
-            t = self._lo
-        elif self._hi < t:
-            t = self._hi
-        self._t = t
-        return self._nearest(t)
+    def run(self, s0: int, x0: int, rng) -> Iterator[int]:
+        params, c, power = self.family.params, self.c, -self.exponent
+        lo, hi, nearest = min(params), max(params), self.family.nearest_index
+        # moved - target for moved = 0.0 and 1.0, indexed by x != x_prev
+        pull = (0.0 - self.target, 1.0 - self.target)
+        t, x_prev = float(params[s0]), x0
+        x = yield s0
+        for k in count(1):
+            t = t + c * float(k) ** power * pull[x != x_prev]
+            # min(max(t, lo), hi)
+            if lo > t:
+                t = lo
+            elif hi < t:
+                t = hi
+            x_prev = x
+            x = yield nearest(t)
 
 
 class RareCycleScheme:
@@ -224,7 +215,7 @@ class RareCycleScheme:
     At each adaptation the index advances cyclically through the family;
     between them it is frozen, so the per-step kernel change is exactly
     zero off the schedule.  ``schedule_factory`` makes a fresh schedule
-    for every chain the scheme starts.
+    for every chain the scheme runs.
     """
 
     def __init__(
@@ -234,16 +225,15 @@ class RareCycleScheme:
     ):
         self.family = family
         self.schedule_factory = schedule_factory
-        self._sched = None
 
-    def start(self, s0: int, rng) -> int:
-        self._sched = self.schedule_factory()
-        self._adapts = self._sched.adapts
-        self._size = self.family.size
-        return s0
-
-    def step(self, k: int, x_prev: int, x_new: int, s_prev: int, rng) -> int:
-        return (s_prev + 1) % self._size if self._adapts(k, rng) else s_prev
+    def run(self, s0: int, x0: int, rng) -> Iterator[int]:
+        size, s = self.family.size, s0
+        decisions = self.schedule_factory().run(rng)
+        yield s
+        for adapts in decisions:
+            if adapts:
+                s = (s + 1) % size
+            yield s
 
 
 # steps of a schedule or a change series taken in one vectorized pass

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,9 @@ EXIT_EXPECTED_FAILURE = 2
 # A certificate walks one matrix power per unit of horizon and member;
 # ``fit_ergodicity_constants`` spends about 7.5 ms a power at 200 states.
 HORIZON_CAP = (1024, "about 8 s of matrix powers per 200-state member")
-# ``waning`` holds its series, 8 bytes a step; bernoulli-log took 8.2-12.1 s at
-# the cap and peaked at 116 MB RSS here, rare-log and constant at 114 MB.
-D_SERIES_CAP = (10_000_000, "about 0.12 GB and 12 s of steps")
+# ``waning`` holds its series, 8 bytes a step; at the cap bernoulli-log took
+# 5.6-6.1 s and rare-log 1.1-1.3 s here, each peaking at 116 MB RSS.
+D_SERIES_CAP = (10_000_000, "about 0.12 GB and 8 s of steps")
 # An ensemble (``clt``'s replications, ``lln``'s seeds.count) holds 256 rows
 # of uniforms at 10**4 replications, 20 MB; ``clt`` peaks at 78 MB RSS here.
 ENSEMBLE_CAP = (10_000, "about 80 MB and 0.4 ms a step on 400 states")
@@ -662,8 +663,7 @@ def cmd_waning(cfg: RunConfig) -> tuple:
         sched = build(cfg.scalar("d_series.c", float, c, least=0),
                       cfg.scalar("d_series.epsilon", float, 0.1, least=0))
         # D_k is 1 exactly at the steps where the schedule adapts
-        stream = ledger.ChainStream(cfg.seed)
-        D = np.fromiter((sched.adapts(k, stream) for k in range(1, n + 1)), np.float64, n)
+        D = np.fromiter(islice(sched.run(ledger.ChainStream(cfg.seed)), n), np.float64, n)
     elif kind == "constant":
         _fields("d_series", cfg.get("d_series"), "kind", "n", "value")
         D = np.full(n, cfg.scalar("d_series.value", float, 0.05))

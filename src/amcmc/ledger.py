@@ -108,11 +108,14 @@ def run_adaptive_chain(
 ) -> Trajectory:
     """Simulate ``X_{k+1} ~ P_{S_k}(X_k, .)`` with the scheme updating ``S``.
 
-    Transitions use inverse-CDF sampling over the kernel row.  Per step the
-    transition uniform is drawn first, then the scheme's own draws, from
-    the chain's single counter-based stream, so runs are bit-reproducible
-    given the seed.  The scheme receives the stream as an object whose
-    ``random()`` returns the next uniform.
+    Transitions use inverse-CDF sampling over the kernel row.  The chain's
+    indices come from the generator ``scheme.run(s0, x0, stream)``: its
+    first value is ``S_0``, and each step sends it the new state ``X_k``
+    and takes ``S_k``.  Per step the transition uniform is drawn first,
+    then the scheme's own draws, from the chain's single counter-based
+    stream, so runs are bit-reproducible given the seed.  The scheme
+    receives the stream as an object whose ``random()`` returns the next
+    uniform.
 
     Raises
     ------
@@ -129,7 +132,8 @@ def run_adaptive_chain(
     stream = ChainStream(seed)
     draw = stream.random
     x = int(x0)
-    s = int(scheme.start(s0, stream))
+    indices = scheme.run(s0, x, stream)
+    s = int(next(indices))
     if not 0 <= s < size:
         raise SchemeEscape(f"scheme start index {s} outside family")
     # bisect reads a row of the flat table in place: its probes over
@@ -142,11 +146,11 @@ def run_adaptive_chain(
     n_states = family.n_states
     X = [x]
     S = [s]
-    append_x, append_s, step = X.append, S.append, scheme.step
+    append_x, append_s, send = X.append, S.append, indices.send
     for k in range(1, n + 1):
         lo = x * n_states
         x_new = bisect_right(cum, draw(), lo, lo + n_states) - lo
-        s_new = step(k, x, x_new, s, stream)
+        s_new = send(x_new)
         if s_new != s:
             s = int(s_new)
             if not 0 <= s < size:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +32,6 @@ from conftest import traced_peak
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-class FixedUniform:
-    """Stand-in stream whose every uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def grid_family(members=8):
     """Mixtures of two random reversible kernels over the grid ``linspace(0, 1, members)``."""
     pi = Distribution([0.1, 0.2, 0.3, 0.4])
@@ -48,10 +39,22 @@ def grid_family(members=8):
     return mixture_family(pair.kernels[0], pair.kernels[1], pi, members)
 
 
+def decisions(schedule, n, rng=None):
+    """Steps ``1..n`` of ``schedule.run(rng)``, as booleans."""
+    return np.fromiter(islice(schedule.run(rng), n), bool, n)
+
+
+class ListStream:
+    """Stand-in stream whose uniforms are ``us``, in order."""
+
+    def __init__(self, us):
+        self.random = iter(us).__next__
+
+
 class TestRareSchedules:
     def test_deterministic_times_strictly_increasing_and_slow(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
-        arr = np.array([k for k in range(1, 200_001) if sched.adapts(k, rng=None)])
+        arr = np.flatnonzero(decisions(sched, 200_000)) + 1
         assert np.all(np.diff(arr) >= 1)
         # the inter-adaptation gaps grow, so tau_j / (j log^{1.1} j) stays
         # bounded below and the weighted counting series converges
@@ -63,19 +66,11 @@ class TestRareSchedules:
 
     def test_deterministic_decision_matches_times(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
+        n = 100_000
         # tau_j = sum_{i<=j} max(1, ceil(2 log(i)**1.1)), from the definition
-        gaps = [max(1, math.ceil(2.0 * math.log(j) ** 1.1)) for j in range(1, 200)]
-        taus = {int(t) for t in np.cumsum(gaps) if t <= 500}
-        hits = {k for k in range(1, 501) if sched.adapts(k, rng=None)}
-        assert hits == taus
-
-    @pytest.mark.parametrize("k", [5, 4])
-    def test_deterministic_schedule_refuses_a_step_not_above_the_last(self, k):
-        sched = log_increment_schedule(c=2.0, epsilon=0.1)
-        for step in range(1, 6):
-            sched.adapts(step, rng=None)
-        with pytest.raises(ValueError, match="not above the last step asked"):
-            sched.adapts(k, rng=None)
+        gaps = [max(1, math.ceil(2.0 * math.log(j) ** 1.1)) for j in range(1, n + 1)]
+        taus = [int(t) for t in np.cumsum(gaps) if t <= n]
+        assert (np.flatnonzero(decisions(sched, n)) + 1).tolist() == taus
 
     def test_bernoulli_activation_decays_with_shrinking_decade_tails(self):
         sched = bernoulli_log_schedule(c=1.0, epsilon=0.1)
@@ -89,22 +84,22 @@ class TestRareSchedules:
         ]
         assert decade_tails[1] < decade_tails[0]
 
-    def test_bernoulli_decision_uses_uniform(self):
+    def test_bernoulli_decision_is_the_uniform_at_most_eta(self):
         sched = bernoulli_log_schedule(c=1.0, epsilon=0.1)
-        eta_10 = sched.eta(10)
-        assert sched.adapts(10, FixedUniform(eta_10 * 0.5))
-        assert sched.adapts(10, FixedUniform(eta_10))
-        assert not sched.adapts(10, FixedUniform(eta_10 + 1e-9))
+        n = 30
+        # step k's uniform is below, at or just above eta_k, in turn
+        scale = [(0.5, 1.0, 1.0 + 1e-9)[k % 3] for k in range(1, n + 1)]
+        us = [sched.eta(k) * f for k, f in zip(range(1, n + 1), scale)]
+        assert decisions(sched, n, ListStream(us)).tolist() == [f <= 1.0 for f in scale]
 
     def test_unit_activation_adapts_every_step(self):
         sched = BernoulliSchedule(lambda k: 1.0)
-        for k in (1, 7, 100):
-            assert sched.adapts(k, FixedUniform(0.999)) is True
+        assert decisions(sched, 100, ListStream([0.999] * 100)).all()
 
     @pytest.mark.parametrize("eta", [0.0, 1.5, float("nan")])
     def test_activation_outside_unit_interval_rejected(self, eta):
         with pytest.raises(ValueError, match="outside"):
-            BernoulliSchedule(lambda k: eta).adapts(3, FixedUniform(0.5))
+            decisions(BernoulliSchedule(lambda k: eta), 3, ListStream([0.5] * 3))
 
 
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]
@@ -215,7 +210,7 @@ class TestWaningDiagnostic:
     def test_rare_schedule_series_converges(self):
         sched = log_increment_schedule(c=2.0, epsilon=0.1)
         n = 100_000
-        D = np.fromiter((sched.adapts(k, rng=None) for k in range(1, n + 1)), np.float64, n)
+        D = decisions(sched, n).astype(np.float64)
         report = waning_diagnostic(D, p=1.0, checkpoints=[1_000, 10_000, 100_000])
         assert report.decreasing
         assert report.waning
@@ -261,6 +256,35 @@ class TestGridSchemes:
             with pytest.raises(ValueError):
                 ScheduleScheme(bad)
 
+    def test_chain_past_the_schedule_is_refused_as_index_array_refuses(self):
+        fam = grid_family()
+        with pytest.raises(ValueError, match=r"schedule has 3 indices, steps 0\.\.3 need 4"):
+            run_adaptive_chain(fam, ScheduleScheme([1, 0, 1]), 0, 0, 5, seed=1)
+        assert run_adaptive_chain(fam, ScheduleScheme([1, 0, 1]), 0, 0, 2, seed=1).S.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("bad", [dict(target=float("nan")), dict(target=-0.1),
+                                     dict(target=1.5), dict(c=float("inf")), dict(c=float("nan")),
+                                     dict(c=0.0), dict(c=-1.0), dict(exponent=float("inf")),
+                                     dict(exponent=float("nan")), dict(exponent=0.0),
+                                     dict(exponent=-0.5)])
+    def test_rate_target_refuses_a_bad_target_c_or_exponent(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{name}="):
+            RateTargetScheme(grid_family(), **bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", [slice(None), slice(2, 3)])
+    def test_mean_tracking_refuses_a_non_finite_statistic(self, bad, where):
+        stat = np.array([0.9, 0.05, 0.6, 0.3])
+        stat[where] = bad
+        with pytest.raises(ValueError, match="statistic must be finite"):
+            MeanTrackingScheme(grid_family(), stat)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0])
+    def test_rate_target_accepts_the_ends_of_the_unit_interval(self, target):
+        fam = grid_family()
+        assert run_adaptive_chain(fam, RateTargetScheme(fam, target=target), 0, 0, 50, seed=2).n == 50
+
     def test_mean_tracking_follows_the_batch_mean(self):
         fam = grid_family()
         stat = np.array([0.9, 0.05, 0.6, 0.3])
@@ -276,23 +300,17 @@ class TestGridSchemes:
 
     @pytest.mark.parametrize("target", [0.234, 0.8])
     def test_rate_target_moves_are_bounded_and_stay_in_range(self, target):
-        class Recording(RateTargetScheme):
-            def start(self, s0, rng):
-                s = super().start(s0, rng)
-                self.latent = [self._t]
-                return s
-
-            def step(self, k, x_prev, x_new, s_prev, rng):
-                s = super().step(k, x_prev, x_new, s_prev, rng)
-                self.latent.append(self._t)
-                return s
-
         fam = grid_family()
         c = 0.5
-        scheme = Recording(fam, target=target, c=c)
-        traj = run_adaptive_chain(fam, scheme, 0, 0, 2_000, seed=5)
-        t = np.asarray(scheme.latent)
-        assert t.min() >= min(fam.params) and t.max() <= max(fam.params)
+        traj = run_adaptive_chain(fam, RateTargetScheme(fam, target=target, c=c), 0, 0, 2_000, seed=5)
+        # the latent, recomputed from the states: step k moved when X_k != X_{k-1}
+        lo, hi = min(fam.params), max(fam.params)
+        t = [float(fam.params[0])]
+        for k in range(1, traj.n + 1):
+            moved = 1.0 if traj.X[k] != traj.X[k - 1] else 0.0
+            t.append(min(max(t[-1] + c * float(k) ** (-2.0 / 3.0) * (moved - target), lo), hi))
+        t = np.asarray(t)
+        assert t.min() >= lo and t.max() <= hi
         ks = np.arange(1, traj.n + 1, dtype=np.float64)
         bound = c * ks ** (-2.0 / 3.0) * max(target, 1.0 - target)
         assert np.all(np.abs(np.diff(t)) <= bound + 1e-12)
@@ -305,7 +323,7 @@ class TestGridSchemes:
         traj = run_adaptive_chain(fam, scheme, 0, 0, n, seed=7)
         changed = (np.nonzero(traj.S[1:] != traj.S[:-1])[0] + 1).tolist()
         sched = log_increment_schedule(2.0, 0.1)
-        assert changed == [k for k in range(1, n + 1) if sched.adapts(k, rng=None)]
+        assert changed == (np.flatnonzero(decisions(sched, n)) + 1).tolist()
         assert np.all((traj.S[changed] - traj.S[np.asarray(changed) - 1]) % fam.size == 1)
 
     def test_bernoulli_rare_cycle_changes_where_second_uniform_is_below_eta(self):

@@ -123,18 +123,11 @@ class TestRunAdaptiveChain:
         )
         assert traj.X[:5].tolist() == [1, 2, 1, 2, 1]
 
-    def test_scheme_escape(self):
-        fam = cyclic_pair()
-
-        class Escaper:
-            def start(self, s0, rng):
-                return s0
-
-            def step(self, k, x_prev, x_new, s_prev, rng):
-                return 99
-
-        with pytest.raises(SchemeEscape):
-            run_adaptive_chain(fam, Escaper(), x0=0, s0=0, n=3, seed=1)
+    @pytest.mark.parametrize("indices, where", [([0, 0, 99], "index 99 outside family at step 2"),
+                                                ([-1], "start index -1 outside family")])
+    def test_scheme_escape(self, indices, where):
+        with pytest.raises(SchemeEscape, match=where):
+            run_adaptive_chain(cyclic_pair(), ScheduleScheme(indices), x0=0, s0=0, n=3, seed=1)
 
     @pytest.mark.parametrize("u", [0.0, 0.5, 0.95, 1.0 - 2.0**-53])
     def test_cumsum_past_one_before_the_last_entry(self, monkeypatch, u):
@@ -560,31 +553,30 @@ class TestLockstepBisect:
                                   [np.random.SeedSequence(1)], x0=0, record_prefixes=prefixes)
 
 
-def reference_chain(family, scheme, x0, s0, n, seed):
+def reference_steps(family, scheme, x0, s0, seed):
     """Reference chain driver: every table copied into nested lists, one
-    scalar ``rng.random()`` per draw, X and S filled into numpy arrays.
-    Returns ``(X, S)``."""
+    scalar ``rng.random()`` per draw.  Yields ``(X_k, S_k)`` for k = 0, 1, ..."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    X = np.empty(n + 1, dtype=np.int64)
-    S = np.empty(n + 1, dtype=np.int64)
-    X[0] = x0
-    S[0] = scheme.start(s0, rng)
     cums = []
     for P in family.kernels:
         cum = np.cumsum(P.rows, axis=1)
         cum[:, -1] = 1.0
         cums.append(cum.tolist())
-    x, s = int(X[0]), int(S[0])
-    for k in range(1, n + 1):
+    indices = scheme.run(s0, x0, rng)
+    x, s = x0, int(next(indices))
+    while True:
+        yield x, s
         u = rng.random()
-        x_new = min(bisect_right(cums[s][x], u), family.n_states - 1)
-        s_new = int(scheme.step(k, x, x_new, s, rng))
-        X[k] = x_new
-        S[k] = s_new
-        x, s = x_new, s_new
-    return X, S
+        x = min(bisect_right(cums[s][x], u), family.n_states - 1)
+        s = int(indices.send(x))
+
+
+def reference_chain(family, scheme, x0, s0, n, seed):
+    """The first ``n`` steps of :func:`reference_steps` as ``(X, S)`` arrays."""
+    X, S = zip(*itertools.islice(reference_steps(family, scheme, x0, s0, seed), n + 1))
+    return np.array(X, dtype=np.int64), np.array(S, dtype=np.int64)
 
 
 ORACLE_SCHEMES = ("constant", "schedule", "mean", "rate", "rare-bernoulli", "rare-log")
@@ -645,6 +637,23 @@ class TestChainOracle:
     def test_block_edges(self, name, n):
         fam = gridded(random_family("sparse", 7, 3, seed=n))
         self.check(fam, name, 6, 1, n, np.random.SeedSequence(entropy=n, spawn_key=(2,)))
+
+    @pytest.mark.parametrize("name", ORACLE_SCHEMES)
+    def test_one_scheme_drives_two_chains_at_once(self, name):
+        """Each chain's state lives in the generator its scheme starts, so
+        two chains of one scheme object, stepped alternately, each keep the
+        trajectory they have alone."""
+        fam = gridded(random_family("metropolis", 9, 4, seed=31))
+        n = 400
+        scheme = oracle_scheme(name, fam, n, np.random.default_rng(31))
+        starts = [(0, 1, 41), (8, 3, 42)]
+        steps = zip(*(reference_steps(fam, scheme, *start) for start in starts))
+        both = list(itertools.islice(steps, n + 1))
+        for i, (x0, s0, seed) in enumerate(starts):
+            solo = run_adaptive_chain(fam, scheme, x0, s0, n, seed)
+            assert [step[i] for step in both] == list(zip(solo.X.tolist(), solo.S.tolist()))
+            # every kind but constant changes its index on this family
+            assert len(set(solo.S.tolist())) > (name != "constant")
 
 
 def reference_ensemble(family, indices, phi, n, seed_seqs, x0, prefixes):
@@ -846,7 +855,7 @@ class TestLlnStudy:
         fam = grid_family()
         phi = TestFunction.indicator(0, fam.pi)
         sched = log_increment_schedule(2.0, 0.1)
-        taus = np.array([k for k in range(1, 100_001) if sched.adapts(k, rng=None)])
+        taus = np.flatnonzero(np.fromiter(itertools.islice(sched.run(), 100_000), bool)) + 1
         indices = np.zeros(100_001, dtype=np.int64)
         hits = np.zeros(100_001, dtype=np.int64)
         hits[taus] = 1
