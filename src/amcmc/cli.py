@@ -12,7 +12,6 @@ demonstrated, and 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -397,41 +396,31 @@ def build_scheme(spec: dict, family: families.KernelFamily, n: int) -> adaptatio
 # artifact writers
 
 
-def _cell(v):
-    """A table cell as the str, bool, int or float that ``csv`` and ``json`` write alike."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_table(path: Path, table) -> None:
-    """Write a ``(header, rows)`` table in the format ``path``'s suffix
-    names; a table given as text, such as a kernel file, is written as is."""
+    """Write a ``(header, columns)`` table in the format ``path``'s suffix
+    names, CSV by :func:`ledger.write_csv` or JSON records keyed by the
+    header; a table given as text, such as a kernel file, is written as is."""
     if isinstance(table, str):
         path.write_text(table)
         return
-    header, rows = table
+    header, columns = table
     if path.suffix == ".json":
-        _write_json(path, [dict(zip(header, map(_cell, row))) for row in rows])
+        rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+        _write_json(path, [dict(zip(header, row, strict=True)) for row in rows])
         return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+    ledger.write_csv(path, header, columns)
 
 
 def _ergodicity_table(curves: dict) -> tuple:
     """The ``s,k,sup_tv`` table of each member's ``e(k)`` curve (``k`` from 1)."""
-    rows = [(s, k, e) for s, curve in curves.items() for k, e in enumerate(curve, start=1)]
-    return ["s", "k", "sup_tv"], rows
+    lengths = [len(curve) for curve in curves.values()]
+    ks = [np.arange(1, h + 1) for h in lengths]
+    return ["s", "k", "sup_tv"], [np.repeat(list(curves), lengths), np.concatenate(ks),
+                                  np.concatenate(list(curves.values()))]
 
 
 def _finish(cfg: RunConfig, tables: dict, summary: dict, exit_code: int) -> int:
@@ -527,7 +516,7 @@ def cmd_counterexample(cfg: RunConfig) -> tuple:
         checks[f"lln_{name}"] = lln[name]["within_band"]
 
     tables = {
-        "orbit": (["k", "state_label"], list(enumerate(labels))),
+        "orbit": (["k", "state_label"], [np.arange(n_orbit + 1), labels]),
         "ergodicity.csv": _ergodicity_table(curves),
     }
     for name, P in zip(("forward", "backward"), family.kernels):
@@ -568,9 +557,11 @@ def cmd_lln(cfg: RunConfig) -> tuple:
     x0 = cfg.scalar("x0", int, 0, least=0, below=family.n_states)
     study = ledger.lln_study(family, scheme, phi, n_grid, seeds, x0=x0)
 
+    grid = study["n_grid"]
     tables = {
-        "lln": (["n", "seed", "error"], [(r["n"], r["seed"], r["error"]) for r in study["rows"]]),
-        "lln_medians": (["n", "median_error"], list(zip(study["n_grid"], study["medians"]))),
+        "lln": (["n", "seed", "error"], [np.repeat(grid, len(seeds)), np.tile(seeds, len(grid)),
+                                        study["errors"].ravel()]),
+        "lln_medians": (["n", "median_error"], [grid, study["medians"]]),
     }
     medians = study["medians"]
     converged = medians[-1] < medians[0] and study["slope"] < -0.2
@@ -602,7 +593,7 @@ def cmd_clt(cfg: RunConfig) -> tuple:
     study = ledger.clt_study(family, scheme, phi, n, replications, cfg.seed, x0=x0)
     tables = {
         "clt_replicates": (
-            ["replication", "scaled_error"], list(enumerate(study["replicates"]))
+            ["replication", "scaled_error"], [np.arange(replications), study["replicates"]]
         )
     }
     in_band = study["sigma2_oracle"] == 0.0 or (lo <= study["ratio"] <= hi)
@@ -634,7 +625,7 @@ def cmd_bounds(cfg: RunConfig) -> tuple:
             reports.append(poisson.check_lipschitz_bound(sols[i], sols[j], D, consts, phi))
     table = (
         ["quantity", "value", "bound", "pass", "margin"],
-        [(r.quantity, r.value, r.bound, r.passed, r.margin) for r in reports],
+        list(zip(*((r.quantity, r.value, r.bound, r.passed, r.margin) for r in reports))),
     )
     all_pass = all(r.passed for r in reports)
     summary = {
@@ -673,7 +664,7 @@ def cmd_waning(cfg: RunConfig) -> tuple:
     tables = {
         "waning": (
             ["n", "statistic", "weighted_sum"],
-            list(zip(report.checkpoints, report.statistic, report.weighted_sums)),
+            [report.checkpoints, report.statistic, report.weighted_sums],
         )
     }
     matched = report.waning == expect
@@ -713,7 +704,7 @@ def cmd_poisson(cfg: RunConfig) -> tuple:
         "tol": tol,
         "checks": checks,
     }
-    tables = {"solution.csv": (["state", "g"], list(enumerate(sol.g)))}
+    tables = {"solution.csv": (["state", "g"], [np.arange(P.n), sol.g])}
     return tables, summary, EXIT_PASS if all(checks.values()) else EXIT_UNEXPECTED
 
 
@@ -726,14 +717,7 @@ def cmd_kernel_info(cfg: RunConfig) -> tuple:
         d = kernels.stationary_distribution(P)
         beta = kernels.dobrushin_coefficient(P)
         curves[str(idx)] = kernels.sup_tv_to_pi_curve(P, family.pi, horizon)
-        info.append(
-            {
-                "index": idx,
-                "n": P.n,
-                "dobrushin": beta,
-                "stationary": [float(v) for v in d.weights],
-            }
-        )
+        info.append({"index": idx, "n": P.n, "dobrushin": beta, "stationary": d.weights.tolist()})
         print(f"kernel {idx}: n={P.n} dobrushin={beta:.6f}")
     return {"ergodicity.csv": _ergodicity_table(curves)}, {"kernels": info}, EXIT_PASS
 

@@ -195,7 +195,7 @@ def poisson_table(family: KernelFamily, phi: TestFunction, indices) -> PoissonTa
         P = family.kernel(s)
         sol = solve_poisson_exact(P, family.pi, phi)
         g[s] = sol.g
-        Pg[s] = P.rows @ sol.g
+        Pg[s] = sol.Pg
         Pg2[s] = P.rows @ (sol.g**2)
     return PoissonTable(g=g, Pg=Pg, Pg2=Pg2)
 
@@ -229,6 +229,13 @@ class DecompositionLedger:
         Pg = self.solutions.Pg
         closed = Pg[traj.S[0], traj.X[0]] - Pg[traj.S[1:], traj.X[1:]]
         return np.abs(self.R - closed)
+
+    def table(self, traj: Trajectory) -> tuple:
+        """``(header, columns)``: per step ``k = 1..n`` of ``traj``, ``X_k``,
+        ``S_k`` and the step's terms."""
+        return (["k", "x", "s_index", "delta", "M", "A", "R", "D", "cond_var"],
+                [np.arange(1, traj.n + 1), traj.X[1:], traj.S[1:], self.Delta, self.M, self.A,
+                 self.R, self.D, self.cond_var])
 
     def summary(self) -> dict:
         """Endpoint diagnostics at both normalizations.
@@ -535,7 +542,8 @@ def lln_study(
     """Ergodic-average error over a grid of run lengths.
 
     For every ``n`` in the grid and every seed, records
-    ``|n^-1 sum phi(X_k) - pi(phi)|``; reports the per-``n`` median over
+    ``|n^-1 sum phi(X_k) - pi(phi)|`` (``errors``, one row per ``n`` of the
+    sorted grid and one column per seed); reports the per-``n`` median over
     seeds and the log-log slope of the medians (None for a one-entry grid,
     which has no slope).  Restricted to exogenous (fixed-index-sequence)
     schemes so replications can run in lockstep.
@@ -547,22 +555,16 @@ def lln_study(
     n_grid = sorted({int(n) for n in n_grid})
     n_max = n_grid[-1]
     indices = scheme.index_array(n_max)
-    pi_phi = phi.mean_under_pi
     seed_seqs = [np.random.SeedSequence(s) for s in seeds]
     _, recorded, _ = ensemble_schedule_run(
         family, indices, phi, n_max, seed_seqs, x0, record_prefixes=n_grid
     )
-    rows = []
-    medians = []
-    for i, n in enumerate(n_grid):
-        errors = np.abs(recorded[i] / n - pi_phi)
-        for seed, err in zip(seeds, errors):
-            rows.append({"n": n, "seed": int(seed), "error": float(err)})
-        medians.append(float(np.median(errors)))
+    errors = np.abs(recorded / np.asarray(n_grid)[:, None] - phi.mean_under_pi)
+    medians = [float(np.median(e)) for e in errors]
     logs_n = np.log10(np.asarray(n_grid, dtype=np.float64))
     safe = np.asarray([max(m, 1e-300) for m in medians])
     slope = float(np.polyfit(logs_n, np.log10(safe), 1)[0]) if len(n_grid) > 1 else None
-    return {"rows": rows, "n_grid": n_grid, "medians": medians, "slope": slope}
+    return {"errors": errors, "n_grid": n_grid, "medians": medians, "slope": slope}
 
 
 # Kolmogorov-Smirnov normality test of the CLT replicates.  The p-value is
@@ -787,39 +789,44 @@ def an_bound_check(
 # file formats
 
 
-# The ledger CSV is written ``_CSV_BLOCK`` rows at a time.  Within a block
-# each column's distinct bit patterns (so -0.0 apart from 0.0, and each NaN
-# payload apart) are ``repr``-ed once and the texts gathered back by row;
-# most columns repeat a few values.  A block holds its rows as text, so its
-# size sets the writer's peak memory: on a 50k-row ledger, 0.3 MB traced at
-# 512 rows and 0.55 MB at 1024, at about the same speed.
+# A CSV table is written ``_CSV_BLOCK`` rows at a time.  Within a block each
+# numeric column's distinct bit patterns (so -0.0 apart from 0.0, and each NaN
+# payload apart) are ``repr``-ed once and the texts gathered back by row; most
+# columns repeat a few values.  A block holds its rows as text, so its size
+# sets the writer's peak memory: on a 50k-row ledger, 0.3 MB traced at 512
+# rows and 0.55 MB at 1024, at about the same speed.
 _CSV_BLOCK = 512
 
 
 def _column_texts(col: np.ndarray) -> list:
-    """``repr`` of each entry of ``col`` as a Python int or float, taken once
-    per distinct bit pattern."""
+    """Each entry of ``col`` as text: a bool, int or float by ``repr`` (an
+    int's is its ``str``), taken once per distinct bit pattern, and a str as is."""
+    if col.dtype.kind not in "biuf":
+        return list(map(str, col.tolist()))
     keys, at = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    texts = list(map(repr, keys.view(col.dtype).tolist()))
-    return list(map(texts.__getitem__, at.tolist()))
+    texts = np.array(list(map(repr, keys.view(col.dtype).tolist())), dtype=object)
+    return texts[at].tolist()
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write the table of equal-length ``columns`` under ``header`` as CSV.
+
+    Every line ends in CRLF and nothing is quoted.  An int, bool or str
+    cell is written by ``str`` and a float as its shortest round-trip
+    ``repr`` (``nan``, ``inf`` and ``-inf`` included): the bytes of
+    ``csv.writer`` over the columns' ``tolist()``, given str cells with no
+    comma, quote or line break.  Columns of unequal length raise ValueError.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            texts = [_column_texts(c[start : start + _CSV_BLOCK]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n")
 
 
 def write_ledger_csv(path, traj: Trajectory, ledger: DecompositionLedger) -> None:
-    """Export the per-step ledger as CSV with header
-    ``k,x,s_index,delta,M,A,R,D,cond_var``.
-
-    Rows end in CRLF, an integer is written in decimal and a float as its
-    shortest round-trip ``repr`` (``nan``, ``inf`` and ``-inf`` included):
-    the bytes of ``csv.writer`` over the columns' ``tolist()``.
-    """
-    columns = (
-        traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A, ledger.R, ledger.D,
-        ledger.cond_var,
-    )
-    with open(path, "w", newline="") as fh:
-        fh.write("k,x,s_index,delta,M,A,R,D,cond_var\r\n")
-        for start in range(0, traj.n, _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, traj.n)
-            rows = zip(map(str, range(start + 1, stop + 1)),
-                       *(_column_texts(c[start:stop]) for c in columns))
-            fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+    """Export the per-step ledger, :meth:`DecompositionLedger.table`, by
+    :func:`write_csv`: header ``k,x,s_index,delta,M,A,R,D,cond_var`` and
+    one row per step ``k = 1..n``."""
+    write_csv(path, *ledger.table(traj))

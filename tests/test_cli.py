@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -34,8 +33,9 @@ from amcmc.cli import (
 )
 from amcmc.errors import ConfigError, NonPositiveDensity
 from amcmc.families import cyclic_pair, smoothed_family
+from amcmc.ledger import _CSV_BLOCK
 from amcmc.rwm import DEFAULT_STATE_CAP, RwmParameter, build_discrete_rwm, table_target
-from test_ledger import CSV_FLOATS
+from test_ledger import CSV_FLOATS, csv_writer_bytes, runs_of
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(amcmc.__file__).resolve().parent.parent
@@ -477,8 +477,32 @@ class TestPinnedArtifacts:
             config = ["--config", write_config(tmp_path, name)]
         else:
             config = ["--config", str(CONFIG_DIR / name)] if name else []
-        run([command, *config, "--out", str(tmp_path), "--seed", "1"])
-        run_dir = only_run_dir(tmp_path, command)
+        self.check(tmp_path, [command, *config], digests)
+
+    @pytest.mark.parametrize(
+        "command,name,digests",
+        [
+            ("clt", "clt_iid.json", {
+                "clt_replicates.json":
+                    "11eb5ac16c180c0979caf80a8ddca99aaceeb984e48e204440ca6ae9b64f302a"}),
+            ("lln", "lln_iid.json", {
+                "lln.json": "24d775589792f0ef2cdff28c248c7bcdc09b13b1c72de48fbd97c3743cce71fd",
+                "lln_medians.json":
+                    "13648d268eda68e4f7f74f4211220da601891eb2e17d43f9ec8e6f70d04bc1bc"}),
+            ("waning", "waning_rare.json", {
+                "waning.json": "36de91fbe32e63472ad4aae1056b0148b54040ba17fc10f90352ffbca74811d7"}),
+            ("counterexample", None, {
+                "orbit.json": "008bc53dd83a754e0306b218ec2ce0ae0325c3aa57a15948d72cbf96605c6a08"}),
+        ],
+    )
+    def test_json_study_tables_match_pinned_sha256(self, tmp_path, command, name, digests):
+        config = ["--config", str(CONFIG_DIR / name)] if name else []
+        self.check(tmp_path, [command, *config, "--format", "json"], digests)
+
+    @staticmethod
+    def check(tmp_path, argv, digests):
+        run([*argv, "--out", str(tmp_path), "--seed", "1"])
+        run_dir = only_run_dir(tmp_path, argv[0])
         for artifact, digest in digests.items():
             assert hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest() == digest
 
@@ -561,53 +585,44 @@ class TestRunConfigScalar:
             self.config({"seeds": [1, 2]}).scalar("seeds.count", int, 16)
 
 
-def native_cell(v):
-    """A cell as the Python str, bool, int or float that JSON tables hold."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
-
-
-def rendered_cell(v) -> str:
-    """A cell as CSV tables spell it: a float by ``repr``, an int in decimal,
-    a bool as ``True``/``False``, a str as is."""
-    v = native_cell(v)
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-FLOAT_CELLS = st.one_of(st.sampled_from(CSV_FLOATS), st.floats())
-INT_CELLS = st.integers(-(2**63), 2**63 - 1)
-TABLE_CELLS = st.one_of(
-    FLOAT_CELLS, FLOAT_CELLS.map(np.float64), st.floats(width=32).map(np.float32),
-    st.booleans(), st.booleans().map(np.bool_), INT_CELLS, INT_CELLS.map(np.int64),
-    st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True),
+# (dtype, cells of a column of that dtype); a str cell needs no quoting
+COLUMN_POOLS = st.one_of(
+    st.tuples(st.just(np.float64),
+              st.lists(st.one_of(st.sampled_from(CSV_FLOATS), st.floats()), min_size=1, max_size=6)),
+    st.tuples(st.just(np.float32), st.lists(st.floats(width=32), min_size=1, max_size=6)),
+    st.tuples(st.just(np.int64),
+              st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6)),
+    st.tuples(st.just(np.bool_), st.lists(st.booleans(), min_size=1, max_size=6)),
+    st.tuples(st.just(np.str_), st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True),
+                                         min_size=1, max_size=6)),
 )
 
 
 class TestWriteTable:
     @settings(max_examples=200, deadline=None)
     @given(
-        width=st.integers(1, 6),
-        cells=st.lists(TABLE_CELLS, min_size=0, max_size=60),
+        n=st.sampled_from([0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+        pools=st.lists(COLUMN_POOLS, min_size=0, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_bytes_are_the_writers_over_rendered_cells(self, tmp_path_factory, width, cells):
-        header = [f"c{i}" for i in range(width)]
-        rows = [cells[i : i + width] for i in range(0, len(cells) - width + 1, width)]
+    def test_bytes_are_the_writers_over_rendered_cells(self, tmp_path_factory, n, pools, seed):
+        # every example has a float column that draws from all of CSV_FLOATS
+        pools.insert(seed % (len(pools) + 1), (np.float64, CSV_FLOATS))
+        columns = [runs_of(pool, n, seed + i, dtype) for i, (dtype, pool) in enumerate(pools)]
+        header = [f"c{i}" for i in range(len(columns))]
         out = tmp_path_factory.mktemp("table")
-        _write_table(out / "table.csv", (header, rows))
-        _write_table(out / "table.json", (header, rows))
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows([rendered_cell(v) for v in row] for row in rows)
-        assert (out / "table.csv").read_bytes() == buf.getvalue().encode("ascii")
-        records = [dict(zip(header, map(native_cell, row))) for row in rows]
+        _write_table(out / "table.csv", (header, columns))
+        _write_table(out / "table.json", (header, columns))
+        assert (out / "table.csv").read_bytes() == csv_writer_bytes(header, columns)
+        records = [{h: column[i].item() for h, column in zip(header, columns)} for i in range(n)]
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
         assert (out / "table.json").read_text() == text
+
+    @pytest.mark.parametrize("name", ["table.csv", "table.json"])
+    @pytest.mark.parametrize("columns", [[[1, 2], [0.5]], [[1], [0.5, 0.25]]])
+    def test_refuses_columns_of_unequal_length(self, tmp_path, name, columns):
+        with pytest.raises(ValueError):
+            _write_table(tmp_path / name, (["a", "b"], columns))
 
 
 class TestDependencies:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amcmc import kernels
@@ -651,6 +651,8 @@ class TestFitMatchesOracle:
         assert np.array_equal(consts.curves, curves)
 
     @settings(max_examples=300, deadline=None)
+    # beta_6 = 1.67e-15 sets the oracle's rate; beta_12, its doubling, rounds to 0
+    @example(kind="positive", n=2, size=1, horizon=12, seed=14206040)
     @given(
         kind=st.sampled_from(["positive", "metropolis", "lazy-iid", "banded"]),
         n=st.integers(min_value=2, max_value=30),
@@ -673,12 +675,12 @@ class TestFitMatchesOracle:
     def test_lazy_family_in_any_order_matches_all_powers_oracle(
         self, kind, n, size, horizon, seed, data
     ):
-        # members (1 - lam) I + lam P mix at speeds set by lam, listed in any order
-        (P,), pi = ergodic_family(kind, n, 1, seed)
-        lams = np.sort(np.random.default_rng(seed).uniform(0.05, 1.0, size=size))
         order = data.draw(st.permutations(range(size)))
-        P_list = [StochasticMatrix((1.0 - lams[s]) * np.eye(n) + lams[s] * P.rows) for s in order]
-        assert_fit_matches_all_powers_oracle(P_list, pi, horizon)
+        assert_fit_matches_all_powers_oracle(*lazy_family(kind, n, seed, order), horizon)
+
+    def test_rates_tied_up_to_the_roots_rounding_match_all_powers_oracle(self):
+        # beta_4 == beta_2**2, yet beta_4**(1/4) rounds one ulp above beta_2**(1/2)
+        assert_fit_matches_all_powers_oracle(*lazy_family("banded", 2, 162, [0, 1]), 4)
 
     @staticmethod
     def slow_last_rwm_family():
@@ -763,6 +765,14 @@ class TestFitMatchesOracle:
         assert len(calls) == len(P_list) * (1 + horizon - horizon // 2)
 
 
+def lazy_family(kind: str, n: int, seed: int, order):
+    """Members ``(1 - lam) I + lam P`` of one ``ergodic_family`` kernel ``P``,
+    which mix at speeds set by ``lam``, listed in ``order``, and ``pi``."""
+    (P,), pi = ergodic_family(kind, n, 1, seed)
+    lams = np.sort(np.random.default_rng(seed).uniform(0.05, 1.0, size=len(order)))
+    return [StochasticMatrix((1.0 - lams[s]) * np.eye(n) + lams[s] * P.rows) for s in order], pi
+
+
 def assert_fit_matches_all_powers_oracle(P_list, pi, horizon):
     """The fit's certificate is the all-powers oracle's, up to the rounding a
     skipped power's rate can carry; its curves and ``beta`` are the oracle's."""
@@ -780,19 +790,24 @@ def assert_fit_matches_all_powers_oracle(P_list, pi, horizon):
     assert consts.beta == beta
     if (consts.C, consts.rho) == (C, rho):
         return
-    # The oracle's minimum sits at a skipped power m, and the doubling M of
-    # m that the fit keeps has a larger rate: the computed coefficients
-    # break beta_M <= beta_m^(M/m).  That may only be rounding, each power
-    # and coefficient off by a few n*eps: two-state and lazy-iid kernels,
-    # whose rates tie exactly, or coefficients near the rounding floor.
+    # The oracle's minimum sits at a skipped power m.  The fit takes the
+    # smallest positive kept rate, which exceeds it only by rounding.
     m = oracle_power(beta_m, curves)
     assert 1 < m <= horizon // 2
+    kept = [1, *range(horizon // 2 + 1, horizon + 1)]
+    assert consts.rho == min(beta_m[k] ** (1.0 / k) for k in kept if 0.0 < beta_m[k] < 1.0)
+    assert consts.rho > rho
+    # Either the doubling M of m that the fit keeps rounds to 0, a rate it
+    # leaves out while a curve value is positive; or beta_M is within a few
+    # n*eps of beta_m^(M/m), each power and coefficient off by rounding
+    # (two-state and lazy-iid kernels, whose rates tie exactly, or
+    # coefficients near the rounding floor), and where beta_M is at most
+    # beta_m^(M/m) the two roots round apart.
     M = m
     while M <= horizon // 2:
         M *= 2
     slack = 64 * n * M * np.finfo(np.float64).eps
-    assert beta_m[m] ** (M // m) < beta_m[M] <= beta_m[m] ** (M // m) + slack
-    assert consts.rho > rho
+    assert curves.any() and beta_m[M] == 0.0 or beta_m[M] <= beta_m[m] ** (M // m) + slack
 
 
 class TestErgodicityConstantsType:

@@ -1104,15 +1104,22 @@ class TestAnBoundCheck:
             an_bound_check(np.zeros(101, dtype=int), fam, phi, 100, x0)
 
 
-def oracle_ledger_csv(traj, ledger) -> bytes:
-    """The ledger file as ``csv.writer`` writes the columns' ``tolist()``."""
+def csv_writer_bytes(header, columns) -> bytes:
+    """The table as ``csv.writer`` writes the rows of the columns' ``tolist()``."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(["k", "x", "s_index", "delta", "M", "A", "R", "D", "cond_var"])
-    columns = (traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A, ledger.R, ledger.D,
-               ledger.cond_var)
-    writer.writerows(zip(range(1, traj.n + 1), *(c.tolist() for c in columns)))
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
     return buf.getvalue().encode("ascii")
+
+
+def oracle_ledger_csv(traj, ledger) -> bytes:
+    """The ledger file as ``csv.writer`` writes the columns' ``tolist()``."""
+    return csv_writer_bytes(
+        ["k", "x", "s_index", "delta", "M", "A", "R", "D", "cond_var"],
+        [range(1, traj.n + 1), traj.X[1:], traj.S[1:], ledger.Delta, ledger.M, ledger.A,
+         ledger.R, ledger.D, ledger.cond_var],
+    )
 
 
 # -0.0 beside 0.0, subnormals, repr's switches to exponent form below 1e-4
